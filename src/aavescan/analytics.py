@@ -18,12 +18,9 @@ from typing import Iterator
 
 import yaml
 
-from .decoder import DecodedEvent
 from .numstr import fraction_to_decimal, parse_decimal
 from .registry import Registry
-from .sink import list_stream_parts
-
-SECONDS_PER_DAY = 86_400
+from .sink import IoFailure, iter_part_rows, iter_streams, list_stream_parts
 
 
 class AnalyticsError(Exception):
@@ -41,33 +38,6 @@ def utc_day(timestamp: int) -> str:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime("%Y-%m-%d")
 
 
-def iter_stream_dirs(root: str) -> Iterator[tuple[str, str, str]]:
-    """Yield (chain, event, directory) for every stream under ``root``."""
-    if not os.path.isdir(root):
-        return
-    for chain in sorted(os.listdir(root)):
-        chain_dir = os.path.join(root, chain)
-        if not os.path.isdir(chain_dir):
-            continue
-        for event in sorted(os.listdir(chain_dir)):
-            directory = os.path.join(chain_dir, event)
-            if os.path.isdir(directory):
-                yield chain, event, directory
-
-
-def _iter_file_rows(path: str) -> Iterator[dict[str, str]]:
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise AnalyticsError(f"{path}: empty file")
-        width = len(header)
-        for row in reader:
-            if len(row) != width:
-                raise AnalyticsError(f"{path}: row width {len(row)} != header {width}")
-            yield dict(zip(header, row))
-
-
 def _stream_rows(
     root: str,
     events: set[str] | None,
@@ -80,23 +50,23 @@ def _stream_rows(
     it, so a parse failure midway never leaks a partial file into the
     aggregates while memory stays bounded by one row.
     """
-    for chain, event, directory in iter_stream_dirs(root):
+    for chain, event, directory in iter_streams(root):
         if events is not None and event not in events:
             continue
         for name in list_stream_parts(directory):
             path = os.path.join(directory, name)
             if lenient:
                 try:
-                    for _ in _iter_file_rows(path):
+                    for _ in iter_part_rows(path):
                         pass
-                except (AnalyticsError, csv.Error, OSError) as exc:
-                    errors.append(f"{path}: {exc}")
+                except IoFailure as exc:
+                    errors.append(str(exc))
                     continue
             try:
-                for row in _iter_file_rows(path):
+                for row in iter_part_rows(path):
                     yield chain, event, row
-            except (AnalyticsError, csv.Error, OSError) as exc:
-                raise AnalyticsError(f"{path}: {exc}") from exc
+            except IoFailure as exc:
+                raise AnalyticsError(str(exc)) from exc
 
 
 def event_counts(root: str, lenient: bool = False) -> tuple[list[AggregateRow], list[str]]:
@@ -209,19 +179,6 @@ class PriceTable:
         if price is None:
             return None
         return price, entry["decimals"]
-
-    def value_of(self, event: DecodedEvent) -> str | None:
-        """USD value for events carrying (reserve, amount); None otherwise."""
-        fm = event.field_map()
-        asset = fm.get("reserve")
-        amount = fm.get("amount")
-        if asset is None or amount is None:
-            return None
-        found = self.lookup(asset, utc_day(event.block_timestamp))
-        if found is None:
-            return None
-        price, decimals = found
-        return fraction_to_decimal(Fraction(int(amount)) * price / 10**decimals)
 
 
 def deposit_volume(

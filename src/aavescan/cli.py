@@ -19,10 +19,9 @@ import click
 import yaml
 
 from . import analytics
-from .decoder import decode
 from .gateway import FixtureGateway, GatewayError, HttpGateway
 from .numstr import fraction_to_decimal, parse_decimal
-from .registry import EventSchema, Registry, RegistryError, load_registry
+from .registry import Registry, RegistryError, load_registry
 from .risk import (
     AssetParams,
     NotLiquidatable,
@@ -41,39 +40,12 @@ from .scanner import (
     checkpoint_path,
     scan_event,
 )
-from .sink import IoFailure, ShardWriter, iter_part_rows, list_stream_parts, validate_output
+from .sink import (DecodingSink, IoFailure, ShardWriter, iter_part_rows, iter_streams,
+                   list_stream_parts, validate_output)
 
 EXIT_CONFIG = 2
 EXIT_NETWORK = 3
 EXIT_IO = 4
-
-
-class DecodingSink:
-    """Batch sink decoding raw logs and appending them to a shard writer."""
-
-    def __init__(self, writer: ShardWriter, schema: EventSchema, chain_name: str,
-                 strict: bool = True, price_provider=None):
-        self._writer = writer
-        self._schema = schema
-        self._chain = chain_name
-        self._strict = strict
-        self._price_provider = price_provider
-
-    def commit_batch(self, logs) -> int:
-        for log in logs:
-            event = decode(log, self._schema, self._chain, strict=self._strict,
-                           price_provider=self._price_provider)
-            self._writer.append(event)
-        self._writer.flush()
-        return len(logs)
-
-    @property
-    def part_number(self) -> int:
-        return self._writer.part_number
-
-    @property
-    def rows_in_part(self) -> int:
-        return self._writer.rows_in_part
 
 
 @dataclass
@@ -383,24 +355,18 @@ def liquidate_quote_cmd(params_path, position_path, debt_asset, collateral_asset
     click.echo(f"liquidator_profit_usd: {fraction_to_decimal(quote.liquidator_profit_usd)}")
 
 
+def _stream_rows(directory: str):
+    for name in list_stream_parts(directory):
+        yield from iter_part_rows(os.path.join(directory, name))
+
+
 def _iter_chain_rows_sorted(root: str, chain: str):
     """Merge all event streams of one chain into one key-ordered row stream."""
-    chain_dir = os.path.join(root, chain)
-    if not os.path.isdir(chain_dir):
+    streams = [_stream_rows(directory)
+               for name, _event, directory in iter_streams(root) if name == chain]
+    if not streams:
         raise click.UsageError(f"no shard directory for chain {chain!r} under {root}")
-    streams = []
-    for event in sorted(os.listdir(chain_dir)):
-        directory = os.path.join(chain_dir, event)
-        if not os.path.isdir(directory):
-            continue
-
-        def rows(directory=directory):
-            for name in list_stream_parts(directory):
-                yield from iter_part_rows(os.path.join(directory, name))
-
-        streams.append(rows())
-    key = lambda row: (int(row["block_number"]), int(row["log_index"]))
-    return merge(*streams, key=key)
+    return merge(*streams, key=lambda row: (int(row["block_number"]), int(row["log_index"])))
 
 
 @main.command("replay")
@@ -415,7 +381,11 @@ def replay_cmd(root, chain_name, mode, out_path, params_path) -> None:
     """Rebuild user positions from extracted shards for one chain."""
     import csv as _csv
 
-    result = replay(_iter_chain_rows_sorted(root, chain_name), mode=mode)
+    try:
+        result = replay(_iter_chain_rows_sorted(root, chain_name), mode=mode)
+    except IoFailure as exc:
+        click.echo(f"replay aborted: {exc}", err=True)
+        sys.exit(EXIT_IO)
     rows = []
     for user in sorted(result.positions):
         position = result.positions[user]

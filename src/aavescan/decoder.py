@@ -10,7 +10,6 @@ exactly and exists as the round-trip oracle for the decoder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 from .gateway import RawLog
 from .registry import EventField, EventSchema
@@ -52,10 +51,6 @@ class DecodedEvent:
 
     def field_map(self) -> dict[str, str]:
         return dict(self.fields)
-
-
-# Optional hook filling usd_value from decoded fields; None leaves it empty.
-PriceProvider = Callable[[DecodedEvent], Optional[str]]
 
 
 def _decode_word(word: bytes, f: EventField, strict: bool) -> str:
@@ -106,7 +101,6 @@ def decode(
     schema: EventSchema,
     chain_name: str,
     strict: bool = True,
-    price_provider: PriceProvider | None = None,
 ) -> DecodedEvent:
     """Decode one raw log against ``schema``.
 
@@ -142,7 +136,7 @@ def decode(
             data_offset += WORD
         values.append((f.name, _decode_word(word, f, strict)))
 
-    event = DecodedEvent(
+    return DecodedEvent(
         chain_name=chain_name,
         event_name=schema.event_name,
         block_number=log.block_number,
@@ -152,11 +146,6 @@ def decode(
         contract_address=log.address,
         fields=values,
     )
-    if price_provider is not None:
-        usd = price_provider(event)
-        if usd is not None:
-            event.usd_value = usd
-    return event
 
 
 def encode(event: DecodedEvent, schema: EventSchema) -> tuple[list[bytes], bytes]:

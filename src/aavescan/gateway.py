@@ -121,10 +121,6 @@ def classify_error(
         return GatewayError(ErrorKind.TERMINAL, detail)
     if rpc_code == -32005:  # provider "limit exceeded" without a clearer message
         return GatewayError(ErrorKind.RESPONSE_TOO_LARGE, detail)
-    if exception is not None and isinstance(
-        exception, (requests.Timeout, requests.ConnectionError)
-    ):
-        return GatewayError(ErrorKind.TRANSIENT, detail)
     return GatewayError(ErrorKind.TRANSIENT, detail)
 
 

@@ -155,12 +155,6 @@ class Registry:
         except KeyError:
             raise RegistryError(f"unknown event {name!r}") from None
 
-    def event_by_topic0(self, topic0: bytes) -> EventSchema:
-        for schema in self.events:
-            if schema.topic0 == topic0:
-                return schema
-        raise RegistryError(f"no event with topic0 0x{topic0.hex()}")
-
     def chain_names(self) -> list[str]:
         return [c.chain_name for c in self.chains]
 

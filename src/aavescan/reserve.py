@@ -9,7 +9,6 @@ A second call inside the same second is a no-op.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
 
 from .raymath import (
     PERCENTAGE_FACTOR,
@@ -20,20 +19,6 @@ from .raymath import (
     ray_div,
     ray_mul,
 )
-
-# Hook recomputing (liquidity_rate, stable_rate, variable_rate) after an
-# update, e.g. from a utilisation model. The default keeps rates as-is;
-# replayed streams supply rates from ReserveDataUpdated events instead.
-RateStrategy = Callable[["ReserveState"], tuple[int, int, int]]
-
-
-def passthrough_rates(state: "ReserveState") -> tuple[int, int, int]:
-    return (
-        state.current_liquidity_rate,
-        state.current_stable_borrow_rate,
-        state.current_variable_borrow_rate,
-    )
-
 
 @dataclass(frozen=True)
 class ReserveState:
@@ -63,12 +48,8 @@ class ReserveState:
             raise ValueError("negative reserve state field")
 
 
-def update_state(
-    state: ReserveState,
-    now_ts: int,
-    rate_strategy: RateStrategy = passthrough_rates,
-) -> ReserveState:
-    """Advance ``state`` to ``now_ts``; same-second calls return it unchanged."""
+def update_state(state: ReserveState, now_ts: int) -> ReserveState:
+    """Advance ``state`` to ``now_ts`` at unchanged rates; a same-second call is a no-op."""
     if now_ts < state.last_update_timestamp:
         raise ValueError(
             f"now_ts {now_ts} before last update {state.last_update_timestamp}"
@@ -94,18 +75,10 @@ def update_state(
         treasury_share = percent_mul(debt_accrued, state.reserve_factor)
         accrued_to_treasury += ray_div(treasury_share, next_liquidity_index)
 
-    advanced = replace(
+    return replace(
         state,
         liquidity_index=next_liquidity_index,
         variable_borrow_index=next_variable_index,
         accrued_to_treasury=accrued_to_treasury,
         last_update_timestamp=now_ts,
-    )
-    # rates are recomputed last, from the already-advanced snapshot
-    liquidity_rate, stable_rate, variable_rate = rate_strategy(advanced)
-    return replace(
-        advanced,
-        current_liquidity_rate=liquidity_rate,
-        current_stable_borrow_rate=stable_rate,
-        current_variable_borrow_rate=variable_rate,
     )

@@ -278,8 +278,7 @@ def _event_view(ev) -> tuple[str, str, tuple[int, int], int, dict[str, str]]:
 class _Book:
     """Mutable per-user balance ledger with clamp-at-zero semantics."""
 
-    def __init__(self, indexed: bool):
-        self.indexed = indexed
+    def __init__(self):
         self.positions: dict[str, Position] = {}
         self.anomalies: list[Anomaly] = []
 
@@ -288,7 +287,7 @@ class _Book:
             self.positions[user] = Position(user=user)
         return self.positions[user]
 
-    def add(self, side: str, user: str, asset: str, amount: int, key) -> None:
+    def add(self, side: str, user: str, asset: str, amount: int) -> None:
         book = getattr(self.position(user), side)
         book[asset] = book.get(asset, 0) + amount
 
@@ -317,7 +316,7 @@ def replay(
     if mode not in ("nominal", "indexed"):
         raise ValueError(f"unknown replay mode {mode!r}")
     indexed = mode == "indexed"
-    book = _Book(indexed)
+    book = _Book()
     reserves: dict[str, ReserveState] = {}
     chain_seen: str | None = None
     last_key: tuple[int, int] | None = None
@@ -372,11 +371,11 @@ def replay(
                 )
                 amount = ray_div(amount, index)
             if name == "Supply":
-                book.add("collateral", fm["onBehalfOf"], asset, amount, key)
+                book.add("collateral", fm["onBehalfOf"], asset, amount)
             elif name == "Withdraw":
                 book.sub("collateral", fm["user"], asset, amount, key)
             elif name == "Borrow":
-                book.add("debt", fm["onBehalfOf"], asset, amount, key)
+                book.add("debt", fm["onBehalfOf"], asset, amount)
             else:
                 book.sub("debt", fm["user"], asset, amount, key)
             continue

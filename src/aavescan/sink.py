@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from typing import Callable, Iterator
 
-from .decoder import DecodedEvent
+from .decoder import DecodedEvent, decode
 from .registry import EventSchema
 
 PART_ROW_LIMIT = 1_000_000
@@ -160,7 +160,6 @@ class ShardWriter:
         self._closed_parts: list[PartRecord] = []
         self._part_number = 0  # 0 until the first part opens
         self._rows_in_part = 0
-        self._rows_total = 0
         self._last_key: tuple[int, int] | None = None
         self._first_key_in_part: tuple[int, int] | None = None
         self._fh = None
@@ -178,10 +177,6 @@ class ShardWriter:
     @property
     def rows_in_part(self) -> int:
         return self._rows_in_part
-
-    @property
-    def rows_total(self) -> int:
-        return self._rows_total
 
     @property
     def last_key(self) -> tuple[int, int] | None:
@@ -252,7 +247,6 @@ class ShardWriter:
             self._first_key_in_part = key
         self._last_key = key
         self._rows_in_part += 1
-        self._rows_total += 1
         if self._rows_in_part >= self._row_limit:
             self._close_part()
 
@@ -371,7 +365,6 @@ class ShardWriter:
             with open(sidecar, "r", encoding="utf-8") as fh:
                 saved = ShardManifest.from_json(fh.read())
             writer._closed_parts = list(saved.parts)
-        writer._rows_total = sum(p.row_count for p in writer._closed_parts)
         if writer._closed_parts:
             writer._last_key = writer._closed_parts[-1].last_key
         expected_closed = part_number if rows_in_part == 0 else part_number - 1
@@ -390,7 +383,6 @@ class ShardWriter:
         first_key, last_key, kept = writer._truncate_open_part(open_path, rows_in_part)
         writer._part_number = part_number
         writer._rows_in_part = kept
-        writer._rows_total += kept
         writer._first_key_in_part = first_key
         writer._last_key = last_key
         try:
@@ -428,21 +420,74 @@ class ShardWriter:
         return first, last, keep_rows
 
 
+class DecodingSink:
+    """Batch sink decoding raw logs and appending them to a shard writer."""
+
+    def __init__(self, writer: ShardWriter, schema: EventSchema, chain_name: str,
+                 strict: bool = True):
+        self._writer = writer
+        self._schema = schema
+        self._chain = chain_name
+        self._strict = strict
+
+    def commit_batch(self, logs) -> int:
+        for log in logs:
+            self._writer.append(decode(log, self._schema, self._chain, strict=self._strict))
+        self._writer.flush()
+        return len(logs)
+
+    @property
+    def part_number(self) -> int:
+        return self._writer.part_number
+
+    @property
+    def rows_in_part(self) -> int:
+        return self._writer.rows_in_part
+
+
 # -- reading and validation ---------------------------------------------------
 
 
-def iter_part_rows(path: str) -> Iterator[dict[str, str]]:
-    """Yield rows of one part file as header-keyed dicts."""
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            yield row
+def iter_streams(root: str) -> Iterator[tuple[str, str, str]]:
+    """Yield (chain, event, directory) per stream under ``root`` in sorted order."""
+    if not os.path.isdir(root):
+        return
+    for chain in sorted(os.listdir(root)):
+        chain_dir = os.path.join(root, chain)
+        if not os.path.isdir(chain_dir):
+            continue
+        for event in sorted(os.listdir(chain_dir)):
+            directory = os.path.join(chain_dir, event)
+            if os.path.isdir(directory):
+                yield chain, event, directory
 
 
 def list_stream_parts(directory: str) -> list[str]:
     """Part filenames in a stream directory, ordered by part number."""
     names = [n for n in os.listdir(directory) if FILENAME_RE.match(n)]
     return sorted(names, key=lambda n: int(FILENAME_RE.match(n).group("part")))
+
+
+def iter_part_rows(path: str) -> Iterator[dict[str, str]]:
+    """Yield rows of one part file as header-keyed dicts.
+
+    Raises IoFailure naming ``path`` on a read error, a missing header or a ragged row.
+    """
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise IoFailure(f"{path}: empty file")
+            width = len(header)
+            for row in reader:
+                if len(row) != width:
+                    raise IoFailure(f"{path}: row width {len(row)} != header {width}")
+                yield dict(zip(header, row))
+    except OSError as exc:
+        raise IoFailure(f"{path}: {exc.strerror or exc}") from exc
+    except csv.Error as exc:
+        raise IoFailure(f"{path}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -572,13 +617,6 @@ def validate_output(root: str) -> ValidationReport:
     violations: list[Violation] = []
     if not os.path.isdir(root):
         return ValidationReport([Violation("naming", root, "output directory missing")])
-    for chain in sorted(os.listdir(root)):
-        chain_dir = os.path.join(root, chain)
-        if not os.path.isdir(chain_dir):
-            continue
-        for event in sorted(os.listdir(chain_dir)):
-            directory = os.path.join(chain_dir, event)
-            if not os.path.isdir(directory):
-                continue
-            violations.extend(_validate_stream(directory, chain, event))
+    for chain, event, directory in iter_streams(root):
+        violations.extend(_validate_stream(directory, chain, event))
     return ValidationReport(violations)

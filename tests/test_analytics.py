@@ -93,10 +93,12 @@ class TestCounts:
         path = os.path.join(stream, victim)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("not,a,valid,row\n")
-        with pytest.raises(AnalyticsError):
+        with pytest.raises(AnalyticsError) as strict:
             event_counts(str(small_tree))
+        assert str(strict.value).count(victim) == 1
         rows, errors = event_counts(str(small_tree), lenient=True)
         assert len(errors) == 1 and victim in errors[0]
+        assert errors[0].count(victim) == 1
         assert [(r.key, r.value) for r in rows] == [(("ethereum", "Borrow"), "3")]
 
     def test_partition_property(self, registry, tmp_path):
@@ -244,18 +246,6 @@ def test_price_table_loading(tmp_path, price_table_path):
     assert table.lookup(WETH) == (Fraction(2000), 18)
     assert table.lookup("0x7d1afa7b718fb893db30a3abc0cfc608aacfebb0") is None
     assert table.lookup("0x" + "00" * 20) is None
-
-
-def test_price_table_value_of_event(price_table_path):
-    table = PriceTable.load(price_table_path)
-    event = _supply("ethereum", 1, 0, _user(1), 5 * 10**18, DAY0)
-    assert table.value_of(event) == "10000"
-    no_amount = DecodedEvent(
-        chain_name="ethereum", event_name="UserEModeSet", block_number=1,
-        block_timestamp=DAY0, transaction_hash="0x" + "00" * 32, log_index=0,
-        contract_address=POOL, fields=[("user", _user(1)), ("categoryId", "1")],
-    )
-    assert table.value_of(no_amount) is None
 
 
 def test_write_aggregates(tmp_path, registry, small_tree):

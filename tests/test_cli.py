@@ -283,3 +283,17 @@ class TestReplayCommand:
         text = positions_csv.read_text()
         assert text.startswith("user,side,asset,amount,enabled\n")
         assert "collateral" in text and "debt" in text
+
+    def test_ragged_shard_exits_4(self, runner, tmp_path, mini_corpus_dir):
+        out = tmp_path / "out"
+        runner.invoke(main, [
+            "extract", "--chain", "ethereum", "--event", "Supply",
+            "--out", str(out), "--fixture-dir", mini_corpus_dir,
+        ])
+        stream = out / "ethereum" / "Supply"
+        victim = sorted(p for p in stream.iterdir() if p.name.startswith("aave_V3_"))[0]
+        with open(victim, "a", encoding="utf-8") as fh:
+            fh.write("not,a,valid,row\n")
+        result = runner.invoke(main, ["replay", "--in", str(out), "--chain", "ethereum"])
+        assert result.exit_code == 4, result.output
+        assert result.output.count(str(victim)) == 1

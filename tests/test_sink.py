@@ -13,6 +13,7 @@ from aavescan.sink import (
     PartOverflow,
     ShardManifest,
     ShardWriter,
+    iter_streams,
     list_stream_parts,
     part_filename,
     stream_dir,
@@ -239,6 +240,19 @@ def _build_valid_tree(registry, root):
         writer.append(_event(registry, 100 + i, 0))
     writer.finalize()
     return stream_dir(str(root), "ethereum", "MintedToTreasury")
+
+
+def test_iter_streams_sorted_and_skips_files(tmp_path):
+    for chain, event in [("ethereum", "Supply"), ("base", "Supply"), ("base", "Borrow")]:
+        os.makedirs(tmp_path / chain / event)
+    (tmp_path / "README.txt").write_text("stray file at the root\n")
+    (tmp_path / "base" / "notes.csv").write_text("stray file at the chain level\n")
+    assert list(iter_streams(str(tmp_path))) == [
+        ("base", "Borrow", str(tmp_path / "base" / "Borrow")),
+        ("base", "Supply", str(tmp_path / "base" / "Supply")),
+        ("ethereum", "Supply", str(tmp_path / "ethereum" / "Supply")),
+    ]
+    assert list(iter_streams(str(tmp_path / "missing"))) == []
 
 
 class TestValidate:
