@@ -8,12 +8,16 @@ network unless --live is given; --fixture-dir selects the offline emulator.
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import sys
+import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from heapq import merge
+from operator import itemgetter
 
 import click
 import yaml
@@ -97,8 +101,31 @@ def _make_gateway(config: RunConfig, registry: Registry, chain_name: str):
     return HttpGateway(url)
 
 
+# pid of the extract process; set only in its chain processes
+_extract_pid: int | None = None
+
+
+def _enter_chain_process(parent_pid: int) -> None:
+    global _extract_pid
+    _extract_pid = parent_pid
+    _stop_if_orphaned()
+
+
+def _stop_if_orphaned() -> None:
+    """End a chain process whose extract process is gone (killed, not unwound).
+
+    Called after each batch, once its rows and checkpoint are durable, so at
+    most the batch in flight is written after the kill and ``--resume`` can
+    follow at once. ``_exit``: a raised error would leave the process blocked
+    on the pool's queues, which nothing reads any more.
+    """
+    if _extract_pid is not None and os.getppid() != _extract_pid:
+        os._exit(EXIT_IO)
+
+
 def _progress_printer(json_mode: bool):
     def emit(summary: ScanSummary, scanned_to: int, end_block: int) -> None:
+        _stop_if_orphaned()
         if json_mode:
             line = json.dumps({
                 "chain": summary.chain,
@@ -180,8 +207,23 @@ def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
     return summaries
 
 
+def _run_chain(config: RunConfig, registry: Registry, chain_name: str,
+               event_names: list[str]) -> list[ScanSummary]:
+    # looks ``_extract_chain`` up when called, so a process pool pickles this
+    # name only, never a wrapped ``_extract_chain``
+    return _extract_chain(config, registry, chain_name, event_names)
+
+
 def run_extract(config: RunConfig) -> list[ScanSummary]:
-    """Programmatic entry point behind the ``extract`` command."""
+    """Programmatic entry point behind the ``extract`` command.
+
+    Several chains run in one forked process each; chains share no state, so
+    they use every core. A chain process stops at its next batch boundary
+    once this process is gone. A chain's error is re-raised here once every
+    chain has stopped; a chain process that dies raises ``BrokenProcessPool``.
+    A single chain runs in this process. Several run in one thread each where
+    ``fork`` is missing or unsafe because other threads are running.
+    """
     registry = _load_registry_or_fail(config.registry_path)
     chain_names = _resolve_selector(",".join(config.chains), registry.chain_names(), "chain")
     event_names = _resolve_selector(",".join(config.events), registry.event_names(), "event")
@@ -191,16 +233,18 @@ def run_extract(config: RunConfig) -> list[ScanSummary]:
     os.makedirs(config.out_dir, exist_ok=True)
     if len(chain_names) == 1:
         return _extract_chain(config, registry, chain_names[0], event_names)
-    summaries: list[ScanSummary] = []
-    with ThreadPoolExecutor(max_workers=len(chain_names)) as pool:
-        futures = {
-            pool.submit(_extract_chain, config, registry, chain_name, event_names): chain_name
-            for chain_name in chain_names
-        }
-        for future in futures:
-            summaries.extend(future.result())
-    summaries.sort(key=lambda s: (s.chain, s.event))
-    return summaries
+    if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
+        pool = ProcessPoolExecutor(max_workers=len(chain_names),
+                                   mp_context=multiprocessing.get_context("fork"),
+                                   initializer=_enter_chain_process, initargs=(os.getpid(),))
+    else:
+        pool = ThreadPoolExecutor(max_workers=len(chain_names))
+    with pool:
+        futures = [pool.submit(_run_chain, config, registry, chain_name, event_names)
+                   for chain_name in chain_names]
+        per_chain = [future.result() for future in futures]
+    return sorted((s for summaries in per_chain for s in summaries),
+                  key=lambda s: (s.chain, s.event))
 
 
 @click.group()
@@ -265,6 +309,9 @@ def extract(chain_selector, event_selector, out_dir, from_block, to_block, batch
         sys.exit(EXIT_IO)
     except OSError as exc:
         click.echo(f"extraction aborted: {exc}", err=True)
+        sys.exit(EXIT_IO)
+    except BrokenProcessPool as exc:
+        click.echo(f"extraction aborted: a chain process died: {exc}", err=True)
         sys.exit(EXIT_IO)
     for summary in summaries:
         click.echo(f"{summary.chain}/{summary.event}: rows={summary.rows_emitted} "
@@ -355,18 +402,25 @@ def liquidate_quote_cmd(params_path, position_path, debt_asset, collateral_asset
     click.echo(f"liquidator_profit_usd: {fraction_to_decimal(quote.liquidator_profit_usd)}")
 
 
-def _stream_rows(directory: str):
+def _keyed_stream_rows(directory: str):
+    """(block_number, log_index) and row for each row of one stream, in file order."""
     for name in list_stream_parts(directory):
-        yield from iter_part_rows(os.path.join(directory, name))
+        path = os.path.join(directory, name)
+        for row in iter_part_rows(path):
+            try:
+                key = (int(row["block_number"]), int(row["log_index"]))
+            except ValueError as exc:
+                raise IoFailure(f"{path}: row key is not an integer ({exc})") from None
+            yield key, row
 
 
 def _iter_chain_rows_sorted(root: str, chain: str):
     """Merge all event streams of one chain into one key-ordered row stream."""
-    streams = [_stream_rows(directory)
+    streams = [_keyed_stream_rows(directory)
                for name, _event, directory in iter_streams(root) if name == chain]
     if not streams:
         raise click.UsageError(f"no shard directory for chain {chain!r} under {root}")
-    return merge(*streams, key=lambda row: (int(row["block_number"]), int(row["log_index"])))
+    return map(itemgetter(1), merge(*streams, key=itemgetter(0)))
 
 
 @main.command("replay")

@@ -41,6 +41,11 @@ class GatewayError(Exception):
         self.kind = kind
         self.detail = detail
 
+    def __reduce__(self):
+        # the default rebuilds from ``args`` (the formatted message) and fails;
+        # chain processes send their errors back to the parent by pickle
+        return type(self), (self.kind, self.detail)
+
 
 @dataclass(frozen=True)
 class LogQuery:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 from importlib import resources
 
 import yaml
@@ -61,7 +62,7 @@ class EventField:
     abi_type: str
     indexed: bool = False
 
-    @property
+    @cached_property
     def bit_width(self) -> int | None:
         """Width of a uintN type, None for non-integer types."""
         m = UINT_TYPE_RE.match(self.abi_type)
@@ -76,11 +77,11 @@ class EventSchema:
     fields: tuple[EventField, ...]
     user_field: str | None = None
 
-    @property
+    @cached_property
     def indexed_fields(self) -> tuple[EventField, ...]:
         return tuple(f for f in self.fields if f.indexed)
 
-    @property
+    @cached_property
     def data_fields(self) -> tuple[EventField, ...]:
         return tuple(f for f in self.fields if not f.indexed)
 

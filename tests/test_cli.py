@@ -1,8 +1,18 @@
+import csv
+import json
+import multiprocessing
 import os
+import shutil
+import signal
+import subprocess
+import sys
+import threading
+import time
 
 import pytest
 from click.testing import CliRunner
 
+import aavescan
 from aavescan.cli import main
 
 import reference
@@ -154,6 +164,196 @@ class TestExtract:
         assert "Terminal" in result.stderr
 
 
+class TestChainProcesses:
+    """Several chains run in one process each; every outcome stays classified."""
+
+    def _extract(self, runner, tmp_path, corpus, chains="ethereum,base"):
+        result = runner.invoke(main, [
+            "extract", "--chain", chains, "--event", "all",
+            "--out", str(tmp_path / "out"), "--fixture-dir", str(corpus),
+        ])
+        assert multiprocessing.active_children() == []
+        return result
+
+    def test_terminal_error_in_chain_process_exits_3(self, runner, tmp_path, mini_corpus_dir):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(mini_corpus_dir, corpus)
+        with open(corpus / "base" / "logs.jsonl", encoding="utf-8") as fh:
+            block = int(json.loads(fh.readline())["blockNumber"])
+        blocks = corpus / "base" / "blocks.json"
+        table = json.loads(blocks.read_text())
+        del table["timestamps"][str(block)]
+        blocks.write_text(json.dumps(table))
+        result = self._extract(runner, tmp_path, corpus)
+        assert result.exit_code == 3, result.output
+        assert "Terminal" in result.stderr
+        assert f"block {block}" in result.stderr
+
+    def test_usage_error_in_chain_process_exits_2(self, runner, tmp_path, mini_corpus_dir):
+        # the mini corpus has ethereum and base only
+        result = self._extract(runner, tmp_path, mini_corpus_dir, chains="all")
+        assert result.exit_code == 2, result.output
+        assert "fixture corpus has no directory for 'optimism'" in result.stderr
+
+    def test_chains_run_in_processes_unless_threads_run(self, tmp_path, monkeypatch):
+        import aavescan.cli as cli_module
+        from aavescan.scanner import ScanSummary
+
+        def report_pid(config, registry, chain_name, event_names):
+            return [ScanSummary(chain=chain_name, event=str(os.getpid()))]
+
+        monkeypatch.setattr(cli_module, "_extract_chain", report_pid)
+        config = cli_module.RunConfig(
+            registry_path=None, out_dir=str(tmp_path / "out"), chains=["ethereum,base"],
+            events=["Supply"], from_block=None, to_block=None, batch=1, batch_max=1,
+            fixture_dir=str(tmp_path), live=False, resume=False, lenient=False,
+            json_progress=False)
+        pids = {s.event for s in cli_module.run_extract(config)}
+        assert pids and str(os.getpid()) not in pids
+        assert multiprocessing.active_children() == []
+
+        # forking while another thread runs is unsafe, so the chains run in
+        # threads of this process; the barrier holds only if they run at once
+        both_running = threading.Barrier(2, timeout=10)
+
+        def report_pid_together(config, registry, chain_name, event_names):
+            both_running.wait()
+            return report_pid(config, registry, chain_name, event_names)
+
+        monkeypatch.setattr(cli_module, "_extract_chain", report_pid_together)
+        stop = threading.Event()
+        other = threading.Thread(target=stop.wait)
+        other.start()
+        try:
+            pids = {s.event for s in cli_module.run_extract(config)}
+        finally:
+            stop.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert pids == {str(os.getpid())}
+
+    def test_dead_chain_process_exits_4(self, runner, tmp_path, mini_corpus_dir, monkeypatch):
+        import aavescan.cli as cli_module
+
+        real = cli_module._extract_chain
+        parent = os.getpid()
+
+        def dying(config, registry, chain_name, event_names):
+            if chain_name == "base" and os.getpid() != parent:
+                os._exit(9)
+            return real(config, registry, chain_name, event_names)
+
+        monkeypatch.setattr(cli_module, "_extract_chain", dying)
+        result = self._extract(runner, tmp_path, mini_corpus_dir)
+        assert result.exit_code == 4, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "extraction aborted: a chain process died" in result.stderr
+        assert "Traceback" not in result.stderr
+
+    def test_progress_of_every_chain_reaches_stderr(self, tmp_path, mini_corpus_dir):
+        out = tmp_path / "out"
+        proc = subprocess.run([
+            sys.executable, "-m", "aavescan.cli", "extract", "--chain", "ethereum,base",
+            "--event", "Supply", "--json-progress", "--out", str(out),
+            "--fixture-dir", mini_corpus_dir,
+        ], capture_output=True, text=True, env=_src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        # whole lines only: progress from the two chain processes interleaves by line
+        progress = [json.loads(line) for line in proc.stderr.splitlines()
+                    if line.startswith("{")]
+        assert {p["chain"] for p in progress} == {"ethereum", "base"}
+        for chain in ("ethereum", "base"):
+            stream = out / chain / "Supply"
+            parts = sorted(n for n in os.listdir(stream) if n.endswith(".csv"))
+            assert len(parts) == 1
+            assert (stream / parts[0]).read_bytes() == reference.stream_csv_bytes(
+                mini_corpus_dir, chain, "Supply")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"), reason="reads process states from /proc")
+    def test_chain_processes_stop_when_extract_is_killed(self, runner, tmp_path,
+                                                         mini_corpus_dir, registry):
+        out, pid_dir, err_path = tmp_path / "out", tmp_path / "pids", tmp_path / "stderr"
+        pid_dir.mkdir()
+        args = ["extract", "--chain", "ethereum,base", "--event", "all", "--batch", "1000",
+                "--batch-max", "1000", "--json-progress", "--out", str(out),
+                "--fixture-dir", mini_corpus_dir]
+        with open(err_path, "w", encoding="utf-8") as err:
+            proc = subprocess.Popen([sys.executable, "-c", _SLOW_EXTRACT, str(pid_dir)] + args,
+                                    stdout=subprocess.DEVNULL, stderr=err, env=_src_env())
+        chain_pids: set[int] = set()
+        try:
+            deadline = time.monotonic() + 60
+            while {json.loads(line)["chain"] for line in err_path.read_text().splitlines()
+                   if line.startswith("{")} != {"ethereum", "base"}:
+                assert proc.poll() is None and time.monotonic() < deadline, \
+                    err_path.read_text()
+                time.sleep(0.02)
+            proc.kill()
+            proc.wait(timeout=10)
+            chain_pids = {int(name) for name in os.listdir(pid_dir)}
+            assert len(chain_pids) == 2 and proc.pid not in chain_pids
+            deadline = time.monotonic() + 10
+            while any(map(_running, chain_pids)) and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert not any(map(_running, chain_pids))
+            written = _tree_state(out)
+            time.sleep(0.3)
+            assert _tree_state(out) == written
+        finally:
+            for pid in filter(_running, chain_pids):
+                os.kill(pid, signal.SIGKILL)
+
+        # the chain processes stopped at batch boundaries, so a resumed run
+        # completes every stream exactly once
+        resumed = runner.invoke(main, args + ["--resume"])
+        assert resumed.exit_code == 0, resumed.output
+        for chain in ("ethereum", "base"):
+            for event in registry.event_names():
+                expected = reference.stream_csv_bytes(mini_corpus_dir, chain, event)
+                if expected is None:
+                    continue
+                stream = out / chain / event
+                parts = sorted(n for n in os.listdir(stream) if n.endswith(".csv"))
+                assert [(stream / part).read_bytes() for part in parts] == [expected]
+
+
+# extract with every fixture get_logs call slowed, recording the pid of each
+# process that scans; argv[1] is the pid directory, the rest the CLI arguments
+_SLOW_EXTRACT = """
+import os, sys, time
+from aavescan.gateway import FixtureGateway
+pid_dir = sys.argv.pop(1)
+get_logs = FixtureGateway.get_logs
+def slow_get_logs(self, query):
+    open(os.path.join(pid_dir, str(os.getpid())), "a").close()
+    time.sleep(0.02)
+    return get_logs(self, query)
+FixtureGateway.get_logs = slow_get_logs
+from aavescan.cli import main
+main(prog_name="aavescan")
+"""
+
+
+def _src_env() -> dict:
+    src = os.path.dirname(os.path.dirname(aavescan.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _running(pid: int) -> bool:
+    """True while ``pid`` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+def _tree_state(root) -> dict:
+    return {os.path.join(d, n): os.stat(os.path.join(d, n)).st_mtime_ns
+            for d, _dirs, names in os.walk(root) for n in names}
+
+
 class TestValidateCommand:
     def test_violations_exit_nonzero(self, runner, tmp_path, mini_corpus_dir):
         out = tmp_path / "out"
@@ -297,3 +497,20 @@ class TestReplayCommand:
         result = runner.invoke(main, ["replay", "--in", str(out), "--chain", "ethereum"])
         assert result.exit_code == 4, result.output
         assert result.output.count(str(victim)) == 1
+
+    def test_non_integer_key_exits_4(self, runner, tmp_path, mini_corpus_dir):
+        out = tmp_path / "out"
+        runner.invoke(main, [
+            "extract", "--chain", "ethereum", "--event", "Supply",
+            "--out", str(out), "--fixture-dir", mini_corpus_dir,
+        ])
+        stream = out / "ethereum" / "Supply"
+        victim = sorted(p for p in stream.iterdir() if p.name.startswith("aave_V3_"))[0]
+        with open(victim, newline="", encoding="utf-8") as fh:
+            header, row = list(csv.reader(fh))[:2]
+        row[header.index("block_number")] = "x"
+        with open(victim, "a", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerow(row)
+        result = runner.invoke(main, ["replay", "--in", str(out), "--chain", "ethereum"])
+        assert result.exit_code == 4, result.output
+        assert f"replay aborted: {victim}: " in result.stderr

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import pytest
 import requests
@@ -78,6 +79,14 @@ class TestClassification:
         err = classify_error(status_code=status, message=message, rpc_code=code)
         assert isinstance(err, GatewayError)
         assert err.kind in ErrorKind
+
+    def test_error_survives_pickling(self):
+        # chain processes send their errors back to the parent by pickle
+        for kind in ErrorKind:
+            err = pickle.loads(pickle.dumps(GatewayError(kind, "block 7 missing")))
+            assert err.kind is kind
+            assert err.detail == "block 7 missing"
+            assert str(err) == f"{kind.value}: block 7 missing"
 
 
 class TestFixtureGateway:
