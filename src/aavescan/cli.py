@@ -29,6 +29,7 @@ from .registry import Registry, RegistryError, load_registry
 from .risk import (
     AssetParams,
     NotLiquidatable,
+    OrderViolation,
     Position,
     RiskError,
     health_factor,
@@ -86,19 +87,23 @@ def _resolve_selector(selector: str, known: list[str], what: str) -> list[str]:
     return names
 
 
-def _make_gateway(config: RunConfig, registry: Registry, chain_name: str):
-    chain = registry.chain(chain_name)
+def _gateway_source(config: RunConfig, registry: Registry, chain_name: str) -> str:
+    """The fixture directory, or the RPC URL under ``--live``, of one chain."""
     if config.fixture_dir:
         chain_dir = os.path.join(config.fixture_dir, chain_name)
         if not os.path.isdir(chain_dir):
             raise click.UsageError(f"fixture corpus has no directory for {chain_name!r}")
-        return FixtureGateway.from_dir(chain_dir)
-    url = os.environ.get(chain.rpc_env_key)
+        return chain_dir
+    env_key = registry.chain(chain_name).rpc_env_key
+    url = os.environ.get(env_key)
     if not url:
-        raise click.UsageError(
-            f"environment variable {chain.rpc_env_key} is not set for live mode"
-        )
-    return HttpGateway(url)
+        raise click.UsageError(f"environment variable {env_key} is not set for live mode")
+    return url
+
+
+def _make_gateway(config: RunConfig, registry: Registry, chain_name: str):
+    source = _gateway_source(config, registry, chain_name)
+    return FixtureGateway.from_dir(source) if config.fixture_dir else HttpGateway(source)
 
 
 # pid of the extract process; set only in its chain processes
@@ -171,16 +176,15 @@ def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
                     "pass --resume or use a fresh output directory"
                 )
             checkpoint = Checkpoint.load(cp_file)
-            if checkpoint.last_completed_block >= end_block:
-                summaries.append(ScanSummary(chain=chain_name, event=event_name,
-                                             rows_emitted=checkpoint.rows_emitted_total))
-                continue
             cursor = max(cursor, checkpoint.last_completed_block + 1)
             rows_so_far = checkpoint.rows_emitted_total
             writer = ShardWriter.resume(
-                config.out_dir, chain_name, schema,
-                checkpoint.current_part_number, checkpoint.rows_in_current_part,
+                config.out_dir, chain_name, schema, checkpoint.current_part_number,
+                checkpoint.rows_in_current_part, checkpoint.parts,
             )
+        elif config.resume:
+            # killed before its first checkpoint: what it wrote is uncommitted
+            writer = ShardWriter.resume(config.out_dir, chain_name, schema, 0, 0)
         else:
             stream = os.path.join(config.out_dir, chain_name, event_name)
             if os.path.isdir(stream) and list_stream_parts(stream):
@@ -190,6 +194,7 @@ def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
                 )
             writer = ShardWriter(config.out_dir, chain_name, schema)
 
+        # a stream scanned to the end (re)does whatever of finalize is missing
         if cursor > end_block:
             writer.finalize()
             summaries.append(ScanSummary(chain=chain_name, event=event_name,
@@ -229,6 +234,8 @@ def run_extract(config: RunConfig) -> list[ScanSummary]:
     event_names = _resolve_selector(",".join(config.events), registry.event_names(), "event")
     if not config.live and not config.fixture_dir:
         raise click.UsageError("choose --live or --fixture-dir")
+    for chain_name in chain_names:
+        _gateway_source(config, registry, chain_name)  # fail before any chain writes
 
     os.makedirs(config.out_dir, exist_ok=True)
     if len(chain_names) == 1:
@@ -403,7 +410,7 @@ def liquidate_quote_cmd(params_path, position_path, debt_asset, collateral_asset
 
 
 def _keyed_stream_rows(directory: str):
-    """(block_number, log_index) and row for each row of one stream, in file order."""
+    """(block_number, log_index), part path and row for each row of one stream, in file order."""
     for name in list_stream_parts(directory):
         path = os.path.join(directory, name)
         for row in iter_part_rows(path):
@@ -411,16 +418,16 @@ def _keyed_stream_rows(directory: str):
                 key = (int(row["block_number"]), int(row["log_index"]))
             except ValueError as exc:
                 raise IoFailure(f"{path}: row key is not an integer ({exc})") from None
-            yield key, row
+            yield key, path, row
 
 
 def _iter_chain_rows_sorted(root: str, chain: str):
-    """Merge all event streams of one chain into one key-ordered row stream."""
+    """Merge all event streams of one chain into one key-ordered (key, path, row) stream."""
     streams = [_keyed_stream_rows(directory)
                for name, _event, directory in iter_streams(root) if name == chain]
     if not streams:
         raise click.UsageError(f"no shard directory for chain {chain!r} under {root}")
-    return map(itemgetter(1), merge(*streams, key=itemgetter(0)))
+    return merge(*streams, key=itemgetter(0))
 
 
 @main.command("replay")
@@ -435,10 +442,21 @@ def replay_cmd(root, chain_name, mode, out_path, params_path) -> None:
     """Rebuild user positions from extracted shards for one chain."""
     import csv as _csv
 
+    merged = _iter_chain_rows_sorted(root, chain_name)
+    source = [root]  # the part file of the row replay is at
+
+    def rows():
+        for _key, path, row in merged:
+            source[0] = path
+            yield row
+
     try:
-        result = replay(_iter_chain_rows_sorted(root, chain_name), mode=mode)
+        result = replay(rows(), mode=mode)
     except IoFailure as exc:
         click.echo(f"replay aborted: {exc}", err=True)
+        sys.exit(EXIT_IO)
+    except (ValueError, OrderViolation) as exc:
+        click.echo(f"replay aborted: {source[0]}: {exc}", err=True)
         sys.exit(EXIT_IO)
     rows = []
     for user in sorted(result.positions):

@@ -33,6 +33,10 @@ class ValueOverflow(DecodeError):
     """Word content inconsistent with the declared field type."""
 
 
+class OrderViolation(Exception):
+    """An event key (block_number, log_index) not strictly above the previous one."""
+
+
 @dataclass(slots=True)
 class DecodedEvent:
     chain_name: str

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Iterable, Mapping
 
-from .decoder import DecodedEvent
+from .decoder import DecodedEvent, OrderViolation
 from .raymath import ray_div, ray_mul
 from .reserve import ReserveState, update_state
 
@@ -48,10 +48,6 @@ class NotLiquidatable(RiskError):
 
 class InsufficientCollateral(RiskError):
     pass
-
-
-class OrderViolation(RiskError):
-    """Replay input not strictly ordered by (block_number, log_index)."""
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,12 @@ import enum
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Protocol
 
 from .gateway import ErrorKind, GatewayError, LogQuery
 from .registry import ChainConfig, EventSchema
+from .sink import PartRecord, _atomic_write
 
 DEFAULT_BATCH_SIZE = 10_000
 DEFAULT_BATCH_MAX = 100_000
@@ -53,6 +54,9 @@ class BatchSink(Protocol):
     @property
     def rows_in_part(self) -> int: ...
 
+    @property
+    def closed_parts(self) -> tuple[PartRecord, ...]: ...
+
 
 @dataclass
 class ScanPlan:
@@ -77,20 +81,22 @@ class ScanPlan:
 
 @dataclass
 class Checkpoint:
+    """The one durable record of a stream, replaced once per committed batch.
+
+    ``parts`` lists the closed parts in the JSON shape of the manifest's
+    ``parts``; a resume needs nothing else from the stream's directory.
+    """
+
     chain: str
     event: str
     last_completed_block: int
     rows_emitted_total: int
     current_part_number: int
     rows_in_current_part: int
+    parts: tuple[PartRecord, ...] = ()
 
     def save(self, path: str) -> None:
-        tmp = path + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.__dict__, fh, indent=2)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
+        _atomic_write(path, json.dumps(asdict(self), indent=2))
 
     @classmethod
     def load(cls, path: str) -> "Checkpoint":
@@ -103,6 +109,7 @@ class Checkpoint:
             rows_emitted_total=int(doc["rows_emitted_total"]),
             current_part_number=int(doc["current_part_number"]),
             rows_in_current_part=int(doc["rows_in_current_part"]),
+            parts=tuple(PartRecord.from_doc(p) for p in doc.get("parts", ())),
         )
 
 
@@ -201,6 +208,7 @@ def scan_event(
                 rows_emitted_total=summary.rows_emitted,
                 current_part_number=sink.part_number,
                 rows_in_current_part=sink.rows_in_part,
+                parts=sink.closed_parts,
             ).save(checkpoint_file)
 
         if on_progress is not None:

@@ -8,8 +8,7 @@ written beside the data files at finalize.
 
 The timestamp suffix in the filename carries the wall-clock time at which
 the part was closed, so an open part lives under a temporary dot-name and is
-renamed into place when it fills up (or at finalize). A small sidecar state
-file tracks closed parts so an interrupted stream can resume.
+renamed into place when it fills up (or at finalize).
 """
 
 from __future__ import annotations
@@ -18,11 +17,11 @@ import csv
 import json
 import os
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from typing import Callable, Iterator
 
-from .decoder import DecodedEvent, decode
+from .decoder import DecodedEvent, OrderViolation, decode
 from .registry import EventSchema
 
 PART_ROW_LIMIT = 1_000_000
@@ -32,6 +31,7 @@ FILENAME_RE = re.compile(
     r"^aave_V3_(?P<chain>[a-z][a-z0-9]*)_(?P<event>[A-Z][A-Za-z0-9]*)"
     r"_part(?P<part>\d{3})_(?P<ts>\d{8}_\d{6})\.csv$"
 )
+OPEN_PART_RE = re.compile(r"^\.part(?P<part>\d{3})\.open\.csv$")
 
 PREFIX_COLUMNS = (
     "chain",
@@ -42,10 +42,6 @@ PREFIX_COLUMNS = (
     "log_index",
     "contract_address",
 )
-
-
-class OrderViolation(Exception):
-    """Appended key is not strictly above the last written key."""
 
 
 class PartOverflow(Exception):
@@ -72,6 +68,13 @@ class PartRecord:
     first_key: tuple[int, int]
     last_key: tuple[int, int]
 
+    @classmethod
+    def from_doc(cls, doc: dict) -> "PartRecord":
+        """Inverse of ``asdict``, from the JSON shape of a manifest's ``parts``."""
+        first, last = doc["first_key"], doc["last_key"]
+        return cls(int(doc["part_number"]), doc["filename"], int(doc["row_count"]),
+                   (int(first[0]), int(first[1])), (int(last[0]), int(last[1])))
+
 
 @dataclass(frozen=True)
 class ShardManifest:
@@ -84,41 +87,13 @@ class ShardManifest:
         return sum(p.row_count for p in self.parts)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "chain": self.chain,
-                "event": self.event,
-                "parts": [
-                    {
-                        "part_number": p.part_number,
-                        "filename": p.filename,
-                        "row_count": p.row_count,
-                        "first_key": list(p.first_key),
-                        "last_key": list(p.last_key),
-                    }
-                    for p in self.parts
-                ],
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "ShardManifest":
         doc = json.loads(text)
-        return cls(
-            chain=doc["chain"],
-            event=doc["event"],
-            parts=tuple(
-                PartRecord(
-                    part_number=int(p["part_number"]),
-                    filename=p["filename"],
-                    row_count=int(p["row_count"]),
-                    first_key=(int(p["first_key"][0]), int(p["first_key"][1])),
-                    last_key=(int(p["last_key"][0]), int(p["last_key"][1])),
-                )
-                for p in doc["parts"]
-            ),
-        )
+        return cls(chain=doc["chain"], event=doc["event"],
+                   parts=tuple(PartRecord.from_doc(p) for p in doc["parts"]))
 
 
 def stream_dir(out_dir: str, chain: str, event: str) -> str:
@@ -126,6 +101,7 @@ def stream_dir(out_dir: str, chain: str, event: str) -> str:
 
 
 def _atomic_write(path: str, text: str) -> None:
+    """Replace ``path`` by ``text`` in one step: a durable temporary, then a rename."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -182,15 +158,17 @@ class ShardWriter:
     def last_key(self) -> tuple[int, int] | None:
         return self._last_key
 
+    @property
+    def closed_parts(self) -> tuple[PartRecord, ...]:
+        return tuple(self._closed_parts)
+
     # -- writing ----------------------------------------------------------------
 
     def _open_part_path(self, part_number: int) -> str:
         return os.path.join(self._dir, f".part{part_number:03d}.open.csv")
 
-    def _sidecar_path(self) -> str:
-        return os.path.join(
-            self._dir, f"manifest.{self._chain}.{self._schema.event_name}.state"
-        )
+    def _manifest_path(self) -> str:
+        return os.path.join(self._dir, f"manifest.{self._chain}.{self._schema.event_name}")
 
     def _open_next_part(self) -> None:
         next_number = self._part_number + 1
@@ -288,7 +266,6 @@ class ShardWriter:
         except OSError as exc:
             raise IoFailure(f"renaming part {self._part_number} failed: {exc}") from exc
         self._closed_parts.append(record)
-        self._save_sidecar()
         self._rows_in_part = 0
         self._first_key_in_part = None
 
@@ -300,14 +277,6 @@ class ShardWriter:
                 pass
             self._fh = None
             self._writer = None
-
-    def _save_sidecar(self) -> None:
-        manifest = ShardManifest(
-            chain=self._chain,
-            event=self._schema.event_name,
-            parts=tuple(self._closed_parts),
-        )
-        _atomic_write(self._sidecar_path(), manifest.to_json())
 
     def finalize(self) -> ShardManifest:
         """Close the open part and write the manifest; idempotent."""
@@ -324,22 +293,13 @@ class ShardWriter:
             except OSError:
                 pass
             self._part_number -= 1
-        self._manifest = ShardManifest(
-            chain=self._chain,
-            event=self._schema.event_name,
-            parts=tuple(self._closed_parts),
-        )
-        path = os.path.join(
-            self._dir, f"manifest.{self._chain}.{self._schema.event_name}"
-        )
+        manifest = ShardManifest(self._chain, self._schema.event_name, self.closed_parts)
         try:
-            _atomic_write(path, self._manifest.to_json())
-            sidecar = self._sidecar_path()
-            if os.path.exists(sidecar):
-                os.remove(sidecar)
+            _atomic_write(self._manifest_path(), manifest.to_json())
         except OSError as exc:
             raise IoFailure(f"writing manifest failed: {exc}") from exc
-        return self._manifest
+        self._manifest = manifest
+        return manifest
 
     # -- resume -------------------------------------------------------------------
 
@@ -351,40 +311,52 @@ class ShardWriter:
         schema: EventSchema,
         part_number: int,
         rows_in_part: int,
+        parts: tuple[PartRecord, ...] = (),
         clock: Callable[[], datetime] | None = None,
         row_limit: int = PART_ROW_LIMIT,
     ) -> "ShardWriter":
-        """Reopen an interrupted stream at a batch-boundary checkpoint.
+        """Reopen a stream at its checkpoint, with ``parts`` closed, and make the disk agree.
 
-        Rows beyond ``rows_in_part`` in the open part (a batch that was
-        written but never checkpointed) are truncated away.
+        Open part ``part_number``, also when a close the checkpoint missed renamed
+        it, is cut back to ``rows_in_part`` rows under its dot-name; part files
+        numbered above it are deleted. A stream with a manifest is left as it is.
         """
         writer = cls(out_dir, chain, schema, clock=clock, row_limit=row_limit)
-        sidecar = writer._sidecar_path()
-        if os.path.exists(sidecar):
-            with open(sidecar, "r", encoding="utf-8") as fh:
-                saved = ShardManifest.from_json(fh.read())
-            writer._closed_parts = list(saved.parts)
-        if writer._closed_parts:
-            writer._last_key = writer._closed_parts[-1].last_key
         expected_closed = part_number if rows_in_part == 0 else part_number - 1
-        if len(writer._closed_parts) != max(expected_closed, 0):
+        if len(parts) != max(expected_closed, 0):
             raise IoFailure(
                 f"resume state inconsistent: checkpoint part {part_number} with "
-                f"{rows_in_part} rows but {len(writer._closed_parts)} closed parts on disk"
+                f"{rows_in_part} rows but {len(parts)} closed parts recorded"
             )
-        if rows_in_part == 0:
-            writer._part_number = part_number
+        writer._closed_parts = list(parts)
+        writer._part_number = part_number
+        if parts:
+            writer._last_key = parts[-1].last_key
+        if os.path.exists(writer._manifest_path()):
+            with open(writer._manifest_path(), "r", encoding="utf-8") as fh:
+                writer._manifest = ShardManifest.from_json(fh.read())
             return writer
+        for record in parts:
+            if not os.path.exists(os.path.join(writer._dir, record.filename)):
+                raise IoFailure(f"closed part {record.filename!r} of the checkpoint is missing")
 
         open_path = writer._open_part_path(part_number)
+        for name in os.listdir(writer._dir):
+            match = FILENAME_RE.match(name) or OPEN_PART_RE.match(name)
+            number = int(match.group("part")) if match else 0
+            path = os.path.join(writer._dir, name)
+            if number > part_number:
+                os.remove(path)
+            elif number == part_number and rows_in_part and path != open_path:
+                os.replace(path, open_path)
+        if rows_in_part == 0:
+            return writer
+
         if not os.path.exists(open_path):
             raise IoFailure(f"resume expected open part file {open_path!r}")
-        first_key, last_key, kept = writer._truncate_open_part(open_path, rows_in_part)
-        writer._part_number = part_number
-        writer._rows_in_part = kept
-        writer._first_key_in_part = first_key
-        writer._last_key = last_key
+        writer._first_key_in_part, writer._last_key = writer._truncate_open_part(
+            open_path, rows_in_part)
+        writer._rows_in_part = rows_in_part
         try:
             writer._fh = open(open_path, "a", newline="", encoding="utf-8")
             writer._writer = csv.writer(writer._fh, lineterminator="\n")
@@ -392,32 +364,24 @@ class ShardWriter:
             raise IoFailure(f"cannot reopen part file {open_path!r}: {exc}") from exc
         return writer
 
-    def _truncate_open_part(
-        self, path: str, keep_rows: int
-    ) -> tuple[tuple[int, int], tuple[int, int], int]:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            rows = list(reader)
-        header, data = rows[0], rows[1:]
-        if header != self._header:
-            raise IoFailure(f"open part {path!r} has an unexpected header")
-        if len(data) < keep_rows:
-            raise IoFailure(
-                f"open part {path!r} holds {len(data)} rows, checkpoint says {keep_rows}"
-            )
-        if len(data) > keep_rows:
-            data = data[:keep_rows]
-            tmp = path + ".tmp"
-            with open(tmp, "w", newline="", encoding="utf-8") as fh:
-                writer = csv.writer(fh, lineterminator="\n")
-                writer.writerow(header)
-                writer.writerows(data)
-                fh.flush()
-                os.fsync(fh.fileno())
-            os.replace(tmp, path)
-        first = (int(data[0][2]), int(data[0][5]))
-        last = (int(data[-1][2]), int(data[-1][5]))
-        return first, last, keep_rows
+    def _truncate_open_part(self, path: str, keep_rows: int) -> tuple[tuple[int, int], ...]:
+        """Cut an open part to its header and ``keep_rows`` whole rows; return their key range."""
+        picked: dict[int, list[str]] = {}
+        size = 0
+        with open(path, "r+b") as fh:
+            for index, line in enumerate(fh):
+                if index > keep_rows or not line.endswith(b"\n"):
+                    break
+                size += len(line)
+                if index in (0, 1, keep_rows):
+                    picked[index] = next(csv.reader([line.decode("utf-8")]))
+            if picked.get(0) != self._header:
+                raise IoFailure(f"open part {path!r} has an unexpected header")
+            if keep_rows not in picked:
+                raise IoFailure(f"open part {path!r} holds fewer than {keep_rows} rows")
+            fh.truncate(size)
+        first, last = picked[1], picked[keep_rows]
+        return (int(first[2]), int(first[5])), (int(last[2]), int(last[5]))
 
 
 class DecodingSink:
@@ -443,6 +407,10 @@ class DecodingSink:
     @property
     def rows_in_part(self) -> int:
         return self._writer.rows_in_part
+
+    @property
+    def closed_parts(self) -> tuple[PartRecord, ...]:
+        return self._writer.closed_parts
 
 
 # -- reading and validation ---------------------------------------------------

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 
 import aavescan
 from aavescan.cli import main
+from aavescan.sink import iter_streams
 
 import reference
 
@@ -122,6 +123,46 @@ class TestExtract:
         assert dirty.exit_code == 2
         assert "checkpoint" in dirty.stderr
 
+    def test_resume_redoes_an_interrupted_finalize(self, runner, tmp_path, mini_corpus_dir,
+                                                   monkeypatch):
+        from aavescan.sink import ShardWriter
+
+        real_finalize = ShardWriter.finalize
+
+        def failing_finalize(writer):
+            if writer._schema.event_name == "Supply":
+                raise OSError("disk full")
+            return real_finalize(writer)
+
+        out = tmp_path / "out"
+        args = ["extract", "--chain", "ethereum", "--event", "all",
+                "--out", str(out), "--fixture-dir", mini_corpus_dir]
+        monkeypatch.setattr(ShardWriter, "finalize", failing_finalize)
+        assert runner.invoke(main, args).exit_code == 4
+        monkeypatch.setattr(ShardWriter, "finalize", real_finalize)
+        resumed = runner.invoke(main, args + ["--resume"])
+        assert resumed.exit_code == 0, resumed.stderr
+        assert "ethereum/Supply: rows=34 batches=0" in resumed.stderr
+        checked = runner.invoke(main, ["validate", str(out)])
+        assert checked.exit_code == 0, checked.output
+        stream = out / "ethereum" / "Supply"
+        (name,) = [n for n in os.listdir(stream) if n.startswith("aave_V3_")]
+        assert (stream / name).read_bytes() == reference.stream_csv_bytes(
+            mini_corpus_dir, "ethereum", "Supply")
+
+    def test_fsync_budget_of_one_chain(self, runner, tmp_path, mini_corpus_dir, monkeypatch):
+        """One fsync per batch flush with an open part, per checkpoint, per part
+        close and per manifest."""
+        real_fsync = os.fsync
+        fsyncs = []
+        monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1])
+        result = runner.invoke(main, [
+            "extract", "--chain", "ethereum", "--event", "all",
+            "--out", str(tmp_path / "out"), "--fixture-dir", mini_corpus_dir,
+        ])
+        assert result.exit_code == 0, result.stderr
+        assert len(fsyncs) == 207  # 219 with the manifest sidecar
+
     def test_validate_on_extracted_output(self, runner, tmp_path, mini_corpus_dir):
         out = tmp_path / "out"
         runner.invoke(main, [
@@ -194,6 +235,7 @@ class TestChainProcesses:
         result = self._extract(runner, tmp_path, mini_corpus_dir, chains="all")
         assert result.exit_code == 2, result.output
         assert "fixture corpus has no directory for 'optimism'" in result.stderr
+        assert list(iter_streams(str(tmp_path / "out"))) == []
 
     def test_chains_run_in_processes_unless_threads_run(self, tmp_path, monkeypatch):
         import aavescan.cli as cli_module
@@ -203,6 +245,8 @@ class TestChainProcesses:
             return [ScanSummary(chain=chain_name, event=str(os.getpid()))]
 
         monkeypatch.setattr(cli_module, "_extract_chain", report_pid)
+        for chain in ("ethereum", "base"):  # extract checks each chain's fixture directory
+            os.makedirs(tmp_path / chain)
         config = cli_module.RunConfig(
             registry_path=None, out_dir=str(tmp_path / "out"), chains=["ethereum,base"],
             events=["Supply"], from_block=None, to_block=None, batch=1, batch_max=1,
@@ -511,6 +555,27 @@ class TestReplayCommand:
         row[header.index("block_number")] = "x"
         with open(victim, "a", newline="", encoding="utf-8") as fh:
             csv.writer(fh, lineterminator="\n").writerow(row)
+        result = runner.invoke(main, ["replay", "--in", str(out), "--chain", "ethereum"])
+        assert result.exit_code == 4, result.output
+        assert f"replay aborted: {victim}: " in result.stderr
+
+    @pytest.mark.parametrize("corruption", ["amount", "key_backwards"])
+    def test_corrupt_row_exits_4(self, runner, tmp_path, mini_corpus_dir, corruption):
+        out = tmp_path / "out"
+        runner.invoke(main, [
+            "extract", "--chain", "ethereum", "--event", "Supply",
+            "--out", str(out), "--fixture-dir", mini_corpus_dir,
+        ])
+        stream = out / "ethereum" / "Supply"
+        victim = sorted(p for p in stream.iterdir() if p.name.startswith("aave_V3_"))[0]
+        with open(victim, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        if corruption == "amount":
+            rows[-1][header.index("amount")] = "x"
+        else:
+            rows[0], rows[1] = rows[1], rows[0]
+        with open(victim, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header] + rows)
         result = runner.invoke(main, ["replay", "--in", str(out), "--chain", "ethereum"])
         assert result.exit_code == 4, result.output
         assert f"replay aborted: {victim}: " in result.stderr

@@ -46,6 +46,8 @@ class ListSink:
     def rows_in_part(self):
         return len(self.rows)
 
+    closed_parts = ()
+
 
 def _corpus(blocks, head=10**6):
     logs = []

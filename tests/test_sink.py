@@ -1,7 +1,9 @@
 import csv
+import itertools
 import json
 import os
-from datetime import datetime, timezone
+import re
+from datetime import datetime, timedelta, timezone
 
 import pytest
 
@@ -189,7 +191,7 @@ class TestResume:
         for i in range(8):
             writer.append(_event(registry, 100 + i, 0))
         writer.flush()
-        state = (writer.part_number, writer.rows_in_part)
+        state = (writer.part_number, writer.rows_in_part, writer.closed_parts)
         del writer
 
         writer = ShardWriter.resume(str(resumed), "ethereum",
@@ -231,6 +233,155 @@ class TestResume:
             ShardWriter.resume(str(tmp_path), "ethereum",
                                registry.event("MintedToTreasury"), 3, 1,
                                clock=_fixed_clock)
+
+
+class Killed(BaseException):
+    """A process kill at a chosen I/O call; no ``except`` in the package catches it."""
+
+
+class _UnflushedFile:
+    """Text reaches the real file only at flush or close, as in a buffered file,
+    so a kill loses the unflushed text as a killed process does."""
+
+    def __init__(self, real, tick):
+        self._real, self._tick, self._pending = real, tick, []
+
+    def write(self, text):
+        self._tick()
+        self._pending.append(text)
+        return len(text)
+
+    def flush(self):
+        self._real.write("".join(self._pending))
+        self._pending.clear()
+        self._real.flush()
+
+    def close(self):
+        self.flush()
+        self._real.close()
+
+    def fileno(self):
+        return self._real.fileno()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, kind, *_):
+        if kind is None:
+            self.close()
+
+
+class KillSeam:
+    """Counts the sink's ``open`` and file writes, ``os.fsync`` and ``os.replace``
+    (the checkpoint save included) and raises Killed at call ``kill_at``."""
+
+    def __init__(self, monkeypatch, kill_at=None):
+        self.calls, self.kill_at, self.files, self.paths = 0, kill_at, [], []
+        real_open, real_fsync, real_replace = open, os.fsync, os.replace
+
+        def seam_open(path, *args, **kwargs):
+            self.tick()
+            self.paths.append(os.fspath(path))
+            self.files.append(_UnflushedFile(real_open(path, *args, **kwargs), self.tick))
+            return self.files[-1]
+
+        monkeypatch.setattr(sink_module, "open", seam_open, raising=False)
+        monkeypatch.setattr(os, "fsync", lambda fd: (self.tick(), real_fsync(fd))[1])
+        monkeypatch.setattr(os, "replace", lambda a, b: (self.tick(), real_replace(a, b))[1])
+
+    def tick(self):
+        self.calls += 1
+        if self.calls == self.kill_at:
+            for fh in self.files:
+                fh._real.close()  # the unflushed text is lost
+            raise Killed(self.calls)
+
+
+# 24 rows in the first batch (two rollovers before any checkpoint), then a
+# few rows per batch, one rollover among them, and a final part of 8 rows
+KILL_BLOCKS = sorted([i // 2 for i in range(24)] + list(range(20, 100, 6)))
+
+
+def _kill_point_run(root, resume=False):
+    """Scan KILL_BLOCKS into parts of 10 rows from the stream's checkpoint and
+    finalize; with ``resume`` and no checkpoint, as ``extract --resume`` does.
+    Part close times tick by a second from a year of their own per ``resume``,
+    so a stale part file left by the first run cannot pass for a new one."""
+    from test_scanner import CHAIN, SCHEMA, _gateway, _plan
+
+    from aavescan.scanner import Checkpoint, checkpoint_path, scan_event
+
+    cp_file = checkpoint_path(root, CHAIN.chain_name, SCHEMA.event_name)
+    record = Checkpoint(CHAIN.chain_name, SCHEMA.event_name, -1, 0, 0, 0)
+    if os.path.exists(cp_file):
+        record = Checkpoint.load(cp_file)
+    ticks = itertools.count()
+    start = datetime(2026 if resume else 2025, 1, 1, tzinfo=timezone.utc)
+
+    def clock():
+        return start + timedelta(seconds=next(ticks))
+
+    if resume:
+        writer = ShardWriter.resume(root, CHAIN.chain_name, SCHEMA, record.current_part_number,
+                                    record.rows_in_current_part, record.parts, clock=clock,
+                                    row_limit=10)
+    else:
+        writer = ShardWriter(root, CHAIN.chain_name, SCHEMA, clock=clock, row_limit=10)
+    if record.last_completed_block < 99:
+        scan_event(_plan(record.last_completed_block + 1, 99, 20), _gateway(KILL_BLOCKS),
+                   sink_module.DecodingSink(writer, SCHEMA, CHAIN.chain_name),
+                   checkpoint_file=cp_file, rows_emitted_so_far=record.rows_emitted_total,
+                   sleeper=lambda _s: None)
+    writer.finalize()
+    return stream_dir(root, CHAIN.chain_name, SCHEMA.event_name)
+
+
+def _normalized_tree(directory):
+    """Every file of a stream directory, part timestamps masked in names and text."""
+    stamp = re.compile(rb"_\d{8}_\d{6}\.csv")
+    return sorted(
+        (stamp.sub(b"_TS.csv", name.encode()),
+         stamp.sub(b"_TS.csv", open(os.path.join(directory, name), "rb").read()))
+        for name in os.listdir(directory)
+    )
+
+
+def test_kill_at_every_io_call_resumes_byte_identical(tmp_path, monkeypatch):
+    with monkeypatch.context() as patched:
+        seam = KillSeam(patched)
+        straight = _kill_point_run(str(tmp_path / "straight"))
+    expected = _normalized_tree(straight)
+    assert len(list_stream_parts(straight)) == 4  # three rollovers and a final close
+    assert not any(path.endswith(".state") for path in seam.paths)
+    total_calls = seam.calls
+
+    for kill_at in range(1, total_calls + 1):
+        root = str(tmp_path / f"kill{kill_at}")
+        with monkeypatch.context() as patched:
+            seam = KillSeam(patched, kill_at)
+            with pytest.raises(Killed):
+                _kill_point_run(root)
+        assert not any(path.endswith(".state") for path in seam.paths)
+        directory = _kill_point_run(root, resume=True)
+        assert _normalized_tree(directory) == expected, f"killed at call {kill_at}"
+        report = validate_output(root)
+        assert report.ok, (kill_at, report.violations)
+
+
+def test_fsync_budget_of_rollovers(registry, tmp_path, monkeypatch):
+    """One fsync per flush of an open part, per part close and for the manifest."""
+    real_fsync = os.fsync
+    fsyncs = []
+    monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1])
+    writer = _writer(registry, tmp_path, row_limit=10)
+    for i in range(25):
+        writer.append(_event(registry, 100 + i, 0))
+        if i % 5 == 4:
+            writer.flush()
+    writer.finalize()
+    # flushes after rows 5, 15 and 25 (rows 10 and 20 closed a part), three
+    # part closes and the manifest; 10 with the manifest sidecar
+    assert len(fsyncs) == 7
 
 
 def _build_valid_tree(registry, root):
