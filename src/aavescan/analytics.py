@@ -10,17 +10,19 @@ to decimal strings only at output.
 from __future__ import annotations
 
 import csv
-import os
+from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
-from typing import Iterator
+from typing import Callable, Iterator
 
 import yaml
 
 from .numstr import fraction_to_decimal, parse_decimal
 from .registry import Registry
-from .sink import IoFailure, iter_part_rows, iter_streams, list_stream_parts
+from .sink import IoFailure, iter_part_rows, iter_streams, stream_parts
+
+MAX_TIMESTAMP = 253_402_300_799  # 9999-12-31T23:59:59Z, the last second ``utc_day`` can name
 
 
 class AnalyticsError(Exception):
@@ -38,48 +40,48 @@ def utc_day(timestamp: int) -> str:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime("%Y-%m-%d")
 
 
-def _stream_rows(
-    root: str,
-    events: set[str] | None,
-    lenient: bool,
-    errors: list[str],
-) -> Iterator[tuple[str, str, dict[str, str]]]:
-    """Stream rows; under lenient a corrupt file contributes nothing.
+def _aggregate_rows(metric: str, values: dict[tuple[str, ...], str]) -> list[AggregateRow]:
+    return [AggregateRow(key=key, metric=metric, value=values[key]) for key in sorted(values)]
 
-    Lenient mode pre-scans each file (cheap width check) before streaming
-    it, so a parse failure midway never leaks a partial file into the
-    aggregates while memory stays bounded by one row.
+
+def _part_partials(root: str, events: set[str] | None, read: Callable[[str, str, str], object],
+                   lenient: bool, warnings: list[str]) -> Iterator:
+    """Yield ``read(chain, event, path)`` per part of the selected streams.
+
+    ``read`` folds a whole part into one partial, so a part that fails to read or
+    convert, or a break in the part numbering, adds nothing: strict raises
+    AnalyticsError, lenient adds a warning naming the part.
     """
+
+    def fail(message: str) -> None:
+        if not lenient:
+            raise AnalyticsError(message)
+        warnings.append(message)
+
     for chain, event, directory in iter_streams(root):
         if events is not None and event not in events:
             continue
-        for name in list_stream_parts(directory):
-            path = os.path.join(directory, name)
-            if lenient:
-                try:
-                    for _ in iter_part_rows(path):
-                        pass
-                except IoFailure as exc:
-                    errors.append(str(exc))
-                    continue
+        paths, breaks = stream_parts(directory)
+        for violation in breaks:
+            fail(f"{violation.path}: {violation.detail}")
+        for path in paths:
             try:
-                for row in iter_part_rows(path):
-                    yield chain, event, row
-            except IoFailure as exc:
-                raise AnalyticsError(str(exc)) from exc
+                yield read(chain, event, path)
+            except (IoFailure, ValueError) as exc:  # IoFailure names the path already
+                fail(str(exc) if isinstance(exc, IoFailure) else f"{path}: {exc}")
 
 
 def event_counts(root: str, lenient: bool = False) -> tuple[list[AggregateRow], list[str]]:
     """Row counts per (chain, event) over all parts."""
     errors: list[str] = []
-    counts: dict[tuple[str, str], int] = {}
-    for chain, event, _row in _stream_rows(root, None, lenient, errors):
-        counts[(chain, event)] = counts.get((chain, event), 0) + 1
-    rows = [
-        AggregateRow(key=key, metric="event_count", value=str(counts[key]))
-        for key in sorted(counts)
-    ]
-    return rows, errors
+
+    def count_part(chain: str, event: str, path: str) -> Counter:
+        return Counter({(chain, event): sum(1 for _ in iter_part_rows(path))})
+
+    counts: Counter = Counter()
+    for part in _part_partials(root, None, count_part, lenient, errors):
+        counts += part  # ``+=`` drops a zero count: a part with no rows adds no group
+    return _aggregate_rows("event_count", {key: str(n) for key, n in counts.items()}), errors
 
 
 def daily_new_users(
@@ -93,51 +95,41 @@ def daily_new_users(
     The actor field per event type comes from the registry; event types
     without one are excluded with a warning.
     """
-    warnings: list[str] = []
-    user_fields: dict[str, str] = {}
-    excluded: set[str] = set()
-    for schema in registry.events:
-        if schema.user_field:
-            user_fields[schema.event_name] = schema.user_field
+    user_fields = {schema.event_name: schema.user_field
+                   for schema in registry.events if schema.user_field}
+    present = {event for _chain, event, _directory in iter_streams(root)}
+    warnings = [f"event {event}: no user field defined, excluded"
+                for event in sorted(present - set(user_fields))]
+
+    def first_seen_in_part(chain: str, event: str, path: str) -> dict:
+        seen: dict[tuple[str, str] | str, int] = {}
+        for ts, user in iter_part_rows(path, ("block_timestamp", user_fields[event])):
+            key, ts = ((chain, user) if per_chain else user), int(ts)
+            if not 0 <= ts <= MAX_TIMESTAMP:
+                raise ValueError(f"block_timestamp {ts} is not a second of the years 1970-9999")
+            if seen.get(key, ts) >= ts:
+                seen[key] = ts
+        return seen
 
     first_seen: dict[tuple[str, str] | str, int] = {}
-    for chain, event, row in _stream_rows(root, None, lenient, warnings):
-        field_name = user_fields.get(event)
-        if field_name is None:
-            if event not in excluded:
-                excluded.add(event)
-                warnings.append(f"event {event}: no user field defined, excluded")
-            continue
-        user = row.get(field_name)
-        if not user:
-            raise AnalyticsError(f"{chain}/{event}: row lacks field {field_name!r}")
-        ts = int(row["block_timestamp"])
-        key = (chain, user) if per_chain else user
-        seen = first_seen.get(key)
-        if seen is None or ts < seen:
-            first_seen[key] = ts
+    for seen in _part_partials(root, set(user_fields), first_seen_in_part, lenient, warnings):
+        for key, ts in seen.items():
+            if first_seen.get(key, ts) >= ts:
+                first_seen[key] = ts
 
-    counts: dict[tuple[str, ...], int] = {}
-    for key, ts in first_seen.items():
-        day = utc_day(ts)
-        group = (key[0], day) if per_chain else (day,)
-        counts[group] = counts.get(group, 0) + 1
-    rows = [
-        AggregateRow(key=group, metric="new_users", value=str(counts[group]))
-        for group in sorted(counts)
-    ]
-    return rows, warnings
+    counts = Counter((key[0], utc_day(ts)) if per_chain else (utc_day(ts),)
+                     for key, ts in first_seen.items())
+    return _aggregate_rows("new_users", {group: str(n) for group, n in counts.items()}), warnings
 
 
 @dataclass
 class SkippedReport:
     total_rows: int = 0
-    skipped_rows: int = 0
-    by_asset: dict[str, int] = field(default_factory=dict)
+    by_asset: Counter = field(default_factory=Counter)  # unpriced rows per asset
 
-    def record_skip(self, asset: str) -> None:
-        self.skipped_rows += 1
-        self.by_asset[asset] = self.by_asset.get(asset, 0) + 1
+    @property
+    def skipped_rows(self) -> int:
+        return sum(self.by_asset.values())
 
 
 class PriceTable:
@@ -153,7 +145,6 @@ class PriceTable:
         assets: dict[str, dict] = {}
         for address, entry in (doc.get("assets") or {}).items():
             assets[str(address).lower()] = {
-                "symbol": entry.get("symbol", ""),
                 "decimals": int(entry["decimals"]),
                 "price": parse_decimal(str(entry["price"])) if "price" in entry else None,
                 "daily": {
@@ -169,16 +160,21 @@ class PriceTable:
 
     def lookup(self, asset: str, day: str | None = None) -> tuple[Fraction, int] | None:
         entry = self._assets.get(asset.lower())
-        if entry is None:
-            return None
-        price = None
-        if day is not None:
-            price = entry["daily"].get(day)
-        if price is None:
-            price = entry["price"]
-        if price is None:
-            return None
-        return price, entry["decimals"]
+        price = None if entry is None else entry["daily"].get(day, entry["price"])
+        return None if price is None else (price, entry["decimals"])
+
+
+def _supply_sums(chain: str, _event: str, path: str) -> tuple[Counter, Counter]:
+    """Rows and summed amount per (chain, reserve, UTC day number) of one Supply part."""
+    rows, amounts = Counter(), Counter()
+    for ts, asset, amount in iter_part_rows(path, ("block_timestamp", "reserve", "amount")):
+        ts = int(ts)
+        if not 0 <= ts <= MAX_TIMESTAMP:
+            raise ValueError(f"block_timestamp {ts} is not a second of the years 1970-9999")
+        group = (chain, asset, ts // 86_400)
+        rows[group] += 1
+        amounts[group] += int(amount)
+    return rows, amounts
 
 
 def deposit_volume(
@@ -186,30 +182,28 @@ def deposit_volume(
     price_table: PriceTable,
     lenient: bool = False,
 ) -> tuple[list[AggregateRow], SkippedReport, list[str]]:
-    """USD supply volume per chain; unpriced rows are skipped and tallied."""
+    """USD supply volume per chain; unpriced rows are skipped and tallied.
+
+    Amounts are summed per (chain, reserve, UTC day), the price key, and priced
+    once per group; the sum of rationals is the same as pricing row by row.
+    """
     errors: list[str] = []
-    report = SkippedReport()
+    rows, amounts = Counter(), Counter()
+    for part_rows, part_amounts in _part_partials(root, {"Supply"}, _supply_sums, lenient, errors):
+        rows.update(part_rows)
+        amounts.update(part_amounts)
+
+    report = SkippedReport(total_rows=sum(rows.values()))
     volumes: dict[str, Fraction] = {}
-    for chain, _event, row in _stream_rows(root, {"Supply"}, lenient, errors):
-        report.total_rows += 1
-        asset = row["reserve"]
-        found = price_table.lookup(asset, utc_day(int(row["block_timestamp"])))
+    for (chain, asset, day), amount in amounts.items():
+        found = price_table.lookup(asset, utc_day(day * 86_400))
         if found is None:
-            report.record_skip(asset)
+            report.by_asset[asset] += rows[chain, asset, day]
             continue
         price, decimals = found
-        volumes[chain] = volumes.get(chain, Fraction(0)) + (
-            Fraction(int(row["amount"])) * price / 10**decimals
-        )
-    rows = [
-        AggregateRow(
-            key=(chain,),
-            metric="deposit_volume_usd",
-            value=fraction_to_decimal(volumes[chain]),
-        )
-        for chain in sorted(volumes)
-    ]
-    return rows, report, errors
+        volumes[chain] = volumes.get(chain, Fraction(0)) + Fraction(amount) * price / 10**decimals
+    values = {(chain,): fraction_to_decimal(volume) for chain, volume in volumes.items()}
+    return _aggregate_rows("deposit_volume_usd", values), report, errors
 
 
 def write_aggregates(

@@ -23,10 +23,12 @@ import click
 import yaml
 
 from . import analytics
+from .decoder import DecodedEvent
 from .gateway import FixtureGateway, GatewayError, HttpGateway
 from .numstr import fraction_to_decimal, parse_decimal
-from .registry import Registry, RegistryError, load_registry
+from .registry import PREFIX_COLUMNS, Registry, RegistryError, load_registry
 from .risk import (
+    REPLAY_FIELDS,
     AssetParams,
     NotLiquidatable,
     OrderViolation,
@@ -46,7 +48,7 @@ from .scanner import (
     scan_event,
 )
 from .sink import (DecodingSink, IoFailure, ShardWriter, iter_part_rows, iter_streams,
-                   list_stream_parts, validate_output)
+                   list_stream_parts, stream_parts, validate_output)
 
 EXIT_CONFIG = 2
 EXIT_NETWORK = 3
@@ -311,10 +313,7 @@ def extract(chain_selector, event_selector, out_dir, from_block, to_block, batch
     except GatewayError as exc:
         click.echo(f"extraction aborted: {exc}", err=True)
         sys.exit(EXIT_NETWORK)
-    except IoFailure as exc:
-        click.echo(f"extraction aborted: {exc}", err=True)
-        sys.exit(EXIT_IO)
-    except OSError as exc:
+    except (IoFailure, OSError) as exc:
         click.echo(f"extraction aborted: {exc}", err=True)
         sys.exit(EXIT_IO)
     except BrokenProcessPool as exc:
@@ -409,22 +408,29 @@ def liquidate_quote_cmd(params_path, position_path, debt_asset, collateral_asset
     click.echo(f"liquidator_profit_usd: {fraction_to_decimal(quote.liquidator_profit_usd)}")
 
 
-def _keyed_stream_rows(directory: str):
-    """(block_number, log_index), part path and row for each row of one stream, in file order."""
-    for name in list_stream_parts(directory):
-        path = os.path.join(directory, name)
-        for row in iter_part_rows(path):
+def _stream_events(directory: str, event: str):
+    """(key, part path, event) per row of one stream, in file order.
+
+    An event carries the fields ``replay`` reads of its kind; IoFailure names a faulty part.
+    """
+    names = REPLAY_FIELDS.get(event, ())
+    paths, breaks = stream_parts(directory)
+    if breaks:
+        raise IoFailure(f"{breaks[0].path}: {breaks[0].detail}")
+    for path in paths:
+        for row in iter_part_rows(path, PREFIX_COLUMNS + names):
             try:
-                key = (int(row["block_number"]), int(row["log_index"]))
+                ev = DecodedEvent(row[0], row[1], int(row[2]), int(row[3]), row[4],
+                                  int(row[5]), row[6], list(zip(names, row[7:])))
             except ValueError as exc:
-                raise IoFailure(f"{path}: row key is not an integer ({exc})") from None
-            yield key, path, row
+                raise IoFailure(f"{path}: row key or timestamp: {exc}") from None
+            yield ev.key, path, ev
 
 
 def _iter_chain_rows_sorted(root: str, chain: str):
-    """Merge all event streams of one chain into one key-ordered (key, path, row) stream."""
-    streams = [_keyed_stream_rows(directory)
-               for name, _event, directory in iter_streams(root) if name == chain]
+    """Merge all event streams of one chain into one key-ordered (key, path, event) stream."""
+    streams = [_stream_events(directory, event)
+               for name, event, directory in iter_streams(root) if name == chain]
     if not streams:
         raise click.UsageError(f"no shard directory for chain {chain!r} under {root}")
     return merge(*streams, key=itemgetter(0))
@@ -443,20 +449,18 @@ def replay_cmd(root, chain_name, mode, out_path, params_path) -> None:
     import csv as _csv
 
     merged = _iter_chain_rows_sorted(root, chain_name)
-    source = [root]  # the part file of the row replay is at
+    source = [root]  # the part file of the event replay is at
 
-    def rows():
-        for _key, path, row in merged:
+    def events():
+        for _key, path, event in merged:
             source[0] = path
-            yield row
+            yield event
 
     try:
-        result = replay(rows(), mode=mode)
-    except IoFailure as exc:
-        click.echo(f"replay aborted: {exc}", err=True)
-        sys.exit(EXIT_IO)
-    except (ValueError, OrderViolation) as exc:
-        click.echo(f"replay aborted: {source[0]}: {exc}", err=True)
+        result = replay(events(), mode=mode)
+    except (IoFailure, ValueError, OrderViolation) as exc:
+        where = "" if isinstance(exc, IoFailure) else f"{source[0]}: "  # IoFailure names it
+        click.echo(f"replay aborted: {where}{exc}", err=True)
         sys.exit(EXIT_IO)
     rows = []
     for user in sorted(result.positions):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import bisect
 import enum
 import json
-import threading
 import time
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -130,20 +129,19 @@ def classify_error(
 
 
 class _GatewayBase:
-    """Shared block-timestamp cache; one upstream fetch per distinct block."""
+    """Block-timestamp cache; one upstream fetch per distinct block.
+
+    ``extract`` builds one gateway per chain and calls it from one thread, so the
+    cache and the request ids take no lock.
+    """
 
     def __init__(self) -> None:
         self._ts_cache: dict[int, int] = {}
-        self._ts_lock = threading.Lock()
 
     def get_block_timestamp(self, block_number: int) -> int:
-        with self._ts_lock:
-            cached = self._ts_cache.get(block_number)
-        if cached is not None:
-            return cached
-        ts = self._fetch_block_timestamp(block_number)
-        with self._ts_lock:
-            self._ts_cache[block_number] = ts
+        ts = self._ts_cache.get(block_number)
+        if ts is None:
+            ts = self._ts_cache[block_number] = self._fetch_block_timestamp(block_number)
         return ts
 
     def _fetch_block_timestamp(self, block_number: int) -> int:
@@ -170,13 +168,7 @@ class HttpGateway(_GatewayBase):
         self._timeout = timeout
         self._sleeper = sleeper
         self._session = session or requests.Session()
-        self._id = 0
-        self._id_lock = threading.Lock()
-
-    def _next_id(self) -> int:
-        with self._id_lock:
-            self._id += 1
-            return self._id
+        self._id = 0  # JSON-RPC request id
 
     def _call(self, method: str, params: list) -> object:
         attempt = 0
@@ -192,7 +184,8 @@ class HttpGateway(_GatewayBase):
             return error
 
     def _call_once(self, method: str, params: list) -> object:
-        body = {"jsonrpc": "2.0", "id": self._next_id(), "method": method, "params": params}
+        self._id += 1
+        body = {"jsonrpc": "2.0", "id": self._id, "method": method, "params": params}
         try:
             response = self._session.post(self._url, json=body, timeout=self._timeout)
         except requests.RequestException as exc:

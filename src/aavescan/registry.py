@@ -18,13 +18,21 @@ import yaml
 from .keccak import keccak256
 
 ADDRESS_RE = re.compile(r"^0x[0-9a-f]{40}$")
-EVENT_NAME_RE = re.compile(r"^[A-Z][A-Za-z0-9]*$")
+# Names the shard file contract carries: chain and event names in part
+# filenames, field names as header columns that need no CSV quoting.
+CHAIN_NAME = "[a-z][a-z0-9]*"
+EVENT_NAME = "[A-Z][A-Za-z0-9]*"
+FIELD_NAME = "[A-Za-z_][A-Za-z0-9_]*"
 UINT_TYPE_RE = re.compile(r"^uint(\d+)$")
 
 # Static ABI types the decoder supports. Dynamic types (bytes, string,
 # arrays) are rejected at load: every Pool event uses static types only.
 _STATIC_TYPES = {"address", "bool"}
 MAX_INDEXED_FIELDS = 3
+
+# Shard columns before an event's fields; ``usd_value`` follows them.
+PREFIX_COLUMNS = ("chain", "event", "block_number", "block_timestamp", "transaction_hash",
+                  "log_index", "contract_address")
 
 
 class RegistryError(Exception):
@@ -40,6 +48,8 @@ class ChainConfig:
     rpc_env_key: str
 
     def validate(self) -> None:
+        if not re.fullmatch(CHAIN_NAME, self.chain_name):
+            raise RegistryError(f"chain name {self.chain_name!r} does not match {CHAIN_NAME}")
         if not ADDRESS_RE.match(self.pool_address):
             raise RegistryError(
                 f"chain {self.chain_name!r}: pool_address {self.pool_address!r} "
@@ -86,7 +96,7 @@ class EventSchema:
         return tuple(f for f in self.fields if not f.indexed)
 
     def validate(self) -> None:
-        if not EVENT_NAME_RE.match(self.event_name):
+        if not re.fullmatch(EVENT_NAME, self.event_name):
             raise RegistryError(f"event name {self.event_name!r} is not CamelCase")
         if not self.canonical_signature:
             raise RegistryError(f"event {self.event_name!r}: empty signature")
@@ -101,7 +111,15 @@ class EventSchema:
                 f"event {self.event_name!r}: {len(self.indexed_fields)} indexed fields "
                 f"(maximum {MAX_INDEXED_FIELDS})"
             )
+        names = [f.name for f in self.fields]
         for f in self.fields:
+            where = f"event {self.event_name!r}: field name {f.name!r}"
+            if not re.fullmatch(FIELD_NAME, f.name):
+                raise RegistryError(f"{where} does not match {FIELD_NAME}")
+            if f.name in PREFIX_COLUMNS or f.name == "usd_value":
+                raise RegistryError(f"{where} is a shard column of every event")
+            if names.count(f.name) > 1:
+                raise RegistryError(f"{where} repeats")
             if f.abi_type not in _STATIC_TYPES and f.bit_width is None:
                 raise RegistryError(
                     f"event {self.event_name!r}: field {f.name!r} has unsupported "

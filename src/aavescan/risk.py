@@ -247,28 +247,29 @@ class ReplayResult:
     anomalies: list[Anomaly]
     reserves: dict[str, ReserveState]
 
-    def position(self, user: str) -> Position:
-        return self.positions[user]
+
+# The fields ``replay`` reads, per event name, in the order it reads them (the
+# rates and indices in ReserveState's field order); other events book nothing.
+REPLAY_FIELDS: dict[str, tuple[str, ...]] = {
+    "ReserveDataUpdated": ("reserve", "liquidityIndex", "variableBorrowIndex",
+                           "liquidityRate", "variableBorrowRate", "stableBorrowRate"),
+    "ReserveUsedAsCollateralEnabled": ("user", "reserve"),
+    "ReserveUsedAsCollateralDisabled": ("user", "reserve"),
+    "Supply": ("onBehalfOf", "reserve", "amount"),
+    "Withdraw": ("user", "reserve", "amount"),
+    "Borrow": ("onBehalfOf", "reserve", "amount"),
+    "Repay": ("user", "reserve", "amount"),
+    "LiquidationCall": ("user", "debtAsset", "collateralAsset", "debtToCover",
+                        "liquidatedCollateralAmount"),
+}
 
 
-def _event_view(ev) -> tuple[str, str, tuple[int, int], int, dict[str, str]]:
-    """Normalize a DecodedEvent or a CSV row dict into (chain, name, key, ts, fields)."""
-    if isinstance(ev, DecodedEvent):
-        return (
-            ev.chain_name,
-            ev.event_name,
-            ev.key,
-            ev.block_timestamp,
-            ev.field_map(),
-        )
-    chain = ev["chain"]
-    name = ev["event"]
-    key = (int(ev["block_number"]), int(ev["log_index"]))
-    ts = int(ev["block_timestamp"])
-    skip = {"chain", "event", "block_number", "block_timestamp",
-            "transaction_hash", "log_index", "contract_address", "usd_value"}
-    fields = {k: v for k, v in ev.items() if k not in skip}
-    return chain, name, key, ts, fields
+def _field_values(ev: DecodedEvent, names: tuple[str, ...]) -> list[str]:
+    """The values of the fields ``names`` of ``ev``, in that order; ValueError if one is absent."""
+    values = [value for name in names for field_name, value in ev.fields if field_name == name]
+    if len(values) != len(names):
+        raise ValueError(f"{ev.event_name} event lacks one of the fields {', '.join(names)}")
+    return values
 
 
 class _Book:
@@ -300,7 +301,7 @@ class _Book:
 
 
 def replay(
-    events: Iterable,
+    events: Iterable[DecodedEvent],
     mode: str = "nominal",
 ) -> ReplayResult:
     """Reconstruct per-user positions from a chronologically ordered stream.
@@ -326,7 +327,7 @@ def replay(
         return state
 
     for ev in events:
-        chain, name, key, ts, fm = _event_view(ev)
+        chain, name, key, ts = ev.chain_name, ev.event_name, ev.key, ev.block_timestamp
         if chain_seen is None:
             chain_seen = chain
         elif chain != chain_seen:
@@ -338,74 +339,47 @@ def replay(
         last_key = key
         last_ts = max(last_ts, ts)
 
+        names = REPLAY_FIELDS.get(name)
+        if names is None:
+            continue  # FlashLoan, MintedToTreasury, mode/rebalance events
+        values = _field_values(ev, names)
         if name == "ReserveDataUpdated":
-            reserves[fm["reserve"]] = ReserveState(
-                liquidity_index=int(fm["liquidityIndex"]),
-                variable_borrow_index=int(fm["variableBorrowIndex"]),
-                current_liquidity_rate=int(fm["liquidityRate"]),
-                current_variable_borrow_rate=int(fm["variableBorrowRate"]),
-                current_stable_borrow_rate=int(fm["stableBorrowRate"]),
-                last_update_timestamp=ts,
-            )
-            continue
-        if name == "ReserveUsedAsCollateralEnabled":
-            book.position(fm["user"]).collateral_enabled[fm["reserve"]] = True
-            continue
-        if name == "ReserveUsedAsCollateralDisabled":
-            book.position(fm["user"]).collateral_enabled[fm["reserve"]] = False
-            continue
-
-        if name in ("Supply", "Withdraw", "Borrow", "Repay"):
-            asset = fm["reserve"]
-            amount = int(fm["amount"])
+            asset, *indices_and_rates = values
+            reserves[asset] = ReserveState(*map(int, indices_and_rates), last_update_timestamp=ts)
+        elif name.startswith("ReserveUsedAsCollateral"):
+            user, asset = values
+            book.position(user).collateral_enabled[asset] = name.endswith("Enabled")
+        elif name == "LiquidationCall":
+            user, debt_asset, coll_asset, debt_amount, coll_amount = values
+            debt_amount, coll_amount = int(debt_amount), int(coll_amount)
             if indexed:
-                state = reserve_at(asset, ts)
-                index = (
-                    state.liquidity_index
-                    if name in ("Supply", "Withdraw")
-                    else state.variable_borrow_index
-                )
-                amount = ray_div(amount, index)
-            if name == "Supply":
-                book.add("collateral", fm["onBehalfOf"], asset, amount)
-            elif name == "Withdraw":
-                book.sub("collateral", fm["user"], asset, amount, key)
-            elif name == "Borrow":
-                book.add("debt", fm["onBehalfOf"], asset, amount)
-            else:
-                book.sub("debt", fm["user"], asset, amount, key)
-            continue
-
-        if name == "LiquidationCall":
-            user = fm["user"]
-            debt_amount = int(fm["debtToCover"])
-            coll_amount = int(fm["liquidatedCollateralAmount"])
-            if indexed:
-                debt_state = reserve_at(fm["debtAsset"], ts)
-                coll_state = reserve_at(fm["collateralAsset"], ts)
+                debt_state = reserve_at(debt_asset, ts)
+                coll_state = reserve_at(coll_asset, ts)
                 debt_amount = ray_div(debt_amount, debt_state.variable_borrow_index)
                 coll_amount = ray_div(coll_amount, coll_state.liquidity_index)
-            book.sub("debt", user, fm["debtAsset"], debt_amount, key)
-            book.sub("collateral", user, fm["collateralAsset"], coll_amount, key)
-            continue
-        # FlashLoan, MintedToTreasury, mode/rebalance events: no balance effect
+            book.sub("debt", user, debt_asset, debt_amount, key)
+            book.sub("collateral", user, coll_asset, coll_amount, key)
+        else:  # Supply, Withdraw, Borrow, Repay
+            user, asset, amount = values
+            side = "collateral" if name in ("Supply", "Withdraw") else "debt"
+            amount = int(amount)
+            if indexed:
+                state = reserve_at(asset, ts)
+                amount = ray_div(amount, state.liquidity_index if side == "collateral"
+                                 else state.variable_borrow_index)
+            if name in ("Supply", "Borrow"):
+                book.add(side, user, asset, amount)
+            else:
+                book.sub(side, user, asset, amount, key)
 
-    if indexed:
+    if indexed:  # every booked asset went through ``reserve_at``
         for asset in list(reserves):
-            reserves[asset] = (
-                update_state(reserves[asset], last_ts)
-                if reserves[asset].last_update_timestamp < last_ts
-                else reserves[asset]
-            )
+            reserve_at(asset, last_ts)
         for position in book.positions.values():
-            for asset, scaled in list(position.collateral.items()):
-                state = reserves.get(asset)
-                if state is not None:
-                    position.collateral[asset] = ray_mul(int(scaled), state.liquidity_index)
-            for asset, scaled in list(position.debt.items()):
-                state = reserves.get(asset)
-                if state is not None:
-                    position.debt[asset] = ray_mul(int(scaled), state.variable_borrow_index)
+            for asset, scaled in position.collateral.items():
+                position.collateral[asset] = ray_mul(int(scaled), reserves[asset].liquidity_index)
+            for asset, scaled in position.debt.items():
+                position.debt[asset] = ray_mul(int(scaled), reserves[asset].variable_borrow_index)
 
     return ReplayResult(
         positions=book.positions, anomalies=book.anomalies, reserves=reserves

@@ -1,4 +1,4 @@
-"""CSV shard writer and validator for decoded event streams.
+"""CSV shard writer, reader and validator for decoded event streams.
 
 File contract: one directory per (chain, event); parts of at most one
 million rows named ``aave_V3_{chain}_{event}_part{nnn}_{YYYYMMDD_HHMMSS}.csv``
@@ -19,29 +19,20 @@ import os
 import re
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
-from typing import Callable, Iterator
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from .decoder import DecodedEvent, OrderViolation, decode
-from .registry import EventSchema
+from .registry import CHAIN_NAME, EVENT_NAME, PREFIX_COLUMNS, EventSchema
 
 PART_ROW_LIMIT = 1_000_000
 MAX_PART_NUMBER = 999
 
 FILENAME_RE = re.compile(
-    r"^aave_V3_(?P<chain>[a-z][a-z0-9]*)_(?P<event>[A-Z][A-Za-z0-9]*)"
+    rf"^aave_V3_(?P<chain>{CHAIN_NAME})_(?P<event>{EVENT_NAME})"
     r"_part(?P<part>\d{3})_(?P<ts>\d{8}_\d{6})\.csv$"
 )
 OPEN_PART_RE = re.compile(r"^\.part(?P<part>\d{3})\.open\.csv$")
-
-PREFIX_COLUMNS = (
-    "chain",
-    "event",
-    "block_number",
-    "block_timestamp",
-    "transaction_hash",
-    "log_index",
-    "contract_address",
-)
 
 
 class PartOverflow(Exception):
@@ -49,7 +40,7 @@ class PartOverflow(Exception):
 
 
 class IoFailure(Exception):
-    """Underlying I/O failed; the stream was closed in a consistent state."""
+    """I/O failed or a shard file read is corrupt; a writer leaves its stream consistent."""
 
 
 def part_filename(chain: str, event: str, part_number: int, wall_clock: datetime) -> str:
@@ -431,36 +422,14 @@ def iter_streams(root: str) -> Iterator[tuple[str, str, str]]:
 
 
 def list_stream_parts(directory: str) -> list[str]:
-    """Part filenames in a stream directory, ordered by part number."""
+    """Part filenames in a stream directory, ordered by part number, then by name."""
     names = [n for n in os.listdir(directory) if FILENAME_RE.match(n)]
-    return sorted(names, key=lambda n: int(FILENAME_RE.match(n).group("part")))
-
-
-def iter_part_rows(path: str) -> Iterator[dict[str, str]]:
-    """Yield rows of one part file as header-keyed dicts.
-
-    Raises IoFailure naming ``path`` on a read error, a missing header or a ragged row.
-    """
-    try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                raise IoFailure(f"{path}: empty file")
-            width = len(header)
-            for row in reader:
-                if len(row) != width:
-                    raise IoFailure(f"{path}: row width {len(row)} != header {width}")
-                yield dict(zip(header, row))
-    except OSError as exc:
-        raise IoFailure(f"{path}: {exc.strerror or exc}") from exc
-    except csv.Error as exc:
-        raise IoFailure(f"{path}: {exc}") from exc
+    return sorted(names, key=lambda n: (int(FILENAME_RE.match(n).group("part")), n))
 
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # naming | part_numbering | row_limit | ordering | manifest
+    kind: str  # naming | part_numbering | header | row_limit | ordering | manifest
     path: str
     detail: str
     line: int | None = None
@@ -475,60 +444,110 @@ class ValidationReport:
         return not self.violations
 
 
+def stream_parts(directory: str) -> tuple[list[str], list[Violation]]:
+    """Paths of a stream's part files in part order, and a violation per numbering break.
+
+    A number passed already (a repeat, or 000) leaves its part out; a gap is
+    reported at the part after it, which stays in.
+    """
+    paths, breaks, expected = [], [], 1
+    for name in list_stream_parts(directory):
+        number = int(FILENAME_RE.match(name).group("part"))
+        path = os.path.join(directory, name)
+        if number != expected:
+            breaks.append(Violation("part_numbering", path,
+                                    f"expected part{expected:03d} next, found part{number:03d}"))
+        if number >= expected:
+            paths.append(path)
+            expected = number + 1
+    return paths, breaks
+
+
+def iter_part_rows(path: str, columns: Sequence[str] = ()) -> Iterator[tuple[str, ...]]:
+    """Yield, per row of one part file, the values of ``columns`` in that order.
+
+    Each column is resolved once, to its position in the header; no dict is built
+    per row. Raises IoFailure naming ``path`` on a read error, an empty file, a
+    column the header lacks, or a row whose width differs from the header's.
+    """
+    try:
+        with open(path, "r", newline="", encoding="utf-8") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
+                raise IoFailure(f"{path}: empty file")
+            for name in columns:
+                if name not in header:
+                    raise IoFailure(f"{path}: header lacks column {name!r}")
+            positions = [header.index(name) for name in columns]
+            # itemgetter of one position returns a bare value, of none it fails
+            pick = (itemgetter(*positions) if len(positions) > 1
+                    else lambda row: tuple(row[i] for i in positions))
+            width = len(header)
+            for row in reader:
+                if len(row) != width:
+                    raise IoFailure(f"{path}:{reader.line_num}: row width {len(row)} "
+                                    f"!= header {width}")
+                yield pick(row)
+    except OSError as exc:
+        raise IoFailure(f"{path}: {exc.strerror or exc}") from exc
+    except (csv.Error, UnicodeDecodeError) as exc:
+        raise IoFailure(f"{path}: {exc}") from exc
+
+
 def _validate_stream(directory: str, chain: str, event: str) -> list[Violation]:
     violations: list[Violation] = []
-    entries = sorted(os.listdir(directory))
-    part_files: list[tuple[int, str]] = []
-    for name in entries:
-        if name.startswith(".") or name.startswith("manifest.") or name.endswith(".tmp"):
-            continue
-        if not name.endswith(".csv"):
+    for name in sorted(os.listdir(directory)):
+        path = os.path.join(directory, name)
+        if OPEN_PART_RE.match(name):
+            violations.append(Violation("naming", path, "open part of an unfinished write"))
+        if name.startswith(".") or not name.endswith(".csv"):
             continue
         m = FILENAME_RE.match(name)
         if not m:
-            violations.append(Violation("naming", os.path.join(directory, name),
+            violations.append(Violation("naming", path,
                                         "filename does not match the part pattern"))
             continue
         if m.group("chain") != chain or m.group("event") != event:
-            violations.append(Violation("naming", os.path.join(directory, name),
+            violations.append(Violation("naming", path,
                                         f"filename names {m.group('chain')}/{m.group('event')}, "
                                         f"directory is {chain}/{event}"))
-        part = int(m.group("part"))
-        if part < 1:
-            violations.append(Violation("naming", os.path.join(directory, name),
-                                        "part numbers start at 001"))
-            continue
-        part_files.append((part, name))
-
-    part_files.sort()
-    expected = 1
-    for part, _ in part_files:
-        if part != expected:
-            violations.append(Violation(
-                "part_numbering", directory,
-                f"expected part{expected:03d} next, found part{part:03d}"))
-            expected = part
-        expected += 1
+        if int(m.group("part")) < 1:
+            violations.append(Violation("naming", path, "part numbers start at 001"))
+    paths, breaks = stream_parts(directory)
+    violations.extend(breaks)
 
     actual_parts: list[PartRecord] = []
     previous_last: tuple[int, int] | None = None
-    for part, name in part_files:
-        path = os.path.join(directory, name)
+    first_header: list[str] | None = None
+    for path in paths:
+        name = os.path.basename(path)
         rows = 0
         first_key = last_key = None
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
-            try:
-                next(reader)  # header
-            except StopIteration:
-                violations.append(Violation("ordering", path, "part file has no header"))
+            header = next(reader, None)
+            if header is None:
+                violations.append(Violation("header", path, "part file has no header"))
                 continue
+            if header[:len(PREFIX_COLUMNS)] != list(PREFIX_COLUMNS) or header[-1:] != ["usd_value"]:
+                violations.append(Violation("header", path, "header does not start with the "
+                                            "prefix columns and end with usd_value"))
+            elif first_header is None:
+                first_header = header
+            elif header != first_header:
+                violations.append(Violation("header", path, "header differs from the stream's "
+                                            "first well-formed header"))
+            width = len(header)
             for line_no, row in enumerate(reader, start=2):
                 try:
                     key = (int(row[2]), int(row[5]))
                 except (IndexError, ValueError):
+                    key = None
+                if key is None or len(row) != width:
                     violations.append(Violation(
-                        "ordering", path, "row is not a decodable event row", line=line_no))
+                        "ordering", path, f"row is not a decodable event row of {width} columns",
+                        line=line_no))
                     continue
                 if last_key is not None and key <= last_key:
                     violations.append(Violation(
@@ -546,6 +565,7 @@ def _validate_stream(directory: str, chain: str, event: str) -> list[Violation]:
                 "ordering", path,
                 f"first key {first_key} not above previous part's last {previous_last}"))
         if first_key is not None:
+            part = int(FILENAME_RE.match(name).group("part"))
             actual_parts.append(PartRecord(part, name, rows, first_key, last_key))
         previous_last = last_key if last_key is not None else previous_last
 
@@ -566,17 +586,12 @@ def _validate_stream(directory: str, chain: str, event: str) -> list[Violation]:
     declared = {p.part_number: p for p in manifest.parts}
     actual = {p.part_number: p for p in actual_parts}
     for number in sorted(set(declared) | set(actual)):
-        if number not in declared:
-            violations.append(Violation(
-                "manifest", mpath, f"part{number:03d} on disk but not in manifest"))
-        elif number not in actual:
-            violations.append(Violation(
-                "manifest", mpath, f"part{number:03d} in manifest but not on disk"))
-        elif declared[number] != actual[number]:
-            violations.append(Violation(
-                "manifest", mpath,
-                f"part{number:03d} metadata disagrees with file "
-                f"(manifest {declared[number]}, actual {actual[number]})"))
+        listed, found = declared.get(number), actual.get(number)
+        if listed != found:
+            detail = ("on disk but not in manifest" if listed is None
+                      else "in manifest but not on disk" if found is None
+                      else f"metadata disagrees with file (manifest {listed}, actual {found})")
+            violations.append(Violation("manifest", mpath, f"part{number:03d} {detail}"))
     return violations
 
 

@@ -101,6 +101,39 @@ class TestCounts:
         assert errors[0].count(victim) == 1
         assert [(r.key, r.value) for r in rows] == [(("ethereum", "Borrow"), "3")]
 
+    @pytest.mark.parametrize("metric", ["counts", "new-users", "deposit-volume"])
+    def test_lenient_opens_each_part_once(self, registry, tmp_path, monkeypatch, metric):
+        import builtins
+
+        import aavescan.sink as sink_module
+
+        events = [_supply("ethereum", 100 + i, 0, _user(i), 100, DAY0 + i) for i in range(9)]
+        events += [_borrow("ethereum", 200 + i, 0, _user(50 + i), 10, DAY0) for i in range(4)]
+        _write(tmp_path, registry, "ethereum", events, row_limit=3)
+        supply = os.path.join(str(tmp_path), "ethereum", "Supply")
+        victim = os.path.join(supply, sorted(os.listdir(supply))[1])
+        with open(victim, "a", encoding="utf-8") as fh:
+            fh.write("not,a,valid,row\n")
+        opened = []
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return builtins.open(file, *args, **kwargs)
+
+        monkeypatch.setattr(sink_module, "open", counting_open, raising=False)
+        if metric == "counts":
+            rows, warnings = event_counts(str(tmp_path), lenient=True)
+        elif metric == "new-users":
+            rows, warnings = daily_new_users(str(tmp_path), registry, lenient=True)
+        else:
+            rows, _, warnings = deposit_volume(str(tmp_path), _table({}), lenient=True)
+        streams = ("Supply",) if metric == "deposit-volume" else ("Borrow", "Supply")
+        parts = [os.path.join(str(tmp_path), "ethereum", event, name) for event in streams
+                 for name in sorted(os.listdir(os.path.join(str(tmp_path), "ethereum", event)))
+                 if name.startswith("aave_V3_")]
+        assert sorted(opened) == sorted(parts)  # each part once, the corrupt one included
+        assert len(warnings) == 1 and victim in warnings[0]
+
     def test_partition_property(self, registry, tmp_path):
         events = [_supply("base", 100 + i, 0, _user(i), 1, DAY0) for i in range(12)]
         _write(tmp_path, registry, "base", events, row_limit=5)  # split over 3 parts

@@ -1,0 +1,198 @@
+"""Corruption sweep: every shard reader against every corruption class.
+
+One tree is extracted from the mini corpus (ethereum, parts of at most 10
+rows, so ethereum/Supply has four parts). Each class corrupts a copy of it,
+mostly in Supply's part002. Each reader runs on the copy: ``validate``, the
+three ``aggregate`` metrics strict and lenient, and ``replay``. EXPECTED
+gives the exit code of every strict pair; every lenient aggregate exits 0.
+Beyond the code:
+
+- no pair ends in a traceback;
+- every failure names the corrupt file (for a missing part, its number);
+- a reader that exits 0 gives the same output as on the intact tree;
+- a lenient aggregate whose strict form fails names the file in a warning
+  and gives its own output on a copy of the tree with that part removed.
+"""
+
+import csv
+import os
+import shutil
+from functools import partial
+
+import pytest
+from click.testing import CliRunner
+
+from aavescan import cli
+from aavescan.sink import ShardWriter
+
+READERS = ("validate", "counts", "new-users", "deposit-volume", "replay")
+METRICS = ("counts", "new-users", "deposit-volume")
+
+# exit codes per corruption class, in READERS order
+EXPECTED = {
+    "renamed_column": (1, 0, 0, 4, 4),  # amount -> amt
+    "dropped_column": (1, 0, 4, 0, 4),  # onBehalfOf gone from the header and every row
+    "ragged_row": (1, 4, 4, 4, 4),
+    "non_integer_key": (1, 0, 0, 0, 4),
+    "non_integer_timestamp": (0, 0, 4, 4, 4),
+    "timestamp_beyond_year_9999": (0, 0, 4, 4, 0),  # an integer no UTC day can name
+    "non_integer_amount": (0, 0, 0, 4, 4),
+    "backwards_key": (1, 0, 0, 0, 4),
+    "truncated_last_line": (1, 4, 4, 4, 4),
+    "empty_part": (1, 4, 4, 4, 4),
+    "missing_part": (1, 4, 4, 4, 4),
+    "duplicated_part_number": (1, 4, 4, 4, 4),
+    "manifest_not_json": (1, 0, 0, 0, 0),
+    "stale_open_part": (1, 0, 0, 0, 0),
+}
+
+
+def _edit_rows(path, edit):
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    edit(header, rows)
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows([header] + rows)
+
+
+def _set(column, value):
+    def edit(header, rows):
+        rows[3][header.index(column)] = value
+    return edit
+
+
+def _rename_amount(header, _rows):
+    header[header.index("amount")] = "amt"
+
+
+def _drop_on_behalf_of(header, rows):
+    at = header.index("onBehalfOf")
+    for row in [header] + rows:
+        del row[at]
+
+
+def _extra_column(_header, rows):
+    rows[3].append("extra")
+
+
+def _swap_rows(_header, rows):
+    rows[3], rows[4] = rows[4], rows[3]
+
+
+def _corrupt(kind: str, stream: str, victim: str) -> tuple[str, str | None]:
+    """Apply one corruption; return what a failure must name and the part to remove."""
+    edits = {
+        "renamed_column": _rename_amount,
+        "dropped_column": _drop_on_behalf_of,
+        "ragged_row": _extra_column,
+        "non_integer_key": _set("log_index", "x"),
+        "non_integer_timestamp": _set("block_timestamp", "soon"),
+        "timestamp_beyond_year_9999": _set("block_timestamp", str(10**20)),
+        "non_integer_amount": _set("amount", "1e18"),
+        "backwards_key": _swap_rows,
+    }
+    name = os.path.basename(victim)
+    if kind in edits:
+        _edit_rows(victim, edits[kind])
+        return name, victim
+    if kind == "truncated_last_line":
+        with open(victim, "rb") as fh:
+            data = fh.read()
+        last = data.rstrip(b"\n").rsplit(b"\n", 1)[1]
+        with open(victim, "wb") as fh:
+            fh.write(data[:len(data) - len(last) // 2 - 1])
+        return name, victim
+    if kind == "empty_part":
+        open(victim, "w").close()
+        return name, victim
+    if kind == "missing_part":
+        os.remove(victim)
+        return "part002", None
+    if kind == "duplicated_part_number":
+        duplicate = os.path.join(stream, name[:-len("YYYYMMDD_HHMMSS.csv")] + "99991231_235959.csv")
+        shutil.copyfile(victim, duplicate)
+        return os.path.basename(duplicate), duplicate
+    if kind == "manifest_not_json":
+        with open(os.path.join(stream, "manifest.ethereum.Supply"), "w") as fh:
+            fh.write("{not json")
+        return "manifest.ethereum.Supply", None
+    assert kind == "stale_open_part"
+    shutil.copyfile(victim, os.path.join(stream, ".part005.open.csv"))
+    return ".part005.open.csv", None
+
+
+def _run(tree: str, reader: str, workdir: str, prices: str, lenient: bool = False):
+    """(exit code, output, terminal text) of one reader on one tree."""
+    out = os.path.join(workdir, f"{reader}{'-lenient' if lenient else ''}.out")
+    if reader == "validate":
+        args = ["validate", tree]
+    elif reader == "replay":
+        args = ["replay", "--in", tree, "--chain", "ethereum", "--out", out]
+    else:
+        args = ["aggregate", "--metric", reader, "--in", tree, "--out", out]
+        args += ["--price-table", prices] if reader == "deposit-volume" else []
+        args += ["--lenient"] if lenient else []
+    result = CliRunner().invoke(cli.main, args)
+    assert result.exception is None or isinstance(result.exception, SystemExit), (
+        reader, result.output, result.exc_info)
+    assert "Traceback" not in result.output, result.output
+    if reader == "validate":
+        output = result.stdout
+    else:
+        output = open(out).read() if result.exit_code == 0 else None
+        if os.path.exists(out):
+            os.remove(out)
+    return result.exit_code, output, result.output
+
+
+@pytest.fixture(scope="module")
+def intact(tmp_path_factory, mini_corpus_dir, price_table_path):
+    root = str(tmp_path_factory.mktemp("intact"))
+    tree = os.path.join(root, "tree")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "ShardWriter", partial(ShardWriter, row_limit=10))
+        result = CliRunner().invoke(cli.main, [
+            "extract", "--chain", "ethereum", "--event", "all", "--out", tree,
+            "--fixture-dir", mini_corpus_dir])
+    assert result.exit_code == 0, result.output
+    stream = os.path.join(tree, "ethereum", "Supply")
+    assert len([n for n in os.listdir(stream) if n.startswith("aave_V3_")]) == 4
+    outputs = {}
+    for reader in READERS:
+        code, output, text = _run(tree, reader, root, price_table_path)
+        assert code == 0, (reader, text)
+        outputs[reader] = output
+    return tree, outputs
+
+
+@pytest.mark.parametrize("kind", list(EXPECTED))
+def test_every_reader_on_every_corruption(kind, intact, tmp_path, price_table_path):
+    tree, intact_outputs = intact
+    corrupt = str(tmp_path / "corrupt")
+    shutil.copytree(tree, corrupt)
+    stream = os.path.join(corrupt, "ethereum", "Supply")
+    victim = sorted(os.path.join(stream, n) for n in os.listdir(stream)
+                    if n.startswith("aave_V3_"))[1]
+    assert "_part002_" in victim
+    needle, removed = _corrupt(kind, stream, victim)
+
+    for reader, expected in zip(READERS, EXPECTED[kind]):
+        code, output, text = _run(corrupt, reader, str(tmp_path), price_table_path)
+        assert code == expected, (reader, text)
+        if code == 0:
+            assert output == intact_outputs[reader], reader
+        else:
+            assert needle in text, (reader, text)
+
+    without = str(tmp_path / "without")
+    shutil.copytree(corrupt, without)
+    if removed is not None:
+        os.remove(removed.replace(corrupt, without, 1))
+    for reader, strict in zip(METRICS, EXPECTED[kind][1:4]):
+        code, output, text = _run(corrupt, reader, str(tmp_path), price_table_path, True)
+        assert code == 0, (reader, text)
+        if strict == 0:
+            assert output == intact_outputs[reader], reader
+            continue
+        assert needle in text, (reader, text)
+        assert output == _run(without, reader, str(tmp_path), price_table_path, True)[1], reader

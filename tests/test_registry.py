@@ -155,6 +155,24 @@ def test_malformed_documents_name_the_offender(tmp_path, mutation, needle):
     assert needle.lower() in str(excinfo.value).lower()
 
 
+@pytest.mark.parametrize(
+    "mutation,needle",
+    [
+        # a chain name the shard filename pattern cannot carry
+        (("name: testchain", "name: test_chain"), "chain name"),
+        # a field name a CSV header can only carry quoted
+        (("{name: reserve,", '{name: "res,erve",'), "field name"),
+        (("{name: amountMinted,", "{name: reserve,"), "repeats"),
+        (("{name: amountMinted,", "{name: block_timestamp,"), "shard column"),
+    ],
+)
+def test_names_the_file_contract_cannot_carry(tmp_path, mutation, needle):
+    text = (MINIMAL_CHAIN + MINIMAL_EVENT).replace(*mutation)
+    assert text != MINIMAL_CHAIN + MINIMAL_EVENT
+    with pytest.raises(RegistryError, match=needle):
+        load_registry(_write_registry(tmp_path, text))
+
+
 def test_duplicate_chain_rejected(tmp_path):
     text = MINIMAL_CHAIN + MINIMAL_CHAIN.replace("chains:", "") + MINIMAL_EVENT
     with pytest.raises(RegistryError, match="duplicate"):

@@ -443,15 +443,20 @@ class TestReplay:
         # 100 supplied at index 1.0 is worth 200 once the index doubles
         assert result.positions[a].collateral[weth] == 200
 
-    def test_replay_accepts_csv_row_dicts(self):
+    def test_replay_accepts_shard_rows_as_decoded_events(self, registry, tmp_path):
+        from aavescan.cli import _iter_chain_rows_sorted
+        from aavescan.sink import ShardWriter
+
         weth = "0x" + "0e" * 20
         a = "0x" + "01" * 20
-        rows = [{
-            "chain": "ethereum", "event": "Supply", "block_number": "5",
-            "block_timestamp": "50", "transaction_hash": "0x" + "00" * 32,
-            "log_index": "0", "contract_address": "0x" + "aa" * 20,
-            "reserve": weth, "user": a, "onBehalfOf": a, "amount": "42",
-            "referralCode": "0", "usd_value": "",
-        }]
-        result = replay(rows)
+        writer = ShardWriter(str(tmp_path), "ethereum", registry.event("Supply"))
+        writer.append(_decoded("ethereum", "Supply", 5, 0, 50,
+                               {"reserve": weth, "user": a, "onBehalfOf": a,
+                                "amount": "42", "referralCode": "0"}))
+        writer.finalize()
+        events = [event for _key, _path, event in
+                  _iter_chain_rows_sorted(str(tmp_path), "ethereum")]
+        assert [(e.key, e.block_timestamp, e.fields) for e in events] == [
+            ((5, 0), 50, [("onBehalfOf", a), ("reserve", weth), ("amount", "42")])]
+        result = replay(events)
         assert result.positions[a].collateral[weth] == 42

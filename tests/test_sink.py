@@ -150,7 +150,7 @@ class TestOrdering:
             assert earlier.last_key < later.first_key
 
     def test_csv_roundtrip(self, registry, tmp_path):
-        from aavescan.sink import iter_part_rows
+        from aavescan.sink import PREFIX_COLUMNS, iter_part_rows
 
         writer = _writer(registry, tmp_path)
         events = [_event(registry, 100 + i, i, amount=10**i) for i in range(5)]
@@ -159,20 +159,22 @@ class TestOrdering:
         writer.finalize()
         directory = stream_dir(str(tmp_path), "ethereum", "MintedToTreasury")
         (name,) = list_stream_parts(directory)
-        rows = list(iter_part_rows(os.path.join(directory, name)))
+        columns = PREFIX_COLUMNS + ("reserve", "amountMinted", "usd_value")
+        rows = list(iter_part_rows(os.path.join(directory, name), columns))
         rebuilt = [
             DecodedEvent(
-                chain_name=row["chain"],
-                event_name=row["event"],
-                block_number=int(row["block_number"]),
-                block_timestamp=int(row["block_timestamp"]),
-                transaction_hash=row["transaction_hash"],
-                log_index=int(row["log_index"]),
-                contract_address=row["contract_address"],
-                fields=[("reserve", row["reserve"]), ("amountMinted", row["amountMinted"])],
-                usd_value=row["usd_value"],
+                chain_name=chain,
+                event_name=event,
+                block_number=int(block_number),
+                block_timestamp=int(block_timestamp),
+                transaction_hash=transaction_hash,
+                log_index=int(log_index),
+                contract_address=contract_address,
+                fields=[("reserve", reserve), ("amountMinted", amount_minted)],
+                usd_value=usd_value,
             )
-            for row in rows
+            for (chain, event, block_number, block_timestamp, transaction_hash, log_index,
+                 contract_address, reserve, amount_minted, usd_value) in rows
         ]
         assert rebuilt == events
 
@@ -466,6 +468,46 @@ class TestValidate:
             fh.write("hello\n")
         kinds = {v.kind for v in validate_output(str(tmp_path)).violations}
         assert "naming" in kinds
+
+    def _edit_header(self, path, old, new):
+        with open(path, "r", encoding="utf-8") as fh:
+            header, rest = fh.read().split("\n", 1)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(header.replace(old, new) + "\n" + rest)
+
+    def test_field_column_renamed_in_a_later_part(self, registry, tmp_path):
+        directory = _build_valid_tree(registry, tmp_path)
+        path = os.path.join(directory, list_stream_parts(directory)[1])
+        self._edit_header(path, "amountMinted", "amount_minted")
+        violations = validate_output(str(tmp_path)).violations
+        assert [(v.kind, v.path) for v in violations] == [("header", path)]
+        assert "first well-formed header" in violations[0].detail
+
+    def test_prefix_column_renamed(self, registry, tmp_path):
+        directory = _build_valid_tree(registry, tmp_path)
+        path = os.path.join(directory, list_stream_parts(directory)[0])
+        self._edit_header(path, "block_timestamp", "timestamp")
+        violations = validate_output(str(tmp_path)).violations
+        assert [(v.kind, v.path) for v in violations] == [("header", path)]
+        assert "usd_value" in violations[0].detail
+
+    def test_ragged_row_reports_line_number(self, registry, tmp_path):
+        directory = _build_valid_tree(registry, tmp_path)
+        path = os.path.join(directory, list_stream_parts(directory)[0])
+        lines = open(path, "r", encoding="utf-8").read().splitlines()
+        lines[3] += ",extra"
+        open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
+        ragged = [v for v in validate_output(str(tmp_path)).violations if v.line is not None]
+        assert [(v.path, v.line) for v in ragged] == [(path, 4)]
+        assert "decodable event row of 10 columns" in ragged[0].detail
+
+    def test_stale_open_part_is_naming_violation(self, registry, tmp_path):
+        directory = _build_valid_tree(registry, tmp_path)
+        stale = os.path.join(directory, ".part004.open.csv")
+        with open(stale, "w", encoding="utf-8") as fh:
+            fh.write("chain\n")
+        violations = validate_output(str(tmp_path)).violations
+        assert [(v.kind, v.path) for v in violations] == [("naming", stale)]
 
     def test_manifest_roundtrip(self, registry, tmp_path):
         directory = _build_valid_tree(registry, tmp_path)
