@@ -408,7 +408,7 @@ def liquidate_quote_cmd(params_path, position_path, debt_asset, collateral_asset
     click.echo(f"liquidator_profit_usd: {fraction_to_decimal(quote.liquidator_profit_usd)}")
 
 
-def _stream_events(directory: str, event: str):
+def _stream_events(directory: str, chain: str, event: str):
     """(key, part path, event) per row of one stream, in file order.
 
     An event carries the fields ``replay`` reads of its kind; IoFailure names a faulty part.
@@ -419,6 +419,8 @@ def _stream_events(directory: str, event: str):
         raise IoFailure(f"{breaks[0].path}: {breaks[0].detail}")
     for path in paths:
         for row in iter_part_rows(path, PREFIX_COLUMNS + names):
+            if row[0] != chain or row[1] != event:
+                raise IoFailure(f"{path}: row names {row[0]}/{row[1]}, not {chain}/{event}")
             try:
                 ev = DecodedEvent(row[0], row[1], int(row[2]), int(row[3]), row[4],
                                   int(row[5]), row[6], list(zip(names, row[7:])))
@@ -429,7 +431,7 @@ def _stream_events(directory: str, event: str):
 
 def _iter_chain_rows_sorted(root: str, chain: str):
     """Merge all event streams of one chain into one key-ordered (key, path, event) stream."""
-    streams = [_stream_events(directory, event)
+    streams = [_stream_events(directory, chain, event)
                for name, event, directory in iter_streams(root) if name == chain]
     if not streams:
         raise click.UsageError(f"no shard directory for chain {chain!r} under {root}")

@@ -16,14 +16,16 @@ from __future__ import annotations
 import bisect
 import enum
 import json
+import os
+import re
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Iterable, Optional
 
 import requests
 
-TRANSIENT_RETRIES = 3
-TRANSIENT_BACKOFF_S = (1.0, 2.0, 4.0)
+TRANSIENT_BACKOFF_S = (1.0, 2.0, 4.0)  # one pause per retry
 REQUEST_TIMEOUT_S = 30.0
 
 
@@ -72,12 +74,50 @@ class RawLog:
     block_number: int
     transaction_hash: str
     log_index: int
-    transaction_index: int = 0
     block_timestamp: int = 0  # enriched by the gateway
 
     @property
     def key(self) -> tuple[int, int]:
         return (self.block_number, self.log_index)
+
+
+def _lower_hex(pattern: re.Pattern, value: str) -> str:
+    if not pattern.fullmatch(value := value.lower()):
+        raise ValueError(f"{value!r} is not {pattern.pattern}")
+    return value
+
+
+def _quantity(value) -> int:  # JSON-RPC hex, or a plain integer in the fixture corpus
+    return int(value, 16) if isinstance(value, str) else int(value)
+
+
+# (JSON-RPC log key, conversion), in the order of RawLog's fields
+_LOG_FIELDS = (
+    ("address", partial(_lower_hex, re.compile("0x[0-9a-f]{40}"))),
+    ("topics", lambda topics: [bytes.fromhex(t.removeprefix("0x")) for t in topics]),
+    ("data", lambda data: bytes.fromhex(data.removeprefix("0x"))),
+    ("blockNumber", _quantity),
+    ("transactionHash", partial(_lower_hex, re.compile("0x[0-9a-f]{64}"))),
+    ("logIndex", _quantity),
+)
+
+
+def parse_log(entry: dict) -> RawLog:
+    """The one way a provider's log becomes a RawLog, for both gateways.
+
+    Address and transaction hash reach shard rows as they are, so both must be
+    lowercase ``0x`` hex of 20 and 32 bytes: no shard value needs CSV quoting.
+    A missing key or a malformed value is TERMINAL, naming the field and block.
+    """
+    values = []
+    for key, convert in _LOG_FIELDS:
+        try:
+            values.append(convert(entry[key]))
+        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            block = entry.get("blockNumber") if isinstance(entry, dict) else None
+            raise GatewayError(ErrorKind.TERMINAL,
+                               f"log in block {block}: field {key!r}: {exc!r}") from None
+    return RawLog(*values)
 
 
 _TOO_LARGE_PATTERNS = (
@@ -171,17 +211,14 @@ class HttpGateway(_GatewayBase):
         self._id = 0  # JSON-RPC request id
 
     def _call(self, method: str, params: list) -> object:
-        attempt = 0
-        while True:
+        for pause in TRANSIENT_BACKOFF_S:
             try:
-                error = self._call_once(method, params)
+                return self._call_once(method, params)
             except GatewayError as exc:
-                if exc.kind is ErrorKind.TRANSIENT and attempt < TRANSIENT_RETRIES:
-                    self._sleeper(TRANSIENT_BACKOFF_S[attempt])
-                    attempt += 1
-                    continue
-                raise
-            return error
+                if exc.kind is not ErrorKind.TRANSIENT:
+                    raise
+            self._sleeper(pause)
+        return self._call_once(method, params)
 
     def _call_once(self, method: str, params: list) -> object:
         self._id += 1
@@ -216,25 +253,12 @@ class HttpGateway(_GatewayBase):
                 "topics": ["0x" + query.topic0.hex()],
             }],
         )
-        logs = [self._parse_log(entry) for entry in raw]
+        logs = [parse_log(entry) for entry in raw]
+        for log in logs:
+            if log.address != query.address.lower():
+                raise GatewayError(ErrorKind.TERMINAL, f"log {log.key} of foreign {log.address}")
         logs.sort(key=lambda log: log.key)
         return self._enrich(logs)
-
-    @staticmethod
-    def _parse_log(entry: dict) -> RawLog:
-        def to_int(value) -> int:
-            return int(value, 16) if isinstance(value, str) else int(value)
-
-        data = entry.get("data", "0x")
-        return RawLog(
-            address=str(entry["address"]).lower(),
-            topics=[bytes.fromhex(t[2:]) for t in entry["topics"]],
-            data=bytes.fromhex(data[2:]) if data.startswith("0x") else bytes.fromhex(data),
-            block_number=to_int(entry["blockNumber"]),
-            transaction_hash=str(entry["transactionHash"]).lower(),
-            log_index=to_int(entry["logIndex"]),
-            transaction_index=to_int(entry.get("transactionIndex", 0)),
-        )
 
     def _fetch_block_timestamp(self, block_number: int) -> int:
         block = self._call("eth_getBlockByNumber", [hex(block_number), False])
@@ -306,24 +330,8 @@ class FixtureGateway(_GatewayBase):
     @classmethod
     def from_dir(cls, chain_dir: str, fault_script: FaultScript | None = None) -> "FixtureGateway":
         """Load ``logs.jsonl`` and ``blocks.json`` from a corpus chain directory."""
-        import os
-
-        logs: list[RawLog] = []
         with open(os.path.join(chain_dir, "logs.jsonl"), "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                entry = json.loads(line)
-                logs.append(RawLog(
-                    address=entry["address"].lower(),
-                    topics=[bytes.fromhex(t[2:]) for t in entry["topics"]],
-                    data=bytes.fromhex(entry["data"][2:]),
-                    block_number=int(entry["blockNumber"]),
-                    transaction_hash=entry["transactionHash"],
-                    log_index=int(entry["logIndex"]),
-                    transaction_index=int(entry.get("transactionIndex", 0)),
-                ))
+            logs = [parse_log(json.loads(line)) for line in fh if line.strip()]
         with open(os.path.join(chain_dir, "blocks.json"), "r", encoding="utf-8") as fh:
             table = json.load(fh)
         timestamps = {int(k): int(v) for k, v in table["timestamps"].items()}
@@ -340,19 +348,10 @@ class FixtureGateway(_GatewayBase):
         lo = bisect.bisect_left(self._block_keys, query.from_block)
         hi = bisect.bisect_right(self._block_keys, query.to_block)
         address = query.address.lower()
-        selected = [
-            RawLog(
-                address=log.address,
-                topics=list(log.topics),
-                data=log.data,
-                block_number=log.block_number,
-                transaction_hash=log.transaction_hash,
-                log_index=log.log_index,
-                transaction_index=log.transaction_index,
-            )
-            for log in self._logs[lo:hi]
-            if log.address == address and log.topics and log.topics[0] == query.topic0
-        ]
+        selected = [RawLog(log.address, log.topics, log.data, log.block_number,
+                           log.transaction_hash, log.log_index)
+                    for log in self._logs[lo:hi]
+                    if log.address == address and log.topics and log.topics[0] == query.topic0]
         return self._enrich(selected)
 
     def _fetch_block_timestamp(self, block_number: int) -> int:

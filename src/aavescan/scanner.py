@@ -13,7 +13,7 @@ import enum
 import json
 import os
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Callable, Protocol
 
 from .gateway import ErrorKind, GatewayError, LogQuery
@@ -26,6 +26,7 @@ GROWTH_STREAK = 5  # consecutive clean batches before the size doubles
 
 RATE_LIMIT_PAUSE_S = 2.0
 RATE_LIMIT_PAUSE_CAP_S = 60.0
+RATE_LIMIT_RETRIES = 12  # pauses in a row, about 8 minutes, before a range is given up
 
 
 class Outcome(enum.Enum):
@@ -124,7 +125,6 @@ class ScanSummary:
     rows_emitted: int = 0
     batches_issued: int = 0
     resize_events: int = 0
-    issued_ranges: list[tuple[int, int]] = field(default_factory=list)
 
 
 ProgressFn = Callable[[ScanSummary, int, int], None]
@@ -141,10 +141,10 @@ def scan_event(
 ) -> ScanSummary:
     """Scan ``[plan.cursor, plan.end_block]`` completely, committing per batch.
 
-    RateLimited halves the batch and pauses before retrying the same range;
-    ResponseTooLarge halves and retries immediately, and becomes terminal
-    once a single-block query is still oversized. Terminal (and surfaced
-    transient) gateway errors abort with the checkpoint intact.
+    RateLimited halves the batch and pauses before retrying the same range, up
+    to RATE_LIMIT_RETRIES pauses in a row; ResponseTooLarge halves and retries
+    at once, up to a single-block query. Past either limit, and on terminal
+    (and surfaced transient) gateway errors, the scan aborts with the checkpoint intact.
     """
     plan.validate()
     summary = ScanSummary(chain=plan.chain.chain_name, event=plan.event.event_name)
@@ -153,7 +153,7 @@ def scan_event(
     cursor = plan.cursor
     batch_size = plan.batch_size
     streak = 0
-    pause = RATE_LIMIT_PAUSE_S
+    rate_limited = 0  # pauses since the last committed batch
     last_key: tuple[int, int] | None = None
 
     while cursor <= plan.end_block:
@@ -168,11 +168,14 @@ def scan_event(
             logs = gateway.get_logs(query)
         except GatewayError as exc:
             if exc.kind is ErrorKind.RATE_LIMITED:
+                if rate_limited == RATE_LIMIT_RETRIES:
+                    raise GatewayError(ErrorKind.TERMINAL, f"[{cursor}, {hi}] still rate "
+                                       f"limited after {RATE_LIMIT_RETRIES} pauses") from exc
                 batch_size = resize(batch_size, Outcome.RATE_LIMITED, plan.batch_max)
                 summary.resize_events += 1
                 streak = 0
-                sleeper(pause)
-                pause = min(pause * 2, RATE_LIMIT_PAUSE_CAP_S)
+                sleeper(min(RATE_LIMIT_PAUSE_S * 2 ** rate_limited, RATE_LIMIT_PAUSE_CAP_S))
+                rate_limited += 1
                 continue
             if exc.kind is ErrorKind.RESPONSE_TOO_LARGE:
                 if batch_size == 1:
@@ -196,9 +199,8 @@ def scan_event(
 
         summary.rows_emitted += sink.commit_batch(logs)
         summary.batches_issued += 1
-        summary.issued_ranges.append((cursor, hi))
         cursor = hi + 1
-        pause = RATE_LIMIT_PAUSE_S
+        rate_limited = 0
 
         if checkpoint_file is not None:
             Checkpoint(

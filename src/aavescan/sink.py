@@ -22,7 +22,8 @@ from datetime import datetime, timezone
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
 
-from .decoder import DecodedEvent, OrderViolation, decode
+from .decoder import DecodeError, DecodedEvent, OrderViolation, decode
+from .gateway import ErrorKind, GatewayError
 from .registry import CHAIN_NAME, EVENT_NAME, PREFIX_COLUMNS, EventSchema
 
 PART_ROW_LIMIT = 1_000_000
@@ -130,7 +131,6 @@ class ShardWriter:
         self._last_key: tuple[int, int] | None = None
         self._first_key_in_part: tuple[int, int] | None = None
         self._fh = None
-        self._writer = None
         self._manifest: ShardManifest | None = None
 
         os.makedirs(self._dir, exist_ok=True)
@@ -171,8 +171,7 @@ class ShardWriter:
         path = self._open_part_path(next_number)
         try:
             self._fh = open(path, "w", newline="", encoding="utf-8")
-            self._writer = csv.writer(self._fh, lineterminator="\n")
-            self._writer.writerow(self._header)
+            self._fh.write(",".join(self._header) + "\n")
         except OSError as exc:
             self._close_quietly()
             raise IoFailure(f"cannot open part file {path!r}: {exc}") from exc
@@ -181,10 +180,10 @@ class ShardWriter:
         self._first_key_in_part = None
 
     def append(self, event: DecodedEvent) -> None:
-        """Append one row; opens/rolls parts as needed.
+        """Append one row, unquoted: no value can need quoting (see ``gateway.parse_log``).
 
         Raises OrderViolation when the event key is not strictly above the
-        last written key for this stream.
+        last written key for this stream. Opens and rolls parts as needed.
         """
         key = event.key
         if self._manifest is not None:
@@ -196,19 +195,11 @@ class ShardWriter:
             )
         if self._fh is None:
             self._open_next_part()
-        row = [
-            event.chain_name,
-            event.event_name,
-            str(event.block_number),
-            str(event.block_timestamp),
-            event.transaction_hash,
-            str(event.log_index),
-            event.contract_address,
-        ]
-        row.extend(value for _, value in event.fields)
-        row.append(event.usd_value)
+        fields = "".join([f"{value}," for _, value in event.fields])
         try:
-            self._writer.writerow(row)
+            self._fh.write(f"{event.chain_name},{event.event_name},{event.block_number},"
+                           f"{event.block_timestamp},{event.transaction_hash},{event.log_index},"
+                           f"{event.contract_address},{fields}{event.usd_value}\n")
         except OSError as exc:
             self._close_quietly()
             raise IoFailure(f"write failed on part {self._part_number}: {exc}") from exc
@@ -238,10 +229,8 @@ class ShardWriter:
             self._fh.close()
         except OSError as exc:
             self._fh = None
-            self._writer = None
             raise IoFailure(f"closing part {self._part_number} failed: {exc}") from exc
         self._fh = None
-        self._writer = None
         final_name = part_filename(
             self._chain, self._schema.event_name, self._part_number, self._clock()
         )
@@ -267,7 +256,6 @@ class ShardWriter:
             except OSError:
                 pass
             self._fh = None
-            self._writer = None
 
     def finalize(self) -> ShardManifest:
         """Close the open part and write the manifest; idempotent."""
@@ -350,7 +338,6 @@ class ShardWriter:
         writer._rows_in_part = rows_in_part
         try:
             writer._fh = open(open_path, "a", newline="", encoding="utf-8")
-            writer._writer = csv.writer(writer._fh, lineterminator="\n")
         except OSError as exc:
             raise IoFailure(f"cannot reopen part file {open_path!r}: {exc}") from exc
         return writer
@@ -376,32 +363,37 @@ class ShardWriter:
 
 
 class DecodingSink:
-    """Batch sink decoding raw logs and appending them to a shard writer."""
+    """Batch sink decoding raw logs into a shard writer; a log that does not decode is TERMINAL."""
 
     def __init__(self, writer: ShardWriter, schema: EventSchema, chain_name: str,
                  strict: bool = True):
-        self._writer = writer
+        self._shards = writer
         self._schema = schema
         self._chain = chain_name
         self._strict = strict
 
     def commit_batch(self, logs) -> int:
         for log in logs:
-            self._writer.append(decode(log, self._schema, self._chain, strict=self._strict))
-        self._writer.flush()
+            try:
+                event = decode(log, self._schema, self._chain, strict=self._strict)
+            except DecodeError as exc:
+                raise GatewayError(ErrorKind.TERMINAL, f"{self._chain}/{self._schema.event_name}"
+                                   f" log {log.key}: {exc}") from exc
+            self._shards.append(event)
+        self._shards.flush()
         return len(logs)
 
     @property
     def part_number(self) -> int:
-        return self._writer.part_number
+        return self._shards.part_number
 
     @property
     def rows_in_part(self) -> int:
-        return self._writer.rows_in_part
+        return self._shards.rows_in_part
 
     @property
     def closed_parts(self) -> tuple[PartRecord, ...]:
-        return self._writer.closed_parts
+        return self._shards.closed_parts
 
 
 # -- reading and validation ---------------------------------------------------
@@ -549,6 +541,9 @@ def _validate_stream(directory: str, chain: str, event: str) -> list[Violation]:
                         "ordering", path, f"row is not a decodable event row of {width} columns",
                         line=line_no))
                     continue
+                if row[0] != chain or row[1] != event:
+                    violations.append(Violation("naming", path, f"row names {row[0]}/{row[1]}, "
+                                                f"directory is {chain}/{event}", line=line_no))
                 if last_key is not None and key <= last_key:
                     violations.append(Violation(
                         "ordering", path,

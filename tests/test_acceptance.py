@@ -27,6 +27,7 @@ from oracles import (
     o_reserve_step,
 )
 from test_risk import LEDGER_EXPECT, _ledger_events
+from test_scanner import committed_ranges
 
 from aavescan.cli import DecodingSink, main
 from aavescan.decoder import DecodedEvent, decode, encode
@@ -278,7 +279,8 @@ def test_criterion_06_scanner_coverage_and_resume(report, registry, tmp_path):
                         batch_size=rng.choice([1, 4, 16, 64]), batch_max=128)
         sink = ListSink()
         summary = scan_event(plan, gateway, sink, sleeper=lambda _s: None)
-        covered = [b for lo, hi in summary.issued_ranges for b in range(lo, hi + 1)]
+        covered = [b for lo, hi in committed_ranges(gateway, fault_script)
+                   for b in range(lo, hi + 1)]
         assert covered == list(range(start, end + 1)), f"seed {seed}"
         keys = [log.key for log in sink.rows]
         assert keys == sorted(set(keys)), f"seed {seed}"

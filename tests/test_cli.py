@@ -204,6 +204,30 @@ class TestExtract:
         assert result.exit_code == 3
         assert "Terminal" in result.stderr
 
+    def test_undecodable_log_exits_3_with_its_checkpoint_unmoved(self, runner, tmp_path,
+                                                                 mini_corpus_dir):
+        from aavescan.registry import load_registry
+        from aavescan.scanner import Checkpoint, checkpoint_path
+
+        corpus = tmp_path / "corpus"
+        shutil.copytree(os.path.join(mini_corpus_dir, "ethereum"), corpus / "ethereum")
+        logs_path = corpus / "ethereum" / "logs.jsonl"
+        entries = [json.loads(line) for line in logs_path.read_text().splitlines()]
+        borrow = "0x" + load_registry().event("Borrow").topic0.hex()
+        victim = [e for e in entries if e["topics"][0] == borrow][-1]
+        victim["data"] = victim["data"][:-2]  # one byte short of its last word
+        logs_path.write_text("".join(json.dumps(e) + "\n" for e in entries))
+
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["extract", "--chain", "ethereum", "--event", "all",
+                                      "--out", str(out), "--fixture-dir", str(corpus)])
+        assert result.exit_code == 3, result.output + result.stderr
+        assert "Traceback" not in result.output
+        key = (victim["blockNumber"], victim["logIndex"])
+        assert f"ethereum/Borrow log {key}" in result.stderr
+        cp_file = checkpoint_path(str(out), "ethereum", "Borrow")
+        assert Checkpoint.load(cp_file).last_completed_block < key[0]
+
 
 class TestChainProcesses:
     """Several chains run in one process each; every outcome stays classified."""

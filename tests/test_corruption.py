@@ -38,6 +38,8 @@ EXPECTED = {
     "timestamp_beyond_year_9999": (0, 0, 4, 4, 0),  # an integer no UTC day can name
     "non_integer_amount": (0, 0, 0, 4, 4),
     "backwards_key": (1, 0, 0, 0, 4),
+    "relabelled_event": (1, 0, 0, 0, 4),  # a Supply row labelled Borrow
+    "relabelled_chain": (1, 0, 0, 0, 4),  # an ethereum row labelled base
     "truncated_last_line": (1, 4, 4, 4, 4),
     "empty_part": (1, 4, 4, 4, 4),
     "missing_part": (1, 4, 4, 4, 4),
@@ -90,6 +92,8 @@ def _corrupt(kind: str, stream: str, victim: str) -> tuple[str, str | None]:
         "timestamp_beyond_year_9999": _set("block_timestamp", str(10**20)),
         "non_integer_amount": _set("amount", "1e18"),
         "backwards_key": _swap_rows,
+        "relabelled_event": _set("event", "Borrow"),
+        "relabelled_chain": _set("chain", "base"),
     }
     name = os.path.basename(victim)
     if kind in edits:

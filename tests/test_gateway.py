@@ -219,7 +219,7 @@ class TestHttpGateway:
                 "topics": ["0x" + "11" * 32],
                 "data": "0x" + "00" * 32,
                 "blockNumber": "0x64",
-                "transactionHash": "0xABC0",
+                "transactionHash": "0x" + "ABC0" * 16,
                 "logIndex": "0x1",
                 "transactionIndex": "0x0",
             },
@@ -228,7 +228,7 @@ class TestHttpGateway:
                 "topics": ["0x" + "11" * 32],
                 "data": "0x",
                 "blockNumber": "0x63",
-                "transactionHash": "0xabc1",
+                "transactionHash": "0x" + "abc1" * 16,
                 "logIndex": "0x0",
                 "transactionIndex": "0x0",
             },
@@ -292,3 +292,79 @@ class TestHttpGateway:
         with pytest.raises(GatewayError) as excinfo:
             gw.get_block_timestamp(10**9)
         assert excinfo.value.kind is ErrorKind.TERMINAL
+
+
+def _rpc_log(**changes):
+    """One well-formed eth_getLogs entry for block 100 of POOL, with ``changes``
+    applied; a value of None deletes the key."""
+    entry = {
+        "address": POOL,
+        "topics": ["0x" + "11" * 32],
+        "data": "0x" + "00" * 32,
+        "blockNumber": "0x64",
+        "transactionHash": "0x" + "cd" * 32,
+        "logIndex": "0x0",
+    }
+    entry.update(changes)
+    return {key: value for key, value in entry.items() if value is not None}
+
+
+def _http_get_logs(entries, query=LogQuery(0, 200, POOL, TOPIC)):
+    session = _FakeSession([
+        _FakeResponse(payload={"jsonrpc": "2.0", "id": 1, "result": entries}),
+        _FakeResponse(payload={"jsonrpc": "2.0", "id": 2, "result": {"timestamp": "0x10"}}),
+    ])
+    return HttpGateway("http://unit.test", session=session, sleeper=lambda _s: None).get_logs(query)
+
+
+def _fixture_get_logs(tmp_path, entries):
+    chain_dir = tmp_path / "testchain"
+    chain_dir.mkdir()
+    corpus = [{key: int(value, 16) if key in ("blockNumber", "logIndex") else value
+               for key, value in entry.items()} for entry in entries]  # plain integers
+    (chain_dir / "logs.jsonl").write_text("".join(json.dumps(e) + "\n" for e in corpus))
+    (chain_dir / "blocks.json").write_text(json.dumps({"head": 200, "timestamps": {"100": 16}}))
+    return FixtureGateway.from_dir(str(chain_dir)).get_logs(LogQuery(0, 200, POOL, TOPIC))
+
+
+# a value written to a shard unquoted must never need quoting, so the one log
+# parser rejects anything but lowercase 0x hex of the right length
+MALFORMED = {
+    "hash_with_comma": ("transactionHash", "0x" + "cd" * 31 + ",d"),
+    "hash_with_quote": ("transactionHash", "0x" + "cd" * 31 + '"d'),
+    "short_hash": ("transactionHash", "0x" + "cd" * 31),
+    "address_with_comma": ("address", POOL[:-2] + ",a"),
+    "address_with_quote": ("address", POOL[:-2] + '"a'),
+    "non_hex_data": ("data", "0x" + "0g" * 32),
+    "non_hex_topic": ("topics", ["0x" + "1x" * 32]),
+    "missing_log_index": ("logIndex", None),
+}
+
+
+class TestOneLogParser:
+    @pytest.mark.parametrize("gateway", ["http", "fixture"])
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_log_is_terminal_naming_field_and_block(self, case, gateway, tmp_path):
+        field, value = MALFORMED[case]
+        entries = [_rpc_log(**{field: value})]
+        with pytest.raises(GatewayError) as excinfo:
+            if gateway == "http":
+                _http_get_logs(entries)
+            else:
+                _fixture_get_logs(tmp_path, entries)
+        assert excinfo.value.kind is ErrorKind.TERMINAL
+        assert repr(field) in excinfo.value.detail
+        assert "block " + ("0x64" if gateway == "http" else "100") in excinfo.value.detail
+
+    def test_foreign_address_in_http_response_is_terminal(self):
+        foreign = "0x" + "bb" * 20
+        with pytest.raises(GatewayError) as excinfo:
+            _http_get_logs([_rpc_log(), _rpc_log(address=foreign, logIndex="0x1")])
+        assert excinfo.value.kind is ErrorKind.TERMINAL
+        assert foreign in excinfo.value.detail
+
+    def test_both_gateways_parse_alike(self, tmp_path):
+        entry = _rpc_log(address=POOL.upper().replace("0X", "0x"),
+                         transactionHash="0x" + "CD" * 32)
+        assert _http_get_logs([entry]) == _fixture_get_logs(tmp_path, [entry])
+        assert _http_get_logs([entry])[0].transaction_hash == "0x" + "cd" * 32

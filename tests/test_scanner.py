@@ -13,6 +13,7 @@ from aavescan.gateway import (
 from aavescan.registry import ChainConfig, EventField, EventSchema
 from aavescan.keccak import keccak256
 from aavescan.scanner import (
+    RATE_LIMIT_RETRIES,
     Checkpoint,
     Outcome,
     ScanPlan,
@@ -77,6 +78,17 @@ def _plan(cursor, end, batch, batch_max=100_000):
                     batch_size=batch, batch_max=batch_max)
 
 
+def committed_ranges(gateway, fault_script=None):
+    """(from_block, to_block) of each query ``gateway`` answered, in call order.
+
+    ``gateway.calls`` records faulted queries too. A fault script is
+    deterministic in (call index, query), so running it again tells which
+    calls it failed; the rest are the ranges a finished scan committed.
+    """
+    return [(q.from_block, q.to_block) for i, q in enumerate(gateway.calls)
+            if fault_script is None or fault_script(i, q) is None]
+
+
 class TestResize:
     def test_halving(self):
         assert resize(10_000, Outcome.RESPONSE_TOO_LARGE) == 5_000
@@ -98,25 +110,27 @@ class TestCoverage:
         gw = _gateway([5, 42, 77])
         sink = ListSink()
         summary = scan_event(_plan(0, 99, 40), gw, sink, sleeper=lambda _s: None)
-        assert summary.issued_ranges == [(0, 39), (40, 79), (80, 99)]
+        assert committed_ranges(gw) == [(0, 39), (40, 79), (80, 99)]
         assert summary.rows_emitted == 3
         assert summary.batches_issued == 3
 
     def test_too_large_halves_and_covers(self):
-        gw = _gateway([10, 55, 90], fault_script=max_span_fault(25))
+        script = max_span_fault(25)
+        gw = _gateway([10, 55, 90], fault_script=script)
         sink = ListSink()
         summary = scan_event(_plan(0, 99, 40), gw, sink, sleeper=lambda _s: None)
-        assert summary.issued_ranges == [(0, 19), (20, 39), (40, 59), (60, 79), (80, 99)]
+        assert committed_ranges(gw, script) == [(0, 19), (20, 39), (40, 59), (60, 79), (80, 99)]
         assert summary.rows_emitted == 3
         assert summary.resize_events >= 1
 
     def test_rate_limit_pauses_and_retries_same_range(self):
         sleeps = []
-        gw = _gateway([7], fault_script=scripted_faults([ErrorKind.RATE_LIMITED]))
+        script = scripted_faults([ErrorKind.RATE_LIMITED])
+        gw = _gateway([7], fault_script=script)
         sink = ListSink()
         summary = scan_event(_plan(0, 9, 10), gw, sink, sleeper=sleeps.append)
         # halved to 5 after the fault, so two ranges cover the span
-        assert summary.issued_ranges == [(0, 4), (5, 9)]
+        assert committed_ranges(gw, script) == [(0, 4), (5, 9)]
         assert sleeps == [2.0]
         assert summary.rows_emitted == 1
 
@@ -127,6 +141,33 @@ class TestCoverage:
         sink = ListSink()
         scan_event(_plan(0, 9, 10), gw, sink, sleeper=sleeps.append)
         assert sleeps == [2.0, 4.0, 8.0, 16.0, 32.0, 60.0, 60.0]
+
+    def test_endless_rate_limit_is_terminal_after_its_budget(self, tmp_path):
+        sleeps = []
+
+        def script(call_index, _query):
+            if call_index > 2 * RATE_LIMIT_RETRIES:
+                pytest.fail("the scan never gave the range up")
+            return None if call_index == 0 else ErrorKind.RATE_LIMITED
+
+        gw = _gateway([3, 7], fault_script=script)
+        cp_file = str(tmp_path / "checkpoint.json")
+        with pytest.raises(GatewayError) as excinfo:
+            scan_event(_plan(0, 9, 5), gw, ListSink(), checkpoint_file=cp_file,
+                       sleeper=sleeps.append)
+        assert excinfo.value.kind is ErrorKind.TERMINAL
+        assert "[5, " in excinfo.value.detail
+        assert sleeps == [2.0, 4.0, 8.0, 16.0, 32.0] + [60.0] * (RATE_LIMIT_RETRIES - 5)
+        assert len(gw.calls) == 1 + RATE_LIMIT_RETRIES + 1
+        assert Checkpoint.load(cp_file).last_completed_block == 4  # the first batch only
+
+    def test_a_commit_renews_the_rate_limit_budget(self):
+        sleeps = []
+        faults = ([ErrorKind.RATE_LIMITED] * RATE_LIMIT_RETRIES + [None]) * 2
+        gw = _gateway([3, 7], fault_script=scripted_faults(faults))
+        summary = scan_event(_plan(0, 9, 8), gw, ListSink(), sleeper=sleeps.append)
+        assert summary.rows_emitted == 2
+        assert len(sleeps) == 2 * RATE_LIMIT_RETRIES
 
     def test_too_large_at_single_block_is_terminal(self):
         gw = _gateway([3], fault_script=max_span_fault(0))
@@ -144,9 +185,8 @@ class TestCoverage:
     def test_growth_after_streak(self):
         gw = _gateway([])
         sink = ListSink()
-        summary = scan_event(_plan(0, 99, 10, batch_max=40), gw, sink,
-                             sleeper=lambda _s: None)
-        widths = [hi - lo + 1 for lo, hi in summary.issued_ranges]
+        scan_event(_plan(0, 99, 10, batch_max=40), gw, sink, sleeper=lambda _s: None)
+        widths = [hi - lo + 1 for lo, hi in committed_ranges(gw)]
         # five clean batches of 10 trigger a doubling to 20
         assert widths == [10, 10, 10, 10, 10, 20, 20, 10]
 
@@ -154,7 +194,7 @@ class TestCoverage:
         gw = _gateway([1])
         summary = scan_event(_plan(10, 9, 5), gw, ListSink(), sleeper=lambda _s: None)
         assert summary.batches_issued == 0
-        assert summary.issued_ranges == []
+        assert committed_ranges(gw) == []
 
 
 def test_randomized_fault_scripts_partition_exactly():
@@ -167,7 +207,8 @@ def test_randomized_fault_scripts_partition_exactly():
             rng.choice([None, None, None, ErrorKind.RATE_LIMITED, ErrorKind.RESPONSE_TOO_LARGE])
             for _ in range(rng.randrange(0, 30))
         ]
-        gw = _gateway(blocks, fault_script=scripted_faults(faults))
+        script = scripted_faults(faults)
+        gw = _gateway(blocks, fault_script=script)
         sink = ListSink()
         plan = _plan(start, end, rng.choice([1, 3, 8, 32]), batch_max=64)
         try:
@@ -177,7 +218,7 @@ def test_randomized_fault_scripts_partition_exactly():
             assert "oversized" in exc.detail
             continue
         covered = []
-        for lo, hi in summary.issued_ranges:
+        for lo, hi in committed_ranges(gw, script):
             covered.extend(range(lo, hi + 1))
         assert covered == list(range(start, end + 1)), f"seed {seed}"
         keys = [log.key for log in sink.rows]
