@@ -16,10 +16,8 @@ from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable, Iterator
 
-import yaml
-
 from .numstr import fraction_to_decimal, parse_decimal
-from .registry import Registry
+from .registry import Registry, load_yaml
 from .sink import IoFailure, iter_part_rows, iter_streams, stream_parts
 
 MAX_TIMESTAMP = 253_402_300_799  # 9999-12-31T23:59:59Z, the last second ``utc_day`` can name
@@ -141,7 +139,7 @@ class PriceTable:
     @classmethod
     def load(cls, path: str) -> "PriceTable":
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh) or {}
+            doc = load_yaml(fh) or {}
         assets: dict[str, dict] = {}
         for address, entry in (doc.get("assets") or {}).items():
             assets[str(address).lower()] = {

@@ -20,13 +20,12 @@ from heapq import merge
 from operator import itemgetter
 
 import click
-import yaml
 
 from . import analytics
 from .decoder import DecodedEvent
 from .gateway import FixtureGateway, GatewayError, HttpGateway
 from .numstr import fraction_to_decimal, parse_decimal
-from .registry import PREFIX_COLUMNS, Registry, RegistryError, load_registry
+from .registry import PREFIX_COLUMNS, Registry, RegistryError, load_registry, load_yaml
 from .risk import (
     REPLAY_FIELDS,
     AssetParams,
@@ -340,7 +339,7 @@ def validate(directory) -> None:
 
 def _load_asset_params(path: str) -> dict[str, AssetParams]:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
+        doc = load_yaml(fh) or {}
     params: dict[str, AssetParams] = {}
     for asset_id, entry in (doc.get("assets") or {}).items():
         p = AssetParams(
@@ -361,7 +360,7 @@ def _load_asset_params(path: str) -> dict[str, AssetParams]:
 
 def _load_position(path: str) -> Position:
     with open(path, "r", encoding="utf-8") as fh:
-        doc = yaml.safe_load(fh) or {}
+        doc = load_yaml(fh) or {}
     position = Position(user=str(doc.get("user", "user")))
     for entry in doc.get("collateral") or []:
         asset = str(entry["asset"])

@@ -9,6 +9,13 @@ Error classification is total: every provider failure maps to exactly one of
 RATE_LIMITED, RESPONSE_TOO_LARGE, TRANSIENT or TERMINAL. The first two are
 surfaced immediately because they drive the scanner's batch resizing;
 TRANSIENT failures are retried in-gateway before surfacing.
+
+``HttpGateway`` asks for the uncached block timestamps of one ``eth_getLogs``
+answer in JSON-RPC 2.0 batches (https://www.jsonrpc.org/specification, section
+6) of at most ``TIMESTAMP_BATCH_MAX`` requests, one POST each. A server that
+refuses a batch as too large answers RESPONSE_TOO_LARGE, so the scanner halves
+its range until an answer's batch fits; a server that refuses every batch is
+not supported.
 """
 
 from __future__ import annotations
@@ -27,6 +34,10 @@ import requests
 
 TRANSIENT_BACKOFF_S = (1.0, 2.0, 4.0)  # one pause per retry
 REQUEST_TIMEOUT_S = 30.0
+# eth_getBlockByNumber requests per batch POST: the smallest default batch limit
+# of the node clients (Erigon's --rpc.batch.limit, 100; go-ethereum's
+# --rpc.batch-request-limit, 1000; Besu's and Nethermind's, 1024)
+TIMESTAMP_BATCH_MAX = 100
 
 
 class ErrorKind(enum.Enum):
@@ -87,8 +98,18 @@ def _lower_hex(pattern: re.Pattern, value: str) -> str:
     return value
 
 
+_HEX_QUANTITY = re.compile("0x[0-9a-fA-F]+")
+
+
+def _hex_int(value) -> int:
+    """The one parser of a JSON-RPC quantity: ``0x`` and hex digits, nothing else."""
+    if isinstance(value, str) and _HEX_QUANTITY.fullmatch(value):
+        return int(value, 16)
+    raise ValueError(f"{value!r:.80} is not a hex quantity")
+
+
 def _quantity(value) -> int:  # JSON-RPC hex, or a plain integer in the fixture corpus
-    return int(value, 16) if isinstance(value, str) else int(value)
+    return value if type(value) is int else _hex_int(value)
 
 
 # (JSON-RPC log key, conversion), in the order of RawLog's fields
@@ -108,6 +129,8 @@ def parse_log(entry: dict) -> RawLog:
     Address and transaction hash reach shard rows as they are, so both must be
     lowercase ``0x`` hex of 20 and 32 bytes: no shard value needs CSV quoting.
     A missing key or a malformed value is TERMINAL, naming the field and block.
+    A log the provider marks ``removed`` (dropped by a reorg) is TRANSIENT, so
+    its range is asked again and the log is never written.
     """
     values = []
     for key, convert in _LOG_FIELDS:
@@ -117,7 +140,18 @@ def parse_log(entry: dict) -> RawLog:
             block = entry.get("blockNumber") if isinstance(entry, dict) else None
             raise GatewayError(ErrorKind.TERMINAL,
                                f"log in block {block}: field {key!r}: {exc!r}") from None
+    if entry.get("removed"):
+        raise GatewayError(ErrorKind.TRANSIENT,
+                           f"log ({values[3]}, {values[5]}) removed by a reorg")
     return RawLog(*values)
+
+
+def _hex_quantity(value, what: str) -> int:
+    """A hex quantity of a JSON-RPC answer; anything else is TERMINAL, naming ``what``."""
+    try:
+        return _hex_int(value)
+    except ValueError as exc:
+        raise GatewayError(ErrorKind.TERMINAL, f"{what}: {exc}") from None
 
 
 _TOO_LARGE_PATTERNS = (
@@ -127,6 +161,11 @@ _TOO_LARGE_PATTERNS = (
     "result set too large",
     "log response size",
     "exceeds the limit",
+    # a batch above the server's request limit: go-ethereum ("batch too large",
+    # -32600), Erigon ("batch limit N exceeded"), Besu and Nethermind ("batch size")
+    "batch too large",
+    "batch limit",
+    "batch size",
 )
 _RATE_LIMIT_PATTERNS = (
     "rate limit",
@@ -169,7 +208,10 @@ def classify_error(
 
 
 class _GatewayBase:
-    """Block-timestamp cache; one upstream fetch per distinct block.
+    """Block-timestamp cache: one upstream fetch per distinct block. The
+    uncached blocks of a ``get_logs`` answer are fetched in ascending chunks of
+    at most ``TIMESTAMP_BATCH_MAX``, each cached as soon as it arrives, so a
+    chunk that fails costs none of the chunks before it.
 
     ``extract`` builds one gateway per chain and calls it from one thread, so the
     cache and the request ids take no lock.
@@ -178,18 +220,26 @@ class _GatewayBase:
     def __init__(self) -> None:
         self._ts_cache: dict[int, int] = {}
 
-    def get_block_timestamp(self, block_number: int) -> int:
-        ts = self._ts_cache.get(block_number)
-        if ts is None:
-            ts = self._ts_cache[block_number] = self._fetch_block_timestamp(block_number)
-        return ts
+    def _cached_timestamps(self, blocks: set[int]) -> dict[int, int]:
+        """The cache, after fetching the blocks of ``blocks`` it lacks."""
+        missing = sorted(blocks.difference(self._ts_cache))
+        for start in range(0, len(missing), TIMESTAMP_BATCH_MAX):
+            self._ts_cache.update(
+                self._fetch_block_timestamps(missing[start:start + TIMESTAMP_BATCH_MAX]))
+        return self._ts_cache
 
-    def _fetch_block_timestamp(self, block_number: int) -> int:
+    def get_block_timestamp(self, block_number: int) -> int:
+        return self._cached_timestamps({block_number})[block_number]
+
+    def _fetch_block_timestamps(self, blocks: list[int]) -> dict[int, int]:
+        """Timestamps of ``blocks`` (distinct, ascending, at most
+        ``TIMESTAMP_BATCH_MAX``), all of them or an error."""
         raise NotImplementedError
 
     def _enrich(self, logs: list[RawLog]) -> list[RawLog]:
+        timestamps = self._cached_timestamps({log.block_number for log in logs})
         for log in logs:
-            log.block_timestamp = self.get_block_timestamp(log.block_number)
+            log.block_timestamp = timestamps[log.block_number]
         return logs
 
 
@@ -210,19 +260,26 @@ class HttpGateway(_GatewayBase):
         self._session = session or requests.Session()
         self._id = 0  # JSON-RPC request id
 
-    def _call(self, method: str, params: list) -> object:
+    def _request(self, method: str, params: list) -> dict:
+        self._id += 1
+        return {"jsonrpc": "2.0", "id": self._id, "method": method, "params": params}
+
+    def _post(self, body: dict | list, read: Callable[[object], object]):
+        """POST ``body`` and return ``read`` of the decoded reply: one retried unit.
+
+        A TRANSIENT failure anywhere in it, ``read``'s shape checks included, is
+        retried after each pause of TRANSIENT_BACKOFF_S; other kinds surface at once.
+        """
         for pause in TRANSIENT_BACKOFF_S:
             try:
-                return self._call_once(method, params)
+                return read(self._post_once(body))
             except GatewayError as exc:
                 if exc.kind is not ErrorKind.TRANSIENT:
                     raise
             self._sleeper(pause)
-        return self._call_once(method, params)
+        return read(self._post_once(body))
 
-    def _call_once(self, method: str, params: list) -> object:
-        self._id += 1
-        body = {"jsonrpc": "2.0", "id": self._id, "method": method, "params": params}
+    def _post_once(self, body: dict | list) -> object:
         try:
             response = self._session.post(self._url, json=body, timeout=self._timeout)
         except requests.RequestException as exc:
@@ -232,19 +289,38 @@ class HttpGateway(_GatewayBase):
                 status_code=response.status_code, message=response.text[:500]
             )
         try:
-            payload = response.json()
-        except (ValueError, json.JSONDecodeError) as exc:
+            return response.json()
+        except ValueError as exc:
             raise GatewayError(ErrorKind.TRANSIENT, f"non-JSON response: {exc}") from exc
-        if "error" in payload and payload["error"]:
-            err = payload["error"]
-            raise classify_error(
-                message=str(err.get("message", "")), rpc_code=err.get("code")
-            )
-        return payload.get("result")
+
+    def _call(self, method: str, params: list, read: Callable[[object], object]):
+        """One request; ``read`` checks its result and returns the answer."""
+
+        def read_reply(reply):
+            if not isinstance(reply, dict):
+                raise GatewayError(ErrorKind.TERMINAL,
+                                   f"{method}: reply {reply!r:.80} is not a JSON-RPC object")
+            _raise_rpc_error(reply)
+            return read(reply.get("result"))
+
+        return self._post(self._request(method, params), read_reply)
 
     def get_logs(self, query: LogQuery) -> list[RawLog]:
         query.validate()
-        raw = self._call(
+        address = query.address.lower()
+
+        def read(result) -> list[RawLog]:
+            if not isinstance(result, list):
+                raise GatewayError(ErrorKind.TERMINAL,
+                                   f"eth_getLogs: result {result!r:.80} is not a list")
+            logs = [parse_log(entry) for entry in result]
+            for log in logs:
+                if log.address != address:
+                    raise GatewayError(ErrorKind.TERMINAL,
+                                       f"log {log.key} of foreign {log.address}")
+            return sorted(logs, key=lambda log: log.key)
+
+        logs = self._call(
             "eth_getLogs",
             [{
                 "fromBlock": hex(query.from_block),
@@ -252,24 +328,62 @@ class HttpGateway(_GatewayBase):
                 "address": query.address,
                 "topics": ["0x" + query.topic0.hex()],
             }],
+            read,
         )
-        logs = [parse_log(entry) for entry in raw]
-        for log in logs:
-            if log.address != query.address.lower():
-                raise GatewayError(ErrorKind.TERMINAL, f"log {log.key} of foreign {log.address}")
-        logs.sort(key=lambda log: log.key)
         return self._enrich(logs)
 
-    def _fetch_block_timestamp(self, block_number: int) -> int:
-        block = self._call("eth_getBlockByNumber", [hex(block_number), False])
-        if block is None:
-            raise GatewayError(
-                ErrorKind.TERMINAL, f"block {block_number} beyond chain head"
-            )
-        return int(block["timestamp"], 16)
+    def _fetch_block_timestamps(self, blocks: list[int]) -> dict[int, int]:
+        batch = [self._request("eth_getBlockByNumber", [hex(block), False]) for block in blocks]
+        block_of = {request["id"]: block for request, block in zip(batch, blocks)}
+        return self._post(batch, partial(_read_timestamps, block_of))
 
     def latest_block(self) -> int:
-        return int(self._call("eth_blockNumber", []), 16)
+        return self._call("eth_blockNumber", [],
+                          partial(_hex_quantity, what="eth_blockNumber result"))
+
+
+def _raise_rpc_error(reply: dict) -> None:
+    """Raise the classified error of a JSON-RPC reply object that carries one."""
+    error = reply.get("error")
+    if error:
+        if not isinstance(error, dict):
+            error = {"message": str(error)}
+        raise classify_error(message=str(error.get("message", "")), rpc_code=error.get("code"))
+
+
+def _read_timestamps(block_of: dict[int, int], reply) -> dict[int, int]:
+    """Timestamps by block from the reply to a batch whose ids map to ``block_of``.
+
+    A server may answer a batch in any order, so entries are matched by id. A
+    reply that is one error object (a batch throttled, or refused as too large)
+    or an entry's error is classified; every other deviation is TERMINAL.
+    """
+    def malformed(detail: str) -> GatewayError:
+        return GatewayError(ErrorKind.TERMINAL, f"eth_getBlockByNumber: {detail}")
+
+    if isinstance(reply, dict):
+        _raise_rpc_error(reply)
+    if not isinstance(reply, list):
+        raise malformed(f"batch reply {reply!r:.80} is neither an array nor an error object")
+    timestamps: dict[int, int] = {}
+    for entry in reply:
+        if not isinstance(entry, dict):
+            raise malformed(f"batch entry {entry!r:.80} is not an object")
+        _raise_rpc_error(entry)
+        rid = entry.get("id")
+        block = block_of.get(rid) if isinstance(rid, int) else None
+        if block is None:
+            raise malformed(f"answer with unknown id {rid!r:.80}")
+        if block in timestamps:
+            raise malformed(f"block {block} answered twice")
+        result = entry.get("result")
+        if result is None:
+            raise GatewayError(ErrorKind.TERMINAL, f"block {block} beyond chain head")
+        timestamp = result.get("timestamp") if isinstance(result, dict) else None
+        timestamps[block] = _hex_quantity(timestamp, f"block {block} timestamp")
+    if missing := sorted(set(block_of.values()).difference(timestamps)):
+        raise malformed(f"no answer for block {missing[0]} ({len(missing)} unanswered)")
+    return timestamps
 
 
 # A fault script inspects (call_index, query) before each get_logs and may
@@ -354,18 +468,21 @@ class FixtureGateway(_GatewayBase):
                     if log.address == address and log.topics and log.topics[0] == query.topic0]
         return self._enrich(selected)
 
-    def _fetch_block_timestamp(self, block_number: int) -> int:
-        self.block_fetches[block_number] = self.block_fetches.get(block_number, 0) + 1
-        if block_number > self._head:
-            raise GatewayError(
-                ErrorKind.TERMINAL, f"block {block_number} beyond chain head {self._head}"
-            )
-        try:
-            return self._timestamps[block_number]
-        except KeyError:
-            raise GatewayError(
-                ErrorKind.TERMINAL, f"no timestamp for block {block_number} in corpus"
-            ) from None
+    def _fetch_block_timestamps(self, blocks: list[int]) -> dict[int, int]:
+        timestamps = {}
+        for block in blocks:
+            self.block_fetches[block] = self.block_fetches.get(block, 0) + 1
+            if block > self._head:
+                raise GatewayError(
+                    ErrorKind.TERMINAL, f"block {block} beyond chain head {self._head}"
+                )
+            try:
+                timestamps[block] = self._timestamps[block]
+            except KeyError:
+                raise GatewayError(
+                    ErrorKind.TERMINAL, f"no timestamp for block {block} in corpus"
+                ) from None
+        return timestamps
 
     def latest_block(self) -> int:
         return self._head

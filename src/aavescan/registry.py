@@ -191,13 +191,22 @@ def _parse_topic0(raw: str, context: str) -> bytes:
     return bytes.fromhex(raw[2:])
 
 
+# libyaml's safe loader; the pure-Python one where PyYAML was built without it
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
+def load_yaml(stream):
+    """Parse one YAML document with the safe loader; every YAML file goes here."""
+    return yaml.load(stream, Loader=_YAML_LOADER)
+
+
 def load_registry(path: str | None = None) -> Registry:
     """Parse and validate a registry document; shipped default when path is None."""
     if path is None:
         path = default_registry_path()
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = yaml.safe_load(fh)
+            doc = load_yaml(fh)
     except OSError as exc:
         raise RegistryError(f"cannot read registry document {path!r}: {exc}") from exc
     except yaml.YAMLError as exc:

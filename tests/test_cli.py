@@ -1,3 +1,4 @@
+import collections
 import csv
 import json
 import multiprocessing
@@ -420,6 +421,153 @@ def _running(pid: int) -> bool:
 def _tree_state(root) -> dict:
     return {os.path.join(d, n): os.stat(os.path.join(d, n)).st_mtime_ns
             for d, _dirs, names in os.walk(root) for n in names}
+
+
+class _FakeRpcResponse:
+    def __init__(self, payload):
+        self.status_code = 200
+        self.text = json.dumps(payload)
+
+    def json(self):
+        return json.loads(self.text)
+
+
+class _FakeRpc:
+    """A JSON-RPC endpoint over one chain of a corpus, in place of the live
+    gateway's ``requests`` session. It answers a batch in reverse order and
+    refuses any eth_getLogs span above ``max_span`` blocks as too large, and
+    any batch of more than ``batch_limit`` requests as go-ethereum does."""
+
+    def __init__(self, records, timestamps, head, max_span, removed_key=None,
+                 null_logs=False, batch_limit=None):
+        self.records = records
+        self.timestamps = timestamps
+        self.head = head
+        self.max_span = max_span
+        self.removed_key = removed_key  # (block, log index) of a log removed by a reorg
+        self.null_logs = null_logs  # answer eth_getLogs with "result": null
+        self.batch_limit = batch_limit
+        self.batches_refused = 0
+        self.bodies = []
+        self.logs_answered = 0
+        self.logs_refused = 0
+        self.blocks_asked = collections.Counter()
+
+    def post(self, url, json=None, timeout=None):
+        self.bodies.append(json)
+        if isinstance(json, list):
+            if self.batch_limit is not None and len(json) > self.batch_limit:
+                self.batches_refused += 1
+                return _FakeRpcResponse({"jsonrpc": "2.0", "id": json[0]["id"], "error": {
+                    "code": -32600, "message": "batch too large"}})
+            return _FakeRpcResponse([self._answer(request) for request in json][::-1])
+        return _FakeRpcResponse(self._answer(json))
+
+    def _answer(self, request):
+        reply = {"jsonrpc": "2.0", "id": request["id"]}
+        method, params = request["method"], request["params"]
+        if method == "eth_blockNumber":
+            reply["result"] = hex(self.head)
+        elif method == "eth_getBlockByNumber":
+            block = int(params[0], 16)
+            self.blocks_asked[block] += 1
+            reply["result"] = {"number": params[0], "timestamp": hex(self.timestamps[block])}
+        elif int(params[0]["toBlock"], 16) - int(params[0]["fromBlock"], 16) >= self.max_span:
+            self.logs_refused += 1
+            reply["error"] = {"code": -32005, "message": "query returned more than 10000 results"}
+        elif self.null_logs:
+            reply["result"] = None
+        else:
+            self.logs_answered += 1
+            lo, hi = int(params[0]["fromBlock"], 16), int(params[0]["toBlock"], 16)
+            reply["result"] = [
+                dict(record, blockNumber=hex(record["blockNumber"]),
+                     logIndex=hex(record["logIndex"]),
+                     transactionIndex=hex(record["transactionIndex"]),
+                     removed=(record["blockNumber"], record["logIndex"]) == self.removed_key)
+                for record in self.records
+                if lo <= record["blockNumber"] <= hi
+                and record["address"] == params[0]["address"].lower()
+                and record["topics"][0] == params[0]["topics"][0]
+            ]
+        return reply
+
+
+class TestLiveExtract:
+    @pytest.fixture()
+    def live(self, runner, tmp_path, mini_corpus_dir, monkeypatch):
+        """Runs ``extract --live`` on the mini corpus's ethereum chain through a
+        _FakeRpc made with the given keywords; returns (result, rpc)."""
+        import aavescan.cli as cli_module
+
+        records, timestamps = reference.load_chain(mini_corpus_dir, "ethereum")
+        with open(os.path.join(mini_corpus_dir, "ethereum", "blocks.json")) as fh:
+            head = json.load(fh)["head"]
+        http_gateway = cli_module.HttpGateway
+        monkeypatch.setenv("RPC_URL_ETHEREUM", "http://rpc.test")
+
+        def run(**rpc_options):
+            rpc = _FakeRpc(records, timestamps, head, max_span=3_000, **rpc_options)
+            monkeypatch.setattr(cli_module, "HttpGateway", lambda url: http_gateway(
+                url, session=rpc, sleeper=lambda _s: None))
+            result = runner.invoke(main, ["extract", "--live", "--chain", "ethereum",
+                                          "--event", "all", "--out", str(tmp_path / "out")])
+            return result, rpc
+
+        return run
+
+    @staticmethod
+    def _assert_parts_match_reference(out, mini_corpus_dir, registry):
+        for event in registry.event_names():
+            expected = reference.stream_csv_bytes(mini_corpus_dir, "ethereum", event)
+            stream = out / "ethereum" / event
+            parts = sorted(n for n in os.listdir(stream) if n.endswith(".csv"))
+            assert [(stream / part).read_bytes() for part in parts] == (
+                [] if expected is None else [expected]), event
+
+    def test_live_run_matches_reference_with_one_timestamp_batch_per_answer(
+            self, live, tmp_path, mini_corpus_dir, registry):
+        result, rpc = live()
+        assert result.exit_code == 0, result.output + result.stderr
+        self._assert_parts_match_reference(tmp_path / "out", mini_corpus_dir, registry)
+
+        assert rpc.logs_refused > 0  # the span limit made the scanner halve
+        assert rpc.blocks_asked == collections.Counter(
+            {record["blockNumber"]: 1 for record in rpc.records})
+        singles = [body["method"] for body in rpc.bodies if isinstance(body, dict)]
+        assert set(singles) == {"eth_getLogs", "eth_blockNumber"}
+        batches = [body for body in rpc.bodies if isinstance(body, list)]
+        assert 0 < len(batches) <= rpc.logs_answered
+
+    def test_a_smaller_provider_batch_limit_is_met_by_halving_the_range(
+            self, live, tmp_path, mini_corpus_dir, registry):
+        result, rpc = live(batch_limit=2)
+        assert result.exit_code == 0, result.output + result.stderr
+        self._assert_parts_match_reference(tmp_path / "out", mini_corpus_dir, registry)
+        assert rpc.batches_refused > 0
+        assert rpc.blocks_asked == collections.Counter(
+            {record["blockNumber"]: 1 for record in rpc.records})
+
+    def test_log_still_removed_after_the_retries_exits_3_with_its_checkpoint_unmoved(
+            self, live, tmp_path, mini_corpus_dir, registry):
+        from aavescan.scanner import Checkpoint, checkpoint_path
+
+        records, _timestamps = reference.load_chain(mini_corpus_dir, "ethereum")
+        borrow = "0x" + registry.event("Borrow").topic0.hex()
+        victim = [r for r in records if r["topics"][0] == borrow][-1]
+        key = (victim["blockNumber"], victim["logIndex"])
+        result, _rpc = live(removed_key=key)
+        assert result.exit_code == 3, result.output + result.stderr
+        assert "Traceback" not in result.output
+        assert f"log {key} removed by a reorg" in result.stderr
+        cp_file = checkpoint_path(str(tmp_path / "out"), "ethereum", "Borrow")
+        assert Checkpoint.load(cp_file).last_completed_block < key[0]
+
+    def test_null_get_logs_result_exits_3(self, live):
+        result, _rpc = live(null_logs=True)
+        assert result.exit_code == 3, result.output + result.stderr
+        assert "Traceback" not in result.output
+        assert "eth_getLogs" in result.stderr
 
 
 class TestValidateCommand:

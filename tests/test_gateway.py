@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from aavescan.gateway import (
+    TIMESTAMP_BATCH_MAX,
     ErrorKind,
     FixtureGateway,
     GatewayError,
@@ -68,6 +69,17 @@ class TestClassification:
 
     def test_alchemy_size_message_beats_rpc_code(self):
         err = classify_error(message="Log response size exceeded", rpc_code=-32602)
+        assert err.kind is ErrorKind.RESPONSE_TOO_LARGE
+
+    @pytest.mark.parametrize("message, code", [
+        ("batch too large", -32600),  # go-ethereum
+        ("batch limit 100 exceeded", -32000),  # Erigon
+        ("Number of requests exceeds max batch size", -32005),  # Besu
+        ("The batch size limit was exceeded.", -32005),  # Nethermind
+    ])
+    def test_batch_size_refusal_is_response_too_large(self, message, code):
+        # so the scanner halves its range until an answer's batch fits
+        err = classify_error(message=message, rpc_code=code)
         assert err.kind is ErrorKind.RESPONSE_TOO_LARGE
 
     @given(
@@ -197,7 +209,8 @@ class _FakeResponse:
 
 
 class _FakeSession:
-    """Replays a scripted sequence of responses/exceptions for post()."""
+    """Replays a scripted sequence of responses/exceptions for post(); a
+    callable in the script makes the response from the request body."""
 
     def __init__(self, script):
         self.script = list(script)
@@ -206,9 +219,36 @@ class _FakeSession:
     def post(self, url, json=None, timeout=None):
         self.requests.append(json)
         action = self.script.pop(0)
+        if callable(action):
+            action = action(json)
         if isinstance(action, BaseException):
             raise action
         return action
+
+
+def _blocks_reply(timestamps):
+    """The reply to a batch of eth_getBlockByNumber requests, echoing their ids
+    in reverse order (a server may answer a batch in any order). ``timestamps``
+    maps each block to its ``timestamp`` value; None stands for a null result."""
+
+    def reply(batch):
+        entries = []
+        for request in batch:
+            timestamp = timestamps[int(request["params"][0], 16)]
+            entries.append({"jsonrpc": "2.0", "id": request["id"],
+                            "result": None if timestamp is None else {"timestamp": timestamp}})
+        return _FakeResponse(payload=entries[::-1])
+
+    return reply
+
+
+def _logs_reply(entries):
+    return _FakeResponse(payload={"jsonrpc": "2.0", "id": 1, "result": entries})
+
+
+def _http(script, sleeper=lambda _s: None):
+    session = _FakeSession(script)
+    return HttpGateway("http://unit.test", session=session, sleeper=sleeper), session
 
 
 class TestHttpGateway:
@@ -235,10 +275,7 @@ class TestHttpGateway:
         ]
         session = _FakeSession([
             _FakeResponse(payload={"jsonrpc": "2.0", "id": 1, "result": result}),
-            _FakeResponse(payload={"jsonrpc": "2.0", "id": 2,
-                                   "result": {"timestamp": "0x5f5e100"}}),
-            _FakeResponse(payload={"jsonrpc": "2.0", "id": 3,
-                                   "result": {"timestamp": "0x5f5e101"}}),
+            _blocks_reply({99: "0x5f5e100", 100: "0x5f5e101"}),
         ])
         gw = HttpGateway("http://unit.test", session=session, sleeper=lambda _s: None)
         logs = gw.get_logs(LogQuery(99, 100, POOL, TOPIC))
@@ -285,13 +322,12 @@ class TestHttpGateway:
         assert excinfo.value.kind is ErrorKind.RESPONSE_TOO_LARGE
 
     def test_missing_block_terminal(self):
-        session = _FakeSession([
-            _FakeResponse(payload={"jsonrpc": "2.0", "id": 1, "result": None}),
-        ])
+        session = _FakeSession([_blocks_reply({10**9: None})])
         gw = HttpGateway("http://unit.test", session=session, sleeper=lambda _s: None)
         with pytest.raises(GatewayError) as excinfo:
             gw.get_block_timestamp(10**9)
         assert excinfo.value.kind is ErrorKind.TERMINAL
+        assert f"block {10**9} beyond chain head" in excinfo.value.detail
 
 
 def _rpc_log(**changes):
@@ -310,10 +346,7 @@ def _rpc_log(**changes):
 
 
 def _http_get_logs(entries, query=LogQuery(0, 200, POOL, TOPIC)):
-    session = _FakeSession([
-        _FakeResponse(payload={"jsonrpc": "2.0", "id": 1, "result": entries}),
-        _FakeResponse(payload={"jsonrpc": "2.0", "id": 2, "result": {"timestamp": "0x10"}}),
-    ])
+    session = _FakeSession([_logs_reply(entries), _blocks_reply({100: "0x10"})])
     return HttpGateway("http://unit.test", session=session, sleeper=lambda _s: None).get_logs(query)
 
 
@@ -363,8 +396,229 @@ class TestOneLogParser:
         assert excinfo.value.kind is ErrorKind.TERMINAL
         assert foreign in excinfo.value.detail
 
+    @pytest.mark.parametrize("field", ["blockNumber", "logIndex"])
+    def test_decimal_string_quantity_is_terminal(self, field):
+        # "16" is no hex quantity, in a log as in a block's timestamp
+        with pytest.raises(GatewayError) as excinfo:
+            _http_get_logs([_rpc_log(**{field: "16"})])
+        assert excinfo.value.kind is ErrorKind.TERMINAL
+        assert repr(field) in excinfo.value.detail
+
     def test_both_gateways_parse_alike(self, tmp_path):
         entry = _rpc_log(address=POOL.upper().replace("0X", "0x"),
                          transactionHash="0x" + "CD" * 32)
         assert _http_get_logs([entry]) == _fixture_get_logs(tmp_path, [entry])
         assert _http_get_logs([entry])[0].transaction_hash == "0x" + "cd" * 32
+
+
+def _logs_in_blocks(blocks):
+    return [_rpc_log(blockNumber=hex(block), transactionHash=f"0x{block:064x}")
+            for block in blocks]
+
+
+class TestTimestampBatches:
+    """Block timestamps come from one batched lookup per get_logs answer."""
+
+    def test_one_batch_per_answer_in_ascending_block_order(self):
+        gw, session = _http([_logs_reply(_logs_in_blocks([102, 100, 101, 100])),
+                             _blocks_reply({100: "0x10", 101: "0x11", 102: "0x12"})])
+        logs = gw.get_logs(LogQuery(0, 200, POOL, TOPIC))
+        assert [l.block_timestamp for l in logs] == [0x10, 0x10, 0x11, 0x12]
+        batch = session.requests[1]
+        assert [request["params"] for request in batch] == [
+            [hex(100), False], [hex(101), False], [hex(102), False]]
+        assert {request["method"] for request in batch} == {"eth_getBlockByNumber"}
+        assert len({request["id"] for request in batch}) == 3
+
+    def test_chunks_of_at_most_timestamp_batch_max(self):
+        blocks = list(range(1_000, 1_000 + 2 * TIMESTAMP_BATCH_MAX + 50))
+        timestamps = {block: hex(block * 12) for block in blocks}
+        gw, session = _http([_logs_reply(_logs_in_blocks(blocks))]
+                            + [_blocks_reply(timestamps)] * 3)
+        logs = gw.get_logs(LogQuery(0, 5_000, POOL, TOPIC))
+        assert [l.block_timestamp for l in logs] == [block * 12 for block in blocks]
+        batches = session.requests[1:]
+        assert [len(batch) for batch in batches] == [TIMESTAMP_BATCH_MAX, TIMESTAMP_BATCH_MAX, 50]
+        asked = [int(request["params"][0], 16) for batch in batches for request in batch]
+        assert asked == blocks
+        ids = [request["id"] for batch in batches for request in batch]
+        assert len(set(ids)) == len(ids)
+
+    def test_cached_blocks_are_left_out_of_the_batch(self):
+        gw, session = _http([_blocks_reply({100: "0x10"}),
+                             _logs_reply(_logs_in_blocks([99, 100])),
+                             _blocks_reply({99: "0x0f"}),
+                             _logs_reply(_logs_in_blocks([99, 100]))])
+        assert gw.get_block_timestamp(100) == 0x10
+        assert [l.block_timestamp for l in gw.get_logs(LogQuery(0, 200, POOL, TOPIC))] == [
+            0x0F, 0x10]
+        assert [request["params"][0] for request in session.requests[2]] == [hex(99)]
+        gw.get_logs(LogQuery(0, 200, POOL, TOPIC))  # every block cached: no batch at all
+        assert len(session.requests) == 4
+
+    def test_chunks_before_a_throttled_chunk_stay_cached(self):
+        blocks = list(range(1_000, 1_000 + 2 * TIMESTAMP_BATCH_MAX + 50))
+        timestamps = {block: hex(block * 12) for block in blocks}
+        throttled = _FakeResponse(payload={"jsonrpc": "2.0", "id": None, "error": {
+            "code": -32005, "message": "rate limit exceeded"}})
+        gw, session = _http([_logs_reply(_logs_in_blocks(blocks)),
+                             _blocks_reply(timestamps), throttled,
+                             _logs_reply(_logs_in_blocks(blocks)),
+                             _blocks_reply(timestamps), _blocks_reply(timestamps)])
+        with pytest.raises(GatewayError) as excinfo:
+            gw.get_logs(LogQuery(0, 5_000, POOL, TOPIC))
+        assert excinfo.value.kind is ErrorKind.RATE_LIMITED
+        logs = gw.get_logs(LogQuery(0, 5_000, POOL, TOPIC))  # the scanner's retry
+        assert [l.block_timestamp for l in logs] == [block * 12 for block in blocks]
+        asked = [[int(request["params"][0], 16) for request in session.requests[i]]
+                 for i in (1, 2, 4, 5)]
+        first, second, third = (blocks[:TIMESTAMP_BATCH_MAX],
+                                blocks[TIMESTAMP_BATCH_MAX:2 * TIMESTAMP_BATCH_MAX],
+                                blocks[2 * TIMESTAMP_BATCH_MAX:])
+        assert asked == [first, second, second, third]  # the first chunk is not asked again
+        assert len(session.requests) == 6
+
+    def test_single_block_lookup_is_a_batch_of_one(self):
+        gw, session = _http([_blocks_reply({7: "0x70"})])
+        assert gw.get_block_timestamp(7) == 0x70
+        assert isinstance(session.requests[0], list) and len(session.requests[0]) == 1
+
+    def test_rate_limited_entry_surfaces_as_rate_limited(self):
+        def throttled(batch):
+            entries = [{"jsonrpc": "2.0", "id": request["id"], "result": {"timestamp": "0x1"}}
+                       for request in batch]
+            entries[1] = {"jsonrpc": "2.0", "id": batch[1]["id"],
+                          "error": {"code": -32005, "message": "Too Many Requests"}}
+            return _FakeResponse(payload=entries)
+
+        gw, session = _http([_logs_reply(_logs_in_blocks([100, 101, 102])), throttled])
+        with pytest.raises(GatewayError) as excinfo:
+            gw.get_logs(LogQuery(0, 200, POOL, TOPIC))
+        assert excinfo.value.kind is ErrorKind.RATE_LIMITED
+        assert len(session.requests) == 2  # surfaced at once, for the scanner to pause
+
+    def test_throttled_batch_as_one_error_object_is_classified(self):
+        gw, session = _http([_FakeResponse(payload={
+            "jsonrpc": "2.0", "id": None,
+            "error": {"code": -32005, "message": "rate limit exceeded"}})])
+        with pytest.raises(GatewayError) as excinfo:
+            gw.get_block_timestamp(100)
+        assert excinfo.value.kind is ErrorKind.RATE_LIMITED
+        assert isinstance(session.requests[0], list)
+
+    def test_transient_entry_retries_the_whole_batch(self):
+        def flaky(batch):
+            return _FakeResponse(payload=[{"jsonrpc": "2.0", "id": batch[0]["id"],
+                                           "error": {"code": -32000,
+                                                     "message": "header not found"}}])
+
+        sleeps = []
+        gw, session = _http([flaky, _blocks_reply({100: "0x10"})], sleeper=sleeps.append)
+        assert gw.get_block_timestamp(100) == 0x10
+        assert sleeps == [1.0]
+        assert session.requests[0] == session.requests[1]
+
+    @pytest.mark.parametrize("mangle", ["unknown_id", "missing_id", "repeated_id",
+                                        "unanswered"])
+    def test_unmatched_ids_are_terminal(self, mangle):
+        def reply(batch):
+            entries = [{"jsonrpc": "2.0", "id": request["id"], "result": {"timestamp": "0x1"}}
+                       for request in batch]
+            if mangle == "unknown_id":
+                entries[0]["id"] = 10_000
+            elif mangle == "missing_id":
+                del entries[0]["id"]
+            elif mangle == "repeated_id":
+                entries[1]["id"] = entries[0]["id"]
+            else:
+                del entries[1]
+            return _FakeResponse(payload=entries)
+
+        gw, _session = _http([_logs_reply(_logs_in_blocks([100, 101])), reply])
+        with pytest.raises(GatewayError) as excinfo:
+            gw.get_logs(LogQuery(0, 200, POOL, TOPIC))
+        assert excinfo.value.kind is ErrorKind.TERMINAL
+        named = {"unknown_id": "10000", "missing_id": "None", "repeated_id": "block 100",
+                 "unanswered": "block 101"}[mangle]
+        assert named in excinfo.value.detail
+
+    def test_fixture_gateway_fetches_each_answer_in_one_call(self):
+        gw = _gateway()
+        calls = []
+        fetch = gw._fetch_block_timestamps
+        gw._fetch_block_timestamps = lambda blocks: (calls.append(list(blocks)), fetch(blocks))[1]
+        gw.get_logs(LogQuery(0, 1_000, POOL, TOPIC))
+        gw.get_logs(LogQuery(0, 1_000, POOL, TOPIC))
+        assert calls == [[100, 150, 200, 250]]
+        assert gw.block_fetches == {100: 1, 150: 1, 200: 1, 250: 1}
+
+
+class TestResponseShapes:
+    """A provider answer of the wrong shape is TERMINAL naming the method."""
+
+    @pytest.mark.parametrize("result", [None, {"logs": []}, "0x1", 7])
+    def test_get_logs_result_not_a_list(self, result):
+        gw, session = _http([_logs_reply(result)])
+        with pytest.raises(GatewayError) as excinfo:
+            gw.get_logs(LogQuery(0, 200, POOL, TOPIC))
+        assert excinfo.value.kind is ErrorKind.TERMINAL
+        assert "eth_getLogs" in excinfo.value.detail
+        assert len(session.requests) == 1
+
+    @pytest.mark.parametrize("block", [{}, {"timestamp": None}, {"timestamp": 16},
+                                       {"timestamp": "0xzz"}, {"timestamp": "16"}, "0x10"])
+    def test_block_without_hex_timestamp(self, block):
+        def reply(batch):
+            return _FakeResponse(payload=[{"jsonrpc": "2.0", "id": batch[0]["id"],
+                                           "result": block}])
+
+        gw, _session = _http([reply])
+        with pytest.raises(GatewayError) as excinfo:
+            gw.get_block_timestamp(100)
+        assert excinfo.value.kind is ErrorKind.TERMINAL
+        assert "block 100 timestamp" in excinfo.value.detail
+
+    @pytest.mark.parametrize("result", ["latest", None, 16, "0x"])
+    def test_non_hex_block_number(self, result):
+        gw, _session = _http([_FakeResponse(payload={"jsonrpc": "2.0", "id": 1,
+                                                     "result": result})])
+        with pytest.raises(GatewayError) as excinfo:
+            gw.latest_block()
+        assert excinfo.value.kind is ErrorKind.TERMINAL
+        assert "eth_blockNumber" in excinfo.value.detail
+
+    @pytest.mark.parametrize("reply", [
+        {"jsonrpc": "2.0", "id": 1, "result": {"timestamp": "0x10"}},
+        "oops", 3, [7],
+    ])
+    def test_batch_reply_neither_array_nor_error_object(self, reply):
+        gw, _session = _http([_FakeResponse(payload=reply)])
+        with pytest.raises(GatewayError) as excinfo:
+            gw.get_block_timestamp(100)
+        assert excinfo.value.kind is ErrorKind.TERMINAL
+        assert "eth_getBlockByNumber" in excinfo.value.detail
+
+
+class TestReorgedLogs:
+    """A log the provider marks removed is asked again, never written."""
+
+    def test_removed_log_is_asked_again(self):
+        sleeps = []
+        gw, session = _http([_logs_reply([_rpc_log(removed=True)]),
+                             _logs_reply([_rpc_log(removed=False)]),
+                             _blocks_reply({100: "0x10"})], sleeper=sleeps.append)
+        logs = gw.get_logs(LogQuery(0, 200, POOL, TOPIC))
+        assert [(l.key, l.block_timestamp) for l in logs] == [((100, 0), 0x10)]
+        assert sleeps == [1.0]
+        assert session.requests[0] == session.requests[1]
+
+    def test_removed_every_time_surfaces_transient_after_four_attempts(self):
+        sleeps = []
+        gw, session = _http([_logs_reply([_rpc_log(), _rpc_log(logIndex="0x1", removed=True)])]
+                            * 4, sleeper=sleeps.append)
+        with pytest.raises(GatewayError) as excinfo:
+            gw.get_logs(LogQuery(0, 200, POOL, TOPIC))
+        assert excinfo.value.kind is ErrorKind.TRANSIENT
+        assert "(100, 1)" in excinfo.value.detail
+        assert sleeps == [1.0, 2.0, 4.0]
+        assert len(session.requests) == 4

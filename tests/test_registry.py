@@ -2,6 +2,7 @@ import json
 import os
 
 import pytest
+import yaml
 
 from aavescan.keccak import keccak256
 from aavescan.registry import (
@@ -9,7 +10,9 @@ from aavescan.registry import (
     EventField,
     EventSchema,
     RegistryError,
+    default_registry_path,
     load_registry,
+    load_yaml,
     topic0_of,
 )
 
@@ -200,3 +203,14 @@ def test_chain_config_invariants():
     bad = ChainConfig("c", "0x" + "ab" * 20, 10, 10, "RPC_URL_C")
     with pytest.raises(RegistryError):
         bad.validate()
+
+
+def test_malformed_yaml_is_registry_error(tmp_path):
+    with pytest.raises(RegistryError, match="not valid YAML"):
+        load_registry(_write_registry(tmp_path, "chains: [unclosed\n" + MINIMAL_EVENT))
+
+
+def test_yaml_loader_parses_the_registry_as_the_reference_loader_does():
+    with open(default_registry_path(), encoding="utf-8") as fh:
+        text = fh.read()
+    assert load_yaml(text) == yaml.load(text, Loader=yaml.SafeLoader)
