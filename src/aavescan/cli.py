@@ -71,6 +71,15 @@ class RunConfig:
     json_progress: bool
 
 
+def _echo(message: str, err: bool = False) -> None:
+    """``click.echo`` to the stream current now. Without ``file=``, click caches a
+    wrapper of ``sys.stdout``/``sys.stderr`` in a ``WeakKeyDictionary`` whose value
+    holds its key, so each in-process invocation (``CliRunner``) would keep its
+    streams and all it wrote alive. ``get_text_stream`` is the uncached form of
+    that lookup: it still writes UTF-8 to a stream configured as ASCII."""
+    click.echo(message, file=click.get_text_stream("stderr" if err else "stdout", errors=None))
+
+
 def _load_registry_or_fail(path: str | None) -> Registry:
     try:
         return load_registry(path)
@@ -144,7 +153,7 @@ def _progress_printer(json_mode: bool):
         else:
             line = (f"{summary.chain}/{summary.event}: scanned to {scanned_to - 1} "
                     f"of {end_block}, rows={summary.rows_emitted}")
-        click.echo(line, err=True)
+        _echo(line, err=True)
 
     return emit
 
@@ -241,6 +250,8 @@ def run_extract(config: RunConfig) -> list[ScanSummary]:
     os.makedirs(config.out_dir, exist_ok=True)
     if len(chain_names) == 1:
         return _extract_chain(config, registry, chain_names[0], event_names)
+    if not config.fixture_dir:
+        import requests  # noqa: F401  once here, not once in each forked chain process
     if "fork" in multiprocessing.get_all_start_methods() and threading.active_count() == 1:
         pool = ProcessPoolExecutor(max_workers=len(chain_names),
                                    mp_context=multiprocessing.get_context("fork"),
@@ -266,8 +277,8 @@ def chains(registry_path) -> None:
     """List registered chains."""
     registry = _load_registry_or_fail(registry_path)
     for chain in registry.chains:
-        click.echo(f"{chain.chain_name}\t{chain.pool_address}\t"
-                   f"{chain.start_block}\t{chain.max_block}")
+        _echo(f"{chain.chain_name}\t{chain.pool_address}\t"
+              f"{chain.start_block}\t{chain.max_block}")
 
 
 @main.command()
@@ -276,8 +287,8 @@ def events(registry_path) -> None:
     """List registered event schemas."""
     registry = _load_registry_or_fail(registry_path)
     for schema in registry.events:
-        click.echo(f"{schema.event_name}\t0x{schema.topic0.hex()}\t"
-                   f"{schema.canonical_signature}")
+        _echo(f"{schema.event_name}\t0x{schema.topic0.hex()}\t"
+              f"{schema.canonical_signature}")
 
 
 @main.command()
@@ -310,18 +321,18 @@ def extract(chain_selector, event_selector, out_dir, from_block, to_block, batch
     try:
         summaries = run_extract(config)
     except GatewayError as exc:
-        click.echo(f"extraction aborted: {exc}", err=True)
+        _echo(f"extraction aborted: {exc}", err=True)
         sys.exit(EXIT_NETWORK)
     except (IoFailure, OSError) as exc:
-        click.echo(f"extraction aborted: {exc}", err=True)
+        _echo(f"extraction aborted: {exc}", err=True)
         sys.exit(EXIT_IO)
     except BrokenProcessPool as exc:
-        click.echo(f"extraction aborted: a chain process died: {exc}", err=True)
+        _echo(f"extraction aborted: a chain process died: {exc}", err=True)
         sys.exit(EXIT_IO)
     for summary in summaries:
-        click.echo(f"{summary.chain}/{summary.event}: rows={summary.rows_emitted} "
-                   f"batches={summary.batches_issued} resizes={summary.resize_events}",
-                   err=True)
+        _echo(f"{summary.chain}/{summary.event}: rows={summary.rows_emitted} "
+              f"batches={summary.batches_issued} resizes={summary.resize_events}",
+              err=True)
 
 
 @main.command()
@@ -331,8 +342,8 @@ def validate(directory) -> None:
     report = validate_output(directory)
     for violation in report.violations:
         where = f"{violation.path}:{violation.line}" if violation.line else violation.path
-        click.echo(f"{violation.kind}\t{where}\t{violation.detail}")
-    click.echo(f"{len(report.violations)} violation(s)", err=True)
+        _echo(f"{violation.kind}\t{where}\t{violation.detail}")
+    _echo(f"{len(report.violations)} violation(s)", err=True)
     if not report.ok:
         sys.exit(1)
 
@@ -387,9 +398,9 @@ def liquidate_quote_cmd(params_path, position_path, debt_asset, collateral_asset
     try:
         report = health_factor(position, params)
         h_text = "inf" if report.infinite else fraction_to_decimal(report.health_factor)
-        click.echo(f"health_factor: {h_text}")
-        click.echo(f"liquidatable: {'true' if report.liquidatable else 'false'}")
-        click.echo(f"close_factor: {fraction_to_decimal(report.close_factor)}")
+        _echo(f"health_factor: {h_text}")
+        _echo(f"liquidatable: {'true' if report.liquidatable else 'false'}")
+        _echo(f"close_factor: {fraction_to_decimal(report.close_factor)}")
         quote = liquidation_quote(
             position, params, debt_asset, collateral_asset,
             parse_decimal(debt_to_cover), strict=strict,
@@ -397,14 +408,14 @@ def liquidate_quote_cmd(params_path, position_path, debt_asset, collateral_asset
     except NotLiquidatable:
         sys.exit(1)
     except RiskError as exc:
-        click.echo(str(exc), err=True)
+        _echo(str(exc), err=True)
         sys.exit(EXIT_CONFIG)
-    click.echo(f"debt_repaid: {fraction_to_decimal(quote.debt_repaid)}")
-    click.echo(f"base_collateral: {fraction_to_decimal(quote.base_collateral)}")
-    click.echo(f"total_collateral: {fraction_to_decimal(quote.total_collateral)}")
-    click.echo(f"protocol_fee: {fraction_to_decimal(quote.protocol_fee)}")
-    click.echo(f"liquidator_receives: {fraction_to_decimal(quote.liquidator_receives)}")
-    click.echo(f"liquidator_profit_usd: {fraction_to_decimal(quote.liquidator_profit_usd)}")
+    _echo(f"debt_repaid: {fraction_to_decimal(quote.debt_repaid)}")
+    _echo(f"base_collateral: {fraction_to_decimal(quote.base_collateral)}")
+    _echo(f"total_collateral: {fraction_to_decimal(quote.total_collateral)}")
+    _echo(f"protocol_fee: {fraction_to_decimal(quote.protocol_fee)}")
+    _echo(f"liquidator_receives: {fraction_to_decimal(quote.liquidator_receives)}")
+    _echo(f"liquidator_profit_usd: {fraction_to_decimal(quote.liquidator_profit_usd)}")
 
 
 def _stream_events(directory: str, chain: str, event: str):
@@ -461,7 +472,7 @@ def replay_cmd(root, chain_name, mode, out_path, params_path) -> None:
         result = replay(events(), mode=mode)
     except (IoFailure, ValueError, OrderViolation) as exc:
         where = "" if isinstance(exc, IoFailure) else f"{source[0]}: "  # IoFailure names it
-        click.echo(f"replay aborted: {where}{exc}", err=True)
+        _echo(f"replay aborted: {where}{exc}", err=True)
         sys.exit(EXIT_IO)
     rows = []
     for user in sorted(result.positions):
@@ -478,18 +489,18 @@ def replay_cmd(root, chain_name, mode, out_path, params_path) -> None:
             writer.writerows(rows)
     else:
         for row in rows:
-            click.echo("\t".join(row))
+            _echo("\t".join(row))
     if result.anomalies:
-        click.echo(f"{len(result.anomalies)} anomalies (clamped balances)", err=True)
+        _echo(f"{len(result.anomalies)} anomalies (clamped balances)", err=True)
 
     if params_path:
         params = _load_asset_params(params_path)
         for user in sorted(result.positions):
             report = health_factor(result.positions[user], params)
             h_text = "inf" if report.infinite else fraction_to_decimal(report.health_factor)
-            click.echo(f"{user}\thealth_factor={h_text}\t"
-                       f"liquidatable={'true' if report.liquidatable else 'false'}\t"
-                       f"close_factor={fraction_to_decimal(report.close_factor)}")
+            _echo(f"{user}\thealth_factor={h_text}\t"
+                  f"liquidatable={'true' if report.liquidatable else 'false'}\t"
+                  f"close_factor={fraction_to_decimal(report.close_factor)}")
 
 
 @main.command()
@@ -521,14 +532,14 @@ def aggregate(metric, root, out_path, price_table_path, per_chain, lenient,
             rows, skipped, errors = analytics.deposit_volume(root, table, lenient=lenient)
             analytics.write_aggregates(rows, out_path, ("chain",), "deposit_volume_usd")
             if skipped.total_rows:
-                click.echo(
+                _echo(
                     f"skipped {skipped.skipped_rows}/{skipped.total_rows} rows "
                     f"without prices ({len(skipped.by_asset)} assets)", err=True)
     except analytics.AnalyticsError as exc:
-        click.echo(str(exc), err=True)
+        _echo(str(exc), err=True)
         sys.exit(EXIT_IO)
     for error in errors:
-        click.echo(f"warning: {error}", err=True)
+        _echo(f"warning: {error}", err=True)
 
 
 if __name__ == "__main__":

@@ -16,6 +16,10 @@ answer in JSON-RPC 2.0 batches (https://www.jsonrpc.org/specification, section
 refuses a batch as too large answers RESPONSE_TOO_LARGE, so the scanner halves
 its range until an answer's batch fits; a server that refuses every batch is
 not supported.
+
+Only building an ``HttpGateway`` imports the HTTP client (``requests``), so
+only ``extract --live`` loads it: the offline commands neither pay its import
+time nor hold its memory.
 """
 
 from __future__ import annotations
@@ -28,9 +32,10 @@ import re
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Optional
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 TRANSIENT_BACKOFF_S = (1.0, 2.0, 4.0)  # one pause per retry
 REQUEST_TIMEOUT_S = 30.0
@@ -253,11 +258,14 @@ class HttpGateway(_GatewayBase):
         sleeper: Callable[[float], None] = time.sleep,
         session: requests.Session | None = None,
     ):
+        import requests
+
         super().__init__()
         self._url = url
         self._timeout = timeout
         self._sleeper = sleeper
         self._session = session or requests.Session()
+        self._transport_error = requests.RequestException
         self._id = 0  # JSON-RPC request id
 
     def _request(self, method: str, params: list) -> dict:
@@ -282,7 +290,7 @@ class HttpGateway(_GatewayBase):
     def _post_once(self, body: dict | list) -> object:
         try:
             response = self._session.post(self._url, json=body, timeout=self._timeout)
-        except requests.RequestException as exc:
+        except self._transport_error as exc:
             raise classify_error(exception=exc) from exc
         if response.status_code != 200:
             raise classify_error(

@@ -1,5 +1,7 @@
 import collections
 import csv
+import gc
+import io
 import json
 import multiprocessing
 import os
@@ -583,6 +585,16 @@ class TestValidateCommand:
         assert result.exit_code == 1
         assert "manifest" in result.output
 
+    def test_non_ascii_path_reaches_an_ascii_stream(self, tmp_path):
+        stream = tmp_path / "ñ" / "ethereum" / "Supply"
+        stream.mkdir(parents=True)
+        (stream / "stray.csv").touch()
+        proc = subprocess.run(
+            [sys.executable, "-m", "aavescan.cli", "validate", str(tmp_path / "ñ")],
+            capture_output=True, env=dict(_src_env(), PYTHONIOENCODING="ascii"), timeout=60)
+        assert proc.returncode == 1, proc.stderr
+        assert str(stream / "stray.csv").encode() in proc.stdout
+
 
 class TestLiquidateQuote:
     def _files(self, tmp_path, position_yaml=POSITION_YAML):
@@ -751,3 +763,58 @@ class TestReplayCommand:
         result = runner.invoke(main, ["replay", "--in", str(out), "--chain", "ethereum"])
         assert result.exit_code == 4, result.output
         assert f"replay aborted: {victim}: " in result.stderr
+
+
+# the offline commands in a fresh interpreter; argv[1:] are the corpus, the
+# output directory and the price table
+_OFFLINE_RUN = """
+import sys
+import aavescan, aavescan.cli
+from aavescan.cli import main
+corpus, out, prices = sys.argv[1:]
+def run(*args):
+    try:
+        main(list(args), prog_name="aavescan")
+    except SystemExit as exc:
+        assert not exc.code, (args, exc.code)
+run("extract", "--chain", "ethereum,base", "--event", "all", "--out", out,
+    "--fixture-dir", corpus)
+run("validate", out)
+for metric in ("counts", "new-users", "deposit-volume"):
+    run("aggregate", "--metric", metric, "--in", out, "--out", out + "." + metric,
+        "--price-table", prices)
+run("replay", "--in", out, "--chain", "ethereum")
+assert "requests" not in sys.modules, "an offline command loaded the HTTP client"
+from aavescan.gateway import HttpGateway
+HttpGateway("http://127.0.0.1:9")
+assert "requests" in sys.modules, "a live gateway was built without its HTTP client"
+"""
+
+
+class TestProcessFootprint:
+    def test_only_a_live_gateway_loads_the_http_client(self, tmp_path, mini_corpus_dir,
+                                                       price_table_path):
+        proc = subprocess.run([sys.executable, "-c", _OFFLINE_RUN, mini_corpus_dir,
+                               str(tmp_path / "out"), price_table_path],
+                              capture_output=True, text=True, env=_src_env(), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_invocations_leave_no_streams_behind(self, runner, tmp_path, mini_corpus_dir):
+        def invoke(i):
+            out = tmp_path / f"out{i}"
+            result = runner.invoke(main, ["extract", "--chain", "ethereum", "--event", "Supply",
+                                          "--out", str(out), "--fixture-dir", mini_corpus_dir])
+            assert result.exit_code == 0, result.output
+            (out / "ethereum" / "Supply" / "stray.csv").touch()
+            result = runner.invoke(main, ["validate", str(out)])  # writes to both streams
+            assert result.exit_code == 1 and result.stdout and result.stderr, result.output
+
+        def text_streams():
+            gc.collect()
+            return sum(isinstance(obj, io.TextIOWrapper) for obj in gc.get_objects())
+
+        invoke(0)  # anything cached once per process
+        before = text_streams()
+        for i in range(1, 26):
+            invoke(i)
+        assert text_streams() <= before

@@ -1,5 +1,6 @@
 import json
 import pickle
+import socket
 
 import pytest
 import requests
@@ -302,6 +303,26 @@ class TestHttpGateway:
         with pytest.raises(GatewayError) as excinfo:
             gw.latest_block()
         assert excinfo.value.kind is ErrorKind.TRANSIENT
+
+    def test_refused_connection_is_retried_then_transient(self, monkeypatch):
+        """No injected session: the HTTP client's own errors are what gets classified."""
+        for name in ("http_proxy", "HTTP_PROXY", "all_proxy", "ALL_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        with socket.socket() as probe:  # a loopback port that nothing listens on
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        sleeps = []
+        gw = HttpGateway(f"http://127.0.0.1:{port}", sleeper=sleeps.append)
+        posts = []
+        post = gw._session.post
+        monkeypatch.setattr(gw._session, "post",
+                            lambda *args, **kwargs: posts.append(1) or post(*args, **kwargs))
+        with pytest.raises(GatewayError) as excinfo:
+            gw.latest_block()
+        assert excinfo.value.kind is ErrorKind.TRANSIENT
+        assert isinstance(excinfo.value.__cause__, requests.ConnectionError)
+        assert len(posts) == 4
+        assert sleeps == [1.0, 2.0, 4.0]
 
     def test_rate_limit_surfaces_immediately(self):
         session = _FakeSession([_FakeResponse(status_code=429, text="slow down")])
