@@ -74,7 +74,7 @@ def event_counts(root: str, lenient: bool = False) -> tuple[list[AggregateRow], 
     errors: list[str] = []
 
     def count_part(chain: str, event: str, path: str) -> Counter:
-        return Counter({(chain, event): sum(1 for _ in iter_part_rows(path))})
+        return Counter({(chain, event): sum(1 for _ in iter_part_rows(path, chain, event))})
 
     counts: Counter = Counter()
     for part in _part_partials(root, None, count_part, lenient, errors):
@@ -101,7 +101,7 @@ def daily_new_users(
 
     def first_seen_in_part(chain: str, event: str, path: str) -> dict:
         seen: dict[tuple[str, str] | str, int] = {}
-        for ts, user in iter_part_rows(path, ("block_timestamp", user_fields[event])):
+        for ts, user in iter_part_rows(path, chain, event, ("block_timestamp", user_fields[event])):
             key, ts = ((chain, user) if per_chain else user), int(ts)
             if not 0 <= ts <= MAX_TIMESTAMP:
                 raise ValueError(f"block_timestamp {ts} is not a second of the years 1970-9999")
@@ -162,10 +162,11 @@ class PriceTable:
         return None if price is None else (price, entry["decimals"])
 
 
-def _supply_sums(chain: str, _event: str, path: str) -> tuple[Counter, Counter]:
+def _supply_sums(chain: str, event: str, path: str) -> tuple[Counter, Counter]:
     """Rows and summed amount per (chain, reserve, UTC day number) of one Supply part."""
     rows, amounts = Counter(), Counter()
-    for ts, asset, amount in iter_part_rows(path, ("block_timestamp", "reserve", "amount")):
+    columns = ("block_timestamp", "reserve", "amount")
+    for ts, asset, amount in iter_part_rows(path, chain, event, columns):
         ts = int(ts)
         if not 0 <= ts <= MAX_TIMESTAMP:
             raise ValueError(f"block_timestamp {ts} is not a second of the years 1970-9999")

@@ -185,7 +185,7 @@ def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
                     f"{chain_name}/{event_name} already has a checkpoint; "
                     "pass --resume or use a fresh output directory"
                 )
-            checkpoint = Checkpoint.load(cp_file)
+            checkpoint = Checkpoint.load(cp_file, chain_name, event_name)
             cursor = max(cursor, checkpoint.last_completed_block + 1)
             rows_so_far = checkpoint.rows_emitted_total
             writer = ShardWriter.resume(
@@ -428,9 +428,7 @@ def _stream_events(directory: str, chain: str, event: str):
     if breaks:
         raise IoFailure(f"{breaks[0].path}: {breaks[0].detail}")
     for path in paths:
-        for row in iter_part_rows(path, PREFIX_COLUMNS + names):
-            if row[0] != chain or row[1] != event:
-                raise IoFailure(f"{path}: row names {row[0]}/{row[1]}, not {chain}/{event}")
+        for row in iter_part_rows(path, chain, event, PREFIX_COLUMNS + names):
             try:
                 ev = DecodedEvent(row[0], row[1], int(row[2]), int(row[3]), row[4],
                                   int(row[5]), row[6], list(zip(names, row[7:])))

@@ -18,7 +18,7 @@ from typing import Callable, Protocol
 
 from .gateway import ErrorKind, GatewayError, LogQuery
 from .registry import ChainConfig, EventSchema
-from .sink import PartRecord, _atomic_write
+from .sink import PartRecord, _atomic_write, load_record
 
 DEFAULT_BATCH_SIZE = 10_000
 DEFAULT_BATCH_MAX = 100_000
@@ -100,10 +100,9 @@ class Checkpoint:
         _atomic_write(path, json.dumps(asdict(self), indent=2))
 
     @classmethod
-    def load(cls, path: str) -> "Checkpoint":
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        return cls(
+    def load(cls, path: str, chain: str, event: str) -> "Checkpoint":
+        """The checkpoint of stream ``chain``/``event`` at ``path``; FileFault names a bad one."""
+        return load_record(path, chain, event, lambda doc: cls(
             chain=doc["chain"],
             event=doc["event"],
             last_completed_block=int(doc["last_completed_block"]),
@@ -111,7 +110,7 @@ class Checkpoint:
             current_part_number=int(doc["current_part_number"]),
             rows_in_current_part=int(doc["rows_in_current_part"]),
             parts=tuple(PartRecord.from_doc(p) for p in doc.get("parts", ())),
-        )
+        ))
 
 
 def checkpoint_path(out_dir: str, chain: str, event: str) -> str:

@@ -20,7 +20,7 @@ import re
 from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence, TypeVar
 
 from .decoder import DecodeError, DecodedEvent, OrderViolation, decode
 from .gateway import ErrorKind, GatewayError
@@ -28,6 +28,7 @@ from .registry import CHAIN_NAME, EVENT_NAME, PREFIX_COLUMNS, EventSchema
 
 PART_ROW_LIMIT = 1_000_000
 MAX_PART_NUMBER = 999
+T = TypeVar("T")
 
 FILENAME_RE = re.compile(
     rf"^aave_V3_(?P<chain>{CHAIN_NAME})_(?P<event>{EVENT_NAME})"
@@ -42,6 +43,26 @@ class PartOverflow(Exception):
 
 class IoFailure(Exception):
     """I/O failed or a shard file read is corrupt; a writer leaves its stream consistent."""
+
+
+@dataclass(frozen=True)
+class Violation:
+    kind: str  # naming | part_numbering | header | row_limit | ordering | manifest
+    path: str
+    detail: str
+    line: int | None = None
+
+
+class FileFault(IoFailure):
+    """``FileFault(kind, path, detail[, line])``: a file no reader can use, as ``validate`` says."""
+
+    @property
+    def violation(self) -> Violation:
+        return Violation(*self.args)
+
+    def __str__(self) -> str:
+        v = self.violation
+        return f"{v.path}:{v.line}: {v.detail}" if v.line else f"{v.path}: {v.detail}"
 
 
 def part_filename(chain: str, event: str, part_number: int, wall_clock: datetime) -> str:
@@ -63,8 +84,10 @@ class PartRecord:
     @classmethod
     def from_doc(cls, doc: dict) -> "PartRecord":
         """Inverse of ``asdict``, from the JSON shape of a manifest's ``parts``."""
-        first, last = doc["first_key"], doc["last_key"]
-        return cls(int(doc["part_number"]), doc["filename"], int(doc["row_count"]),
+        first, last, filename = doc["first_key"], doc["last_key"], doc["filename"]
+        if not FILENAME_RE.match(filename):
+            raise ValueError(f"{filename!r} is not a part filename")
+        return cls(int(doc["part_number"]), filename, int(doc["row_count"]),
                    (int(first[0]), int(first[1])), (int(last[0]), int(last[1])))
 
 
@@ -82,14 +105,30 @@ class ShardManifest:
         return json.dumps(asdict(self), indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "ShardManifest":
-        doc = json.loads(text)
-        return cls(chain=doc["chain"], event=doc["event"],
-                   parts=tuple(PartRecord.from_doc(p) for p in doc["parts"]))
+    def from_doc(cls, doc: dict) -> "ShardManifest":
+        return cls(doc["chain"], doc["event"], tuple(PartRecord.from_doc(p) for p in doc["parts"]))
 
 
 def stream_dir(out_dir: str, chain: str, event: str) -> str:
     return os.path.join(out_dir, chain, event)
+
+
+def load_record(path: str, chain: str, event: str, build: Callable[[dict], T]) -> T:
+    """``build`` of the JSON object at ``path``, a durable record of stream ``chain``/``event``.
+
+    FileFault names ``path`` at any fault: a read error, bytes not UTF-8 or not JSON, no
+    object, another stream, or a key or value that ``build`` rejects.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+        if (doc["chain"], doc["event"]) != (chain, event):
+            raise ValueError(f"names {doc['chain']}/{doc['event']}, not {chain}/{event}")
+        return build(doc)
+    except OSError as exc:
+        raise FileFault("manifest", path, f"unreadable: {exc.strerror or exc}") from exc
+    except (ValueError, LookupError, TypeError, ArithmeticError, RecursionError) as exc:
+        raise FileFault("manifest", path, f"malformed record: {type(exc).__name__}: {exc}") from exc
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -312,8 +351,8 @@ class ShardWriter:
         if parts:
             writer._last_key = parts[-1].last_key
         if os.path.exists(writer._manifest_path()):
-            with open(writer._manifest_path(), "r", encoding="utf-8") as fh:
-                writer._manifest = ShardManifest.from_json(fh.read())
+            writer._manifest = load_record(writer._manifest_path(), chain, schema.event_name,
+                                           ShardManifest.from_doc)
             return writer
         for record in parts:
             if not os.path.exists(os.path.join(writer._dir, record.filename)):
@@ -333,8 +372,11 @@ class ShardWriter:
 
         if not os.path.exists(open_path):
             raise IoFailure(f"resume expected open part file {open_path!r}")
-        writer._first_key_in_part, writer._last_key = writer._truncate_open_part(
-            open_path, rows_in_part)
+        try:
+            writer._first_key_in_part, writer._last_key = writer._truncate_open_part(
+                open_path, rows_in_part)
+        except (ValueError, IndexError) as exc:  # a row not UTF-8, or without integer keys
+            raise IoFailure(f"open part {open_path!r}: not a decodable event row: {exc}") from exc
         writer._rows_in_part = rows_in_part
         try:
             writer._fh = open(open_path, "a", newline="", encoding="utf-8")
@@ -419,14 +461,6 @@ def list_stream_parts(directory: str) -> list[str]:
     return sorted(names, key=lambda n: (int(FILENAME_RE.match(n).group("part")), n))
 
 
-@dataclass(frozen=True)
-class Violation:
-    kind: str  # naming | part_numbering | header | row_limit | ordering | manifest
-    path: str
-    detail: str
-    line: int | None = None
-
-
 @dataclass
 class ValidationReport:
     violations: list[Violation]
@@ -455,36 +489,45 @@ def stream_parts(directory: str) -> tuple[list[str], list[Violation]]:
     return paths, breaks
 
 
-def iter_part_rows(path: str, columns: Sequence[str] = ()) -> Iterator[tuple[str, ...]]:
-    """Yield, per row of one part file, the values of ``columns`` in that order.
+def iter_part_rows(path: str, chain: str, event: str, columns: Sequence[str] = (),
+                   check_header: Callable[[list[str]], str | None] | None = None,
+                   ) -> Iterator[tuple[str, ...]]:
+    """Yield, per row of one part file of stream ``chain``/``event``, the values of ``columns``.
 
     Each column is resolved once, to its position in the header; no dict is built
-    per row. Raises IoFailure naming ``path`` on a read error, an empty file, a
-    column the header lacks, or a row whose width differs from the header's.
+    per row. ``check_header`` returns why a header is unusable, or None. Raises
+    FileFault naming ``path`` on a read error, bytes not UTF-8, an empty file, a header
+    fault, and, with its line, at the first row whose width or ``chain``/``event`` is wrong.
     """
     try:
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             header = next(reader, None)
             if header is None:
-                raise IoFailure(f"{path}: empty file")
+                raise FileFault("header", path, "part file has no header")
+            fault = check_header(header) if check_header else None
+            if fault:
+                raise FileFault("header", path, fault)
             for name in columns:
                 if name not in header:
-                    raise IoFailure(f"{path}: header lacks column {name!r}")
+                    raise FileFault("header", path, f"header lacks column {name!r}")
             positions = [header.index(name) for name in columns]
             # itemgetter of one position returns a bare value, of none it fails
             pick = (itemgetter(*positions) if len(positions) > 1
                     else lambda row: tuple(row[i] for i in positions))
             width = len(header)
             for row in reader:
-                if len(row) != width:
-                    raise IoFailure(f"{path}:{reader.line_num}: row width {len(row)} "
-                                    f"!= header {width}")
+                if len(row) != width or row[0] != chain or row[1] != event:
+                    if len(row) != width:
+                        raise FileFault("ordering", path, "row is not a decodable event row "
+                                        f"of {width} columns", reader.line_num)
+                    raise FileFault("naming", path, f"row names {row[0]}/{row[1]}, directory "
+                                    f"is {chain}/{event}", reader.line_num)
                 yield pick(row)
     except OSError as exc:
-        raise IoFailure(f"{path}: {exc.strerror or exc}") from exc
+        raise FileFault("naming", path, f"part file unreadable: {exc.strerror or exc}") from exc
     except (csv.Error, UnicodeDecodeError) as exc:
-        raise IoFailure(f"{path}: {exc}") from exc
+        raise FileFault("ordering", path, f"part file not decodable: {exc}") from exc
 
 
 def _validate_stream(directory: str, chain: str, event: str) -> list[Violation]:
@@ -509,78 +552,58 @@ def _validate_stream(directory: str, chain: str, event: str) -> list[Violation]:
     paths, breaks = stream_parts(directory)
     violations.extend(breaks)
 
+    headers: list[list[str]] = []  # the stream's well-formed headers, in part order
+
+    def check_header(header: list[str]) -> str | None:
+        if header[:len(PREFIX_COLUMNS)] != list(PREFIX_COLUMNS) or header[-1:] != ["usd_value"]:
+            return "header does not start with the prefix columns and end with usd_value"
+        headers.append(header)
+        if header != headers[0]:
+            return "header differs from the stream's first well-formed header"
+        return None
+
     actual_parts: list[PartRecord] = []
-    previous_last: tuple[int, int] | None = None
-    first_header: list[str] | None = None
+    faulty: set[int] = set()  # parts with a FileFault, left out of the manifest comparison
+    last_key: tuple[int, int] | None = None  # keys rise across parts too
     for path in paths:
         name = os.path.basename(path)
-        rows = 0
-        first_key = last_key = None
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
-                violations.append(Violation("header", path, "part file has no header"))
-                continue
-            if header[:len(PREFIX_COLUMNS)] != list(PREFIX_COLUMNS) or header[-1:] != ["usd_value"]:
-                violations.append(Violation("header", path, "header does not start with the "
-                                            "prefix columns and end with usd_value"))
-            elif first_header is None:
-                first_header = header
-            elif header != first_header:
-                violations.append(Violation("header", path, "header differs from the stream's "
-                                            "first well-formed header"))
-            width = len(header)
-            for line_no, row in enumerate(reader, start=2):
+        part = int(FILENAME_RE.match(name).group("part"))
+        rows, first_key = 0, None
+        keys = iter_part_rows(path, chain, event, ("block_number", "log_index"), check_header)
+        try:
+            for line_no, (block, index) in enumerate(keys, start=2):
                 try:
-                    key = (int(row[2]), int(row[5]))
-                except (IndexError, ValueError):
-                    key = None
-                if key is None or len(row) != width:
-                    violations.append(Violation(
-                        "ordering", path, f"row is not a decodable event row of {width} columns",
-                        line=line_no))
+                    key = (int(block), int(index))
+                except ValueError:
+                    violations.append(Violation("ordering", path, "row key (block_number, "
+                                                "log_index) is not two integers", line=line_no))
                     continue
-                if row[0] != chain or row[1] != event:
-                    violations.append(Violation("naming", path, f"row names {row[0]}/{row[1]}, "
-                                                f"directory is {chain}/{event}", line=line_no))
                 if last_key is not None and key <= last_key:
                     violations.append(Violation(
                         "ordering", path,
                         f"key {key} not above previous {last_key}", line=line_no))
-                if first_key is None:
-                    first_key = key
+                first_key = first_key or key
                 last_key = key
                 rows += 1
+        except FileFault as exc:
+            violations.append(exc.violation)
+            faulty.add(part)
+            continue
         if rows > PART_ROW_LIMIT:
             violations.append(Violation(
                 "row_limit", path, f"{rows} rows exceed the {PART_ROW_LIMIT} limit"))
-        if previous_last is not None and first_key is not None and first_key <= previous_last:
-            violations.append(Violation(
-                "ordering", path,
-                f"first key {first_key} not above previous part's last {previous_last}"))
         if first_key is not None:
-            part = int(FILENAME_RE.match(name).group("part"))
             actual_parts.append(PartRecord(part, name, rows, first_key, last_key))
-        previous_last = last_key if last_key is not None else previous_last
 
     mpath = os.path.join(directory, f"manifest.{chain}.{event}")
-    if not os.path.exists(mpath):
-        violations.append(Violation("manifest", mpath, "manifest file missing"))
-        return violations
     try:
-        with open(mpath, "r", encoding="utf-8") as fh:
-            manifest = ShardManifest.from_json(fh.read())
-    except (OSError, ValueError, KeyError) as exc:
-        violations.append(Violation("manifest", mpath, f"manifest unreadable: {exc}"))
+        manifest = load_record(mpath, chain, event, ShardManifest.from_doc)
+    except FileFault as exc:
+        violations.append(exc.violation)
         return violations
-    if manifest.chain != chain or manifest.event != event:
-        violations.append(Violation(
-            "manifest", mpath,
-            f"manifest is for {manifest.chain}/{manifest.event}, not {chain}/{event}"))
     declared = {p.part_number: p for p in manifest.parts}
     actual = {p.part_number: p for p in actual_parts}
-    for number in sorted(set(declared) | set(actual)):
+    for number in sorted((set(declared) | set(actual)) - faulty):
         listed, found = declared.get(number), actual.get(number)
         if listed != found:
             detail = ("on disk but not in manifest" if listed is None

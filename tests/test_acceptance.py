@@ -312,7 +312,7 @@ def test_criterion_06_scanner_coverage_and_resume(report, registry, tmp_path):
             scan_event(plan, gateway, DecodingSink(writer, schema, SMOKE_CHAIN.chain_name),
                        checkpoint_file=cp_file, sleeper=lambda _s: None)
         writer.flush()
-        checkpoint = Checkpoint.load(cp_file)
+        checkpoint = Checkpoint.load(cp_file, SMOKE_CHAIN.chain_name, schema.event_name)
         gateway, _ = _synthetic_gateway(registry, blocks)
         writer = ShardWriter.resume(root, SMOKE_CHAIN.chain_name, schema,
                                     checkpoint.current_part_number,

@@ -229,7 +229,7 @@ class TestExtract:
         key = (victim["blockNumber"], victim["logIndex"])
         assert f"ethereum/Borrow log {key}" in result.stderr
         cp_file = checkpoint_path(str(out), "ethereum", "Borrow")
-        assert Checkpoint.load(cp_file).last_completed_block < key[0]
+        assert Checkpoint.load(cp_file, "ethereum", "Borrow").last_completed_block < key[0]
 
 
 class TestChainProcesses:
@@ -563,7 +563,7 @@ class TestLiveExtract:
         assert "Traceback" not in result.output
         assert f"log {key} removed by a reorg" in result.stderr
         cp_file = checkpoint_path(str(tmp_path / "out"), "ethereum", "Borrow")
-        assert Checkpoint.load(cp_file).last_completed_block < key[0]
+        assert Checkpoint.load(cp_file, "ethereum", "Borrow").last_completed_block < key[0]
 
     def test_null_get_logs_result_exits_3(self, live):
         result, _rpc = live(null_logs=True)

@@ -12,9 +12,14 @@ Beyond the code:
 - a reader that exits 0 gives the same output as on the intact tree;
 - a lenient aggregate whose strict form fails names the file in a warning
   and gives its own output on a copy of the tree with that part removed.
+
+A second sweep corrupts a stream's own records instead, ``checkpoint.json``,
+the manifest of a finalized stream and the open part of an interrupted one,
+and runs ``extract --resume`` on it: each case exits 4 naming the file.
 """
 
 import csv
+import json
 import os
 import shutil
 from functools import partial
@@ -38,13 +43,16 @@ EXPECTED = {
     "timestamp_beyond_year_9999": (0, 0, 4, 4, 0),  # an integer no UTC day can name
     "non_integer_amount": (0, 0, 0, 4, 4),
     "backwards_key": (1, 0, 0, 0, 4),
-    "relabelled_event": (1, 0, 0, 0, 4),  # a Supply row labelled Borrow
-    "relabelled_chain": (1, 0, 0, 0, 4),  # an ethereum row labelled base
+    "relabelled_event": (1, 4, 4, 4, 4),  # a Supply row labelled Borrow
+    "relabelled_chain": (1, 4, 4, 4, 4),  # an ethereum row labelled base
+    "non_utf8_byte": (1, 4, 4, 4, 4),
     "truncated_last_line": (1, 4, 4, 4, 4),
     "empty_part": (1, 4, 4, 4, 4),
     "missing_part": (1, 4, 4, 4, 4),
     "duplicated_part_number": (1, 4, 4, 4, 4),
+    "part_is_directory": (1, 4, 4, 4, 4),
     "manifest_not_json": (1, 0, 0, 0, 0),
+    "manifest_is_list": (1, 0, 0, 0, 0),  # JSON, but not an object
     "stale_open_part": (1, 0, 0, 0, 0),
 }
 
@@ -106,8 +114,18 @@ def _corrupt(kind: str, stream: str, victim: str) -> tuple[str, str | None]:
         with open(victim, "wb") as fh:
             fh.write(data[:len(data) - len(last) // 2 - 1])
         return name, victim
+    if kind == "non_utf8_byte":
+        with open(victim, "rb") as fh:
+            data = fh.read()
+        with open(victim, "wb") as fh:
+            fh.write(data.replace(b",0x", b",\xffx", 1))
+        return name, victim
     if kind == "empty_part":
         open(victim, "w").close()
+        return name, victim
+    if kind == "part_is_directory":
+        os.remove(victim)
+        os.mkdir(victim)
         return name, victim
     if kind == "missing_part":
         os.remove(victim)
@@ -116,9 +134,9 @@ def _corrupt(kind: str, stream: str, victim: str) -> tuple[str, str | None]:
         duplicate = os.path.join(stream, name[:-len("YYYYMMDD_HHMMSS.csv")] + "99991231_235959.csv")
         shutil.copyfile(victim, duplicate)
         return os.path.basename(duplicate), duplicate
-    if kind == "manifest_not_json":
+    if kind in ("manifest_not_json", "manifest_is_list"):
         with open(os.path.join(stream, "manifest.ethereum.Supply"), "w") as fh:
-            fh.write("{not json")
+            fh.write("{not json" if kind == "manifest_not_json" else "[]")
         return "manifest.ethereum.Supply", None
     assert kind == "stale_open_part"
     shutil.copyfile(victim, os.path.join(stream, ".part005.open.csv"))
@@ -191,7 +209,8 @@ def test_every_reader_on_every_corruption(kind, intact, tmp_path, price_table_pa
     without = str(tmp_path / "without")
     shutil.copytree(corrupt, without)
     if removed is not None:
-        os.remove(removed.replace(corrupt, without, 1))
+        removed = removed.replace(corrupt, without, 1)
+        shutil.rmtree(removed) if os.path.isdir(removed) else os.remove(removed)
     for reader, strict in zip(METRICS, EXPECTED[kind][1:4]):
         code, output, text = _run(corrupt, reader, str(tmp_path), price_table_path, True)
         assert code == 0, (reader, text)
@@ -200,3 +219,114 @@ def test_every_reader_on_every_corruption(kind, intact, tmp_path, price_table_pa
             continue
         assert needle in text, (reader, text)
         assert output == _run(without, reader, str(tmp_path), price_table_path, True)[1], reader
+
+
+def _edit_json(edit):
+    def corrupt(path):
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        edit(doc)
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh)
+    return corrupt
+
+
+def _write(data: bytes):
+    def corrupt(path):
+        with open(path, "wb") as fh:
+            fh.write(data)
+    return corrupt
+
+
+def _edit_first_row(edit):
+    def corrupt(path):
+        with open(path, "rb") as fh:
+            header, first, rest = fh.read().split(b"\n", 2)
+        with open(path, "wb") as fh:
+            fh.write(b"\n".join([header, edit(first), rest]))
+    return corrupt
+
+
+def _set_log_index(row: bytes) -> bytes:
+    cells = row.split(b",")
+    cells[5] = b"x"
+    return b",".join(cells)
+
+
+def _interrupt(stream: str) -> None:
+    """Make finalized ethereum/Supply look killed in part001: its checkpoint keeps 5
+    rows of the open part, and the part is back under its dot-name."""
+    os.remove(os.path.join(stream, "manifest.ethereum.Supply"))
+    for name in os.listdir(stream):
+        if "_part001_" in name:
+            os.replace(os.path.join(stream, name), os.path.join(stream, ".part001.open.csv"))
+    with open(os.path.join(stream, ".part001.open.csv"), encoding="utf-8") as fh:
+        fifth = fh.read().split("\n")[5].split(",")
+    _edit_json(lambda doc: doc.update(
+        last_completed_block=int(fifth[2]), rows_emitted_total=5, current_part_number=1,
+        rows_in_current_part=5, parts=[]))(os.path.join(stream, "checkpoint.json"))
+
+
+# corruption per case: (file of ethereum/Supply, edit of that file)
+RESUME_CASES = {
+    "checkpoint_not_json": ("checkpoint.json", _write(b"{not json")),
+    "checkpoint_is_list": ("checkpoint.json", _write(b"[]")),
+    "checkpoint_empty_object": ("checkpoint.json", _write(b"{}")),
+    "checkpoint_non_integer_block": (
+        "checkpoint.json", _edit_json(lambda doc: doc.update(last_completed_block="x"))),
+    "checkpoint_part_without_first_key": (
+        "checkpoint.json", _edit_json(lambda doc: doc["parts"][0].pop("first_key"))),
+    "checkpoint_part_filename_not_text": (
+        "checkpoint.json", _edit_json(lambda doc: doc["parts"][0].update(filename=5))),
+    "checkpoint_of_another_event": (
+        "checkpoint.json", _edit_json(lambda doc: doc.update(event="Borrow"))),
+    "checkpoint_not_utf8": ("checkpoint.json", _write(b'{"chain": "\xff"}')),
+    "manifest_not_json": ("manifest.ethereum.Supply", _write(b"{not json")),
+    "manifest_is_list": ("manifest.ethereum.Supply", _write(b"[]")),
+    "manifest_empty_object": ("manifest.ethereum.Supply", _write(b"{}")),
+    "open_part_not_utf8": (
+        ".part001.open.csv", _edit_first_row(lambda row: row.replace(b",0x", b",\xffx", 1))),
+    "open_part_non_integer_key": (".part001.open.csv", _edit_first_row(_set_log_index)),
+}
+
+
+@pytest.mark.parametrize("case", list(RESUME_CASES))
+def test_resume_on_a_corrupt_record(case, intact, tmp_path, mini_corpus_dir):
+    tree, _outputs = intact
+    corrupt = str(tmp_path / "corrupt")
+    shutil.copytree(tree, corrupt)
+    stream = os.path.join(corrupt, "ethereum", "Supply")
+    name, edit = RESUME_CASES[case]
+    if name.endswith(".open.csv"):
+        _interrupt(stream)
+    edit(os.path.join(stream, name))
+
+    result = CliRunner().invoke(cli.main, [
+        "extract", "--chain", "ethereum", "--event", "Supply", "--out", corrupt,
+        "--fixture-dir", mini_corpus_dir, "--resume"])
+    assert isinstance(result.exception, SystemExit), (result.output, result.exc_info)
+    assert "Traceback" not in result.output, result.output
+    assert result.exit_code == 4, result.output
+    assert os.path.join(stream, name) in result.output, result.output
+
+
+def _stream_rows(stream: str) -> list[str]:
+    rows = []
+    for name in sorted(n for n in os.listdir(stream) if n.startswith("aave_V3_")):
+        with open(os.path.join(stream, name), encoding="utf-8") as fh:
+            rows.extend(fh.read().splitlines()[1:])
+    return rows
+
+
+def test_interrupted_stream_resumes_to_the_same_rows(intact, tmp_path, mini_corpus_dir):
+    """The state the open-part cases corrupt is sound: left intact, it resumes."""
+    tree, _outputs = intact
+    resumed = str(tmp_path / "resumed")
+    shutil.copytree(tree, resumed)
+    _interrupt(os.path.join(resumed, "ethereum", "Supply"))
+    result = CliRunner().invoke(cli.main, [
+        "extract", "--chain", "ethereum", "--event", "Supply", "--out", resumed,
+        "--fixture-dir", mini_corpus_dir, "--resume"])
+    assert result.exit_code == 0, result.output
+    assert (_stream_rows(os.path.join(resumed, "ethereum", "Supply"))
+            == _stream_rows(os.path.join(tree, "ethereum", "Supply")))

@@ -159,7 +159,8 @@ class TestCoverage:
         assert "[5, " in excinfo.value.detail
         assert sleeps == [2.0, 4.0, 8.0, 16.0, 32.0] + [60.0] * (RATE_LIMIT_RETRIES - 5)
         assert len(gw.calls) == 1 + RATE_LIMIT_RETRIES + 1
-        assert Checkpoint.load(cp_file).last_completed_block == 4  # the first batch only
+        checkpoint = Checkpoint.load(cp_file, CHAIN.chain_name, SCHEMA.event_name)
+        assert checkpoint.last_completed_block == 4  # the first batch only
 
     def test_a_commit_renews_the_rate_limit_budget(self):
         sleeps = []
@@ -233,13 +234,14 @@ def test_checkpoint_persisted_per_batch(tmp_path):
     seen = []
 
     def watch(summary, scanned_to, end):
-        seen.append(Checkpoint.load(cp_file).last_completed_block)
+        checkpoint = Checkpoint.load(cp_file, CHAIN.chain_name, SCHEMA.event_name)
+        seen.append(checkpoint.last_completed_block)
 
     scan_event(_plan(0, 99, 40), gw, sink, checkpoint_file=cp_file,
                sleeper=lambda _s: None, on_progress=watch)
     assert seen == [39, 79, 99]
     assert seen == sorted(seen)  # never decreases
-    final = Checkpoint.load(cp_file)
+    final = Checkpoint.load(cp_file, CHAIN.chain_name, SCHEMA.event_name)
     assert final.last_completed_block == 99
     assert final.rows_emitted_total == 3
     assert final.chain == "testchain"

@@ -160,7 +160,8 @@ class TestOrdering:
         directory = stream_dir(str(tmp_path), "ethereum", "MintedToTreasury")
         (name,) = list_stream_parts(directory)
         columns = PREFIX_COLUMNS + ("reserve", "amountMinted", "usd_value")
-        rows = list(iter_part_rows(os.path.join(directory, name), columns))
+        rows = list(iter_part_rows(os.path.join(directory, name), "ethereum",
+                                   "MintedToTreasury", columns))
         rebuilt = [
             DecodedEvent(
                 chain_name=chain,
@@ -316,7 +317,7 @@ def _kill_point_run(root, resume=False):
     cp_file = checkpoint_path(root, CHAIN.chain_name, SCHEMA.event_name)
     record = Checkpoint(CHAIN.chain_name, SCHEMA.event_name, -1, 0, 0, 0)
     if os.path.exists(cp_file):
-        record = Checkpoint.load(cp_file)
+        record = Checkpoint.load(cp_file, CHAIN.chain_name, SCHEMA.event_name)
     ticks = itertools.count()
     start = datetime(2026 if resume else 2025, 1, 1, tzinfo=timezone.utc)
 
@@ -512,6 +513,7 @@ class TestValidate:
     def test_manifest_roundtrip(self, registry, tmp_path):
         directory = _build_valid_tree(registry, tmp_path)
         path = os.path.join(directory, "manifest.ethereum.MintedToTreasury")
-        manifest = ShardManifest.from_json(open(path).read())
+        manifest = ShardManifest.from_doc(json.load(open(path)))
         assert manifest.chain == "ethereum"
-        assert manifest.to_json() == ShardManifest.from_json(manifest.to_json()).to_json()
+        again = ShardManifest.from_doc(json.loads(manifest.to_json()))
+        assert manifest.to_json() == again.to_json()
