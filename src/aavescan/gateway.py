@@ -399,29 +399,6 @@ def _read_timestamps(block_of: dict[int, int], reply) -> dict[int, int]:
 FaultScript = Callable[[int, LogQuery], Optional[ErrorKind]]
 
 
-def max_span_fault(max_span: int) -> FaultScript:
-    """RESPONSE_TOO_LARGE for any query wider than ``max_span`` blocks."""
-
-    def script(call_index: int, query: LogQuery) -> ErrorKind | None:
-        if query.to_block - query.from_block + 1 > max_span:
-            return ErrorKind.RESPONSE_TOO_LARGE
-        return None
-
-    return script
-
-
-def scripted_faults(kinds: Iterable[ErrorKind | None]) -> FaultScript:
-    """Inject the n-th entry on the n-th call; exhausted scripts inject nothing."""
-    sequence = list(kinds)
-
-    def script(call_index: int, query: LogQuery) -> ErrorKind | None:
-        if call_index < len(sequence):
-            return sequence[call_index]
-        return None
-
-    return script
-
-
 class FixtureGateway(_GatewayBase):
     """Deterministic corpus-backed emulator.
 

@@ -1,8 +1,14 @@
 """Adaptive batch walker over one (chain, event) block range.
 
-The scanner issues getLogs queries batch by batch, halving the batch width
-on rate-limit or oversize responses and doubling it again after a streak of
-successes. A batch commits by handing its ordered logs to the sink, flushing
+The scanner issues getLogs queries batch by batch. A rate limit halves the
+batch width and a streak of successes doubles it. A too-large refusal bounds
+the span the provider answers: from then on each wider query goes at most
+halfway from the widest span answered to the narrowest refused, so every
+refusal at least halves the gap between them. Now and then growth passes the
+refused span once, and a wider span answered there drops it: a limit on
+results, not span, moves with the density of the range. A plan may start
+from the spans an earlier scan of the same chain learned; nothing keeps them
+longer. A batch commits by handing its ordered logs to the sink, flushing
 them durably, and only then persisting the checkpoint, so an interrupted run
 resumed from the checkpoint covers every block exactly once.
 """
@@ -18,11 +24,12 @@ from typing import Callable, Protocol
 
 from .gateway import ErrorKind, GatewayError, LogQuery
 from .registry import ChainConfig, EventSchema
-from .sink import PartRecord, _atomic_write, load_record
+from .sink import MAX_PART_NUMBER, PART_ROW_LIMIT, PartRecord, _atomic_write, load_record
 
 DEFAULT_BATCH_SIZE = 10_000
 DEFAULT_BATCH_MAX = 100_000
 GROWTH_STREAK = 5  # consecutive clean batches before the size doubles
+REPROBE_STREAKS = 8  # streaks in a scan per growth past the refused span
 
 RATE_LIMIT_PAUSE_S = 2.0
 RATE_LIMIT_PAUSE_CAP_S = 60.0
@@ -32,14 +39,13 @@ RATE_LIMIT_RETRIES = 12  # pauses in a row, about 8 minutes, before a range is g
 class Outcome(enum.Enum):
     SUCCESS_STREAK = "success_streak"
     RATE_LIMITED = "rate_limited"
-    RESPONSE_TOO_LARGE = "response_too_large"
 
 
 def resize(batch_size: int, outcome: Outcome, batch_max: int = DEFAULT_BATCH_MAX) -> int:
-    """New batch size after ``outcome``: halve on faults, double on a streak."""
+    """New batch size after ``outcome``: halve on a rate limit, double on a streak."""
     if batch_size < 1:
         raise ValueError(f"batch_size {batch_size} below 1")
-    if outcome in (Outcome.RATE_LIMITED, Outcome.RESPONSE_TOO_LARGE):
+    if outcome is Outcome.RATE_LIMITED:
         return max(batch_size // 2, 1)
     return min(batch_size * 2, batch_max)
 
@@ -67,6 +73,8 @@ class ScanPlan:
     end_block: int
     batch_size: int = DEFAULT_BATCH_SIZE
     batch_max: int = DEFAULT_BATCH_MAX
+    accepted_span: int = 0  # widest query answered below refused_span, 0 if none
+    refused_span: int | None = None  # narrowest query refused as too large
 
     def validate(self) -> None:
         if not self.chain.start_block <= self.cursor <= self.end_block + 1:
@@ -78,6 +86,9 @@ class ScanPlan:
             raise ValueError(
                 f"batch_size {self.batch_size} outside [1, {self.batch_max}]"
             )
+        if self.refused_span is not None and not 0 < self.accepted_span < self.refused_span:
+            raise ValueError(f"accepted span {self.accepted_span} outside "
+                             f"[1, refused span {self.refused_span})")
 
 
 @dataclass
@@ -105,12 +116,20 @@ class Checkpoint:
         return load_record(path, chain, event, lambda doc: cls(
             chain=doc["chain"],
             event=doc["event"],
-            last_completed_block=int(doc["last_completed_block"]),
-            rows_emitted_total=int(doc["rows_emitted_total"]),
-            current_part_number=int(doc["current_part_number"]),
-            rows_in_current_part=int(doc["rows_in_current_part"]),
+            last_completed_block=_count(doc, "last_completed_block"),
+            rows_emitted_total=_count(doc, "rows_emitted_total"),
+            current_part_number=_count(doc, "current_part_number", MAX_PART_NUMBER),
+            rows_in_current_part=_count(doc, "rows_in_current_part", PART_ROW_LIMIT),
             parts=tuple(PartRecord.from_doc(p) for p in doc.get("parts", ())),
         ))
+
+
+def _count(doc: dict, key: str, limit: float = float("inf")) -> int:
+    """``doc[key]`` as an integer in 0..``limit``; ValueError otherwise."""
+    value = int(doc[key])
+    if not 0 <= value <= limit:
+        raise ValueError(f"{key} {value} outside 0..{limit}")
+    return value
 
 
 def checkpoint_path(out_dir: str, chain: str, event: str) -> str:
@@ -124,6 +143,8 @@ class ScanSummary:
     rows_emitted: int = 0
     batches_issued: int = 0
     resize_events: int = 0
+    accepted_span: int = 0  # the plan's learned spans, as the scan left them
+    refused_span: int | None = None
 
 
 ProgressFn = Callable[[ScanSummary, int, int], None]
@@ -141,17 +162,24 @@ def scan_event(
     """Scan ``[plan.cursor, plan.end_block]`` completely, committing per batch.
 
     RateLimited halves the batch and pauses before retrying the same range, up
-    to RATE_LIMIT_RETRIES pauses in a row; ResponseTooLarge halves and retries
-    at once, up to a single-block query. Past either limit, and on terminal
-    (and surfaced transient) gateway errors, the scan aborts with the checkpoint intact.
+    to RATE_LIMIT_RETRIES pauses in a row; ResponseTooLarge retries at once at
+    the midpoint of the accepted and refused spans (half the refused span when
+    none narrower was accepted), up to a single-block query. Growth stops at
+    that midpoint except on every REPROBE_STREAKS-th streak. Past either limit,
+    and on terminal (and surfaced transient) gateway errors, the scan aborts
+    with the checkpoint intact. A plan that knows a refused span starts at its
+    accepted span; the summary carries both spans to the chain's next plan.
     """
     plan.validate()
-    summary = ScanSummary(chain=plan.chain.chain_name, event=plan.event.event_name)
-    summary.rows_emitted = rows_emitted_so_far
+    summary = ScanSummary(chain=plan.chain.chain_name, event=plan.event.event_name,
+                          rows_emitted=rows_emitted_so_far, accepted_span=plan.accepted_span,
+                          refused_span=plan.refused_span)
 
     cursor = plan.cursor
     batch_size = plan.batch_size
-    streak = 0
+    if plan.refused_span is not None:  # start at the span the provider is known to answer
+        batch_size = plan.accepted_span
+    streak = streaks = 0
     rate_limited = 0  # pauses since the last committed batch
     last_key: tuple[int, int] | None = None
 
@@ -177,12 +205,16 @@ def scan_event(
                 rate_limited += 1
                 continue
             if exc.kind is ErrorKind.RESPONSE_TOO_LARGE:
-                if batch_size == 1:
+                span = hi - cursor + 1
+                if span == 1:
                     raise GatewayError(
                         ErrorKind.TERMINAL,
                         f"single-block query [{cursor}, {hi}] still oversized",
                     ) from exc
-                batch_size = resize(batch_size, Outcome.RESPONSE_TOO_LARGE, plan.batch_max)
+                summary.refused_span = min(span, summary.refused_span or span)
+                if summary.accepted_span >= summary.refused_span:
+                    summary.accepted_span = 0  # refused a span answered elsewhere: halve
+                batch_size = (summary.accepted_span + summary.refused_span) // 2
                 summary.resize_events += 1
                 streak = 0
                 continue
@@ -198,6 +230,9 @@ def scan_event(
 
         summary.rows_emitted += sink.commit_batch(logs)
         summary.batches_issued += 1
+        summary.accepted_span = max(summary.accepted_span, hi - cursor + 1)
+        if summary.refused_span is not None and summary.accepted_span >= summary.refused_span:
+            summary.refused_span = None  # answered a span once refused: no span limit
         cursor = hi + 1
         rate_limited = 0
 
@@ -217,7 +252,10 @@ def scan_event(
 
         streak += 1
         if streak >= GROWTH_STREAK:
+            streaks += 1
             grown = resize(batch_size, Outcome.SUCCESS_STREAK, plan.batch_max)
+            if summary.refused_span is not None and streaks % REPROBE_STREAKS:
+                grown = min(grown, (summary.accepted_span + summary.refused_span) // 2)
             if grown != batch_size:
                 summary.resize_events += 1
                 batch_size = grown

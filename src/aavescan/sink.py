@@ -393,8 +393,9 @@ class ShardWriter:
                 if index > keep_rows or not line.endswith(b"\n"):
                     break
                 size += len(line)
+                text = line.decode("utf-8")  # every kept row must decode, not only these
                 if index in (0, 1, keep_rows):
-                    picked[index] = next(csv.reader([line.decode("utf-8")]))
+                    picked[index] = next(csv.reader([text]))
             if picked.get(0) != self._header:
                 raise IoFailure(f"open part {path!r} has an unexpected header")
             if keep_rows not in picked:

@@ -19,6 +19,7 @@ from click.testing import CliRunner
 
 import corpusgen
 import reference
+from faults import scripted_faults
 from oracles import (
     ERC20_TRANSFER_TOPIC,
     o_close_factor,
@@ -38,7 +39,6 @@ from aavescan.gateway import (
     HttpGateway,
     LogQuery,
     RawLog,
-    scripted_faults,
 )
 from aavescan.keccak import keccak256_hex
 from aavescan.raymath import RAY, SECONDS_PER_YEAR, compounded_interest, linear_interest

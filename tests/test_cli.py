@@ -188,7 +188,9 @@ class TestExtract:
     def test_terminal_gateway_error_exits_3(self, runner, tmp_path, mini_corpus_dir,
                                             monkeypatch):
         import aavescan.cli as cli_module
-        from aavescan.gateway import ErrorKind, FixtureGateway, scripted_faults
+        from faults import scripted_faults
+
+        from aavescan.gateway import ErrorKind, FixtureGateway
 
         real = cli_module._make_gateway
 

@@ -15,7 +15,8 @@ Beyond the code:
 
 A second sweep corrupts a stream's own records instead, ``checkpoint.json``,
 the manifest of a finalized stream and the open part of an interrupted one,
-and runs ``extract --resume`` on it: each case exits 4 naming the file.
+and runs ``extract --resume`` on it: each case exits 4 naming the file, and
+a rejected ``checkpoint.json`` or manifest leaves every file as it was.
 """
 
 import csv
@@ -238,19 +239,33 @@ def _write(data: bytes):
     return corrupt
 
 
-def _edit_first_row(edit):
+def _edit_row(number, edit):
+    """Edit row ``number`` of a part; row 1 follows the header."""
     def corrupt(path):
         with open(path, "rb") as fh:
-            header, first, rest = fh.read().split(b"\n", 2)
+            lines = fh.read().split(b"\n")
+        lines[number] = edit(lines[number])
         with open(path, "wb") as fh:
-            fh.write(b"\n".join([header, edit(first), rest]))
+            fh.write(b"\n".join(lines))
     return corrupt
+
+
+def _not_utf8(row: bytes) -> bytes:
+    return row.replace(b",0x", b",\xffx", 1)
 
 
 def _set_log_index(row: bytes) -> bytes:
     cells = row.split(b",")
     cells[5] = b"x"
     return b",".join(cells)
+
+
+def _interrupted(edit):
+    """``edit`` of a file of a stream first made to look killed (``_interrupt``)."""
+    def corrupt(path):
+        _interrupt(os.path.dirname(path))
+        edit(path)
+    return corrupt
 
 
 def _interrupt(stream: str) -> None:
@@ -281,12 +296,15 @@ RESUME_CASES = {
     "checkpoint_of_another_event": (
         "checkpoint.json", _edit_json(lambda doc: doc.update(event="Borrow"))),
     "checkpoint_not_utf8": ("checkpoint.json", _write(b'{"chain": "\xff"}')),
+    "checkpoint_negative_part": ("checkpoint.json", _interrupted(_edit_json(
+        lambda doc: doc.update(current_part_number=-2, rows_in_current_part=3)))),
     "manifest_not_json": ("manifest.ethereum.Supply", _write(b"{not json")),
     "manifest_is_list": ("manifest.ethereum.Supply", _write(b"[]")),
     "manifest_empty_object": ("manifest.ethereum.Supply", _write(b"{}")),
-    "open_part_not_utf8": (
-        ".part001.open.csv", _edit_first_row(lambda row: row.replace(b",0x", b",\xffx", 1))),
-    "open_part_non_integer_key": (".part001.open.csv", _edit_first_row(_set_log_index)),
+    "open_part_not_utf8": (".part001.open.csv", _interrupted(_edit_row(1, _not_utf8))),
+    "open_part_not_utf8_in_a_middle_row": (
+        ".part001.open.csv", _interrupted(_edit_row(3, _not_utf8))),
+    "open_part_non_integer_key": (".part001.open.csv", _interrupted(_edit_row(1, _set_log_index))),
 }
 
 
@@ -297,9 +315,8 @@ def test_resume_on_a_corrupt_record(case, intact, tmp_path, mini_corpus_dir):
     shutil.copytree(tree, corrupt)
     stream = os.path.join(corrupt, "ethereum", "Supply")
     name, edit = RESUME_CASES[case]
-    if name.endswith(".open.csv"):
-        _interrupt(stream)
     edit(os.path.join(stream, name))
+    files = sorted(os.listdir(stream))
 
     result = CliRunner().invoke(cli.main, [
         "extract", "--chain", "ethereum", "--event", "Supply", "--out", corrupt,
@@ -308,6 +325,8 @@ def test_resume_on_a_corrupt_record(case, intact, tmp_path, mini_corpus_dir):
     assert "Traceback" not in result.output, result.output
     assert result.exit_code == 4, result.output
     assert os.path.join(stream, name) in result.output, result.output
+    if not name.endswith(".open.csv"):  # a record the resume rejects leaves every file as it was
+        assert sorted(os.listdir(stream)) == files
 
 
 def _stream_rows(stream: str) -> list[str]:

@@ -16,9 +16,9 @@ from aavescan.gateway import (
     LogQuery,
     RawLog,
     classify_error,
-    max_span_fault,
-    scripted_faults,
 )
+
+from faults import max_span_fault, scripted_faults
 
 POOL = "0x" + "aa" * 20
 TOPIC = bytes.fromhex("11" * 32)

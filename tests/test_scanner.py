@@ -1,19 +1,23 @@
+import bisect
+import math
 import random
 
 import pytest
+
+from faults import max_span_fault, scripted_faults
 
 from aavescan.gateway import (
     ErrorKind,
     FixtureGateway,
     GatewayError,
     RawLog,
-    max_span_fault,
-    scripted_faults,
 )
 from aavescan.registry import ChainConfig, EventField, EventSchema
 from aavescan.keccak import keccak256
 from aavescan.scanner import (
+    GROWTH_STREAK,
     RATE_LIMIT_RETRIES,
+    REPROBE_STREAKS,
     Checkpoint,
     Outcome,
     ScanPlan,
@@ -27,6 +31,13 @@ SCHEMA = EventSchema(
     canonical_signature=SIG,
     topic0=keccak256(SIG.encode()),
     fields=(EventField("reserve", "address", True), EventField("amountMinted", "uint256")),
+)
+SIG2 = "IsolationModeTotalDebtUpdated(address,uint256)"
+SCHEMA2 = EventSchema(
+    event_name="IsolationModeTotalDebtUpdated",
+    canonical_signature=SIG2,
+    topic0=keccak256(SIG2.encode()),
+    fields=(EventField("asset", "address", True), EventField("totalDebt", "uint256")),
 )
 CHAIN = ChainConfig("testchain", "0x" + "aa" * 20, 0, 10**6, "RPC_URL_TESTCHAIN")
 
@@ -73,9 +84,12 @@ def _gateway(blocks, fault_script=None, head=10**6):
     return FixtureGateway(logs, timestamps, head_block=head, fault_script=fault_script)
 
 
-def _plan(cursor, end, batch, batch_max=100_000):
-    return ScanPlan(chain=CHAIN, event=SCHEMA, cursor=cursor, end_block=end,
-                    batch_size=batch, batch_max=batch_max)
+def _plan(cursor, end, batch, batch_max=100_000, learned=None, event=SCHEMA):
+    """A plan; ``learned``, an earlier scan's summary, gives it that scan's spans."""
+    spans = {} if learned is None else {"accepted_span": learned.accepted_span,
+                                        "refused_span": learned.refused_span}
+    return ScanPlan(chain=CHAIN, event=event, cursor=cursor, end_block=end,
+                    batch_size=batch, batch_max=batch_max, **spans)
 
 
 def committed_ranges(gateway, fault_script=None):
@@ -91,7 +105,7 @@ def committed_ranges(gateway, fault_script=None):
 
 class TestResize:
     def test_halving(self):
-        assert resize(10_000, Outcome.RESPONSE_TOO_LARGE) == 5_000
+        assert resize(10_000, Outcome.RATE_LIMITED) == 5_000
 
     def test_floor_clamp(self):
         assert resize(1, Outcome.RATE_LIMITED) == 1
@@ -201,30 +215,120 @@ class TestCoverage:
 def test_randomized_fault_scripts_partition_exactly():
     for seed in range(60):
         rng = random.Random(seed)
-        start = rng.randrange(0, 50)
-        end = start + rng.randrange(0, 400)
-        blocks = sorted(rng.randrange(start, end + 1) for _ in range(rng.randrange(0, 60)))
-        faults = [
-            rng.choice([None, None, None, ErrorKind.RATE_LIMITED, ErrorKind.RESPONSE_TOO_LARGE])
-            for _ in range(rng.randrange(0, 30))
-        ]
-        script = scripted_faults(faults)
-        gw = _gateway(blocks, fault_script=script)
+        summary = None
+        for plan_index in range(2):  # the second plan starts from the spans the first learned
+            start = rng.randrange(0, 50)
+            end = start + rng.randrange(0, 400)
+            blocks = sorted(rng.randrange(start, end + 1) for _ in range(rng.randrange(0, 60)))
+            faults = [
+                rng.choice([None, None, None, ErrorKind.RATE_LIMITED,
+                            ErrorKind.RESPONSE_TOO_LARGE])
+                for _ in range(rng.randrange(0, 30))
+            ]
+            script = scripted_faults(faults)
+            gw = _gateway(blocks, fault_script=script)
+            sink = ListSink()
+            plan = _plan(start, end, rng.choice([1, 3, 8, 32]), batch_max=64, learned=summary)
+            try:
+                summary = scan_event(plan, gw, sink, sleeper=lambda _s: None)
+            except GatewayError as exc:
+                # only the shrink-below-one-block dead end may abort
+                assert "oversized" in exc.detail
+                break
+            where = f"seed {seed}, plan {plan_index}"
+            covered = []
+            for lo, hi in committed_ranges(gw, script):
+                covered.extend(range(lo, hi + 1))
+            assert covered == list(range(start, end + 1)), where
+            keys = [log.key for log in sink.rows]
+            assert keys == sorted(set(keys)), where
+            assert summary.rows_emitted == len(blocks), where
+
+
+def _refusals(gateway, summary):
+    return len(gateway.calls) - summary.batches_issued
+
+
+class TestLearnedSpans:
+    def test_the_next_event_starts_at_the_learned_span(self):
+        script = max_span_fault(25)
+        first_gw = _gateway(range(0, 300, 7), fault_script=script)
+        first = scan_event(_plan(0, 299, 100), first_gw, ListSink(), sleeper=lambda _s: None)
+        assert (first.accepted_span, first.refused_span) == (25, 26)
+        assert _refusals(first_gw, first) > 0
+
+        second_gw = _gateway(range(0, 300, 7), fault_script=script)
+        second = scan_event(_plan(0, 299, 100, learned=first, event=SCHEMA2), second_gw,
+                            ListSink(), sleeper=lambda _s: None)
+        assert _refusals(second_gw, second) == 0
+        assert committed_ranges(second_gw) == [(lo, lo + 24) for lo in range(0, 300, 25)]
+        assert (second.accepted_span, second.refused_span) == (25, 26)
+
+    def test_refusals_per_scan_stay_within_the_halving_budget(self):
+        """The live-stub shape: a 2,000-block limit, --batch 10,000, 13 scans of a
+        24,000-block window. Halving alone costs ceil(log2(batch / limit)) refusals."""
+        batch, limit = 10_000, 2_000
+        budget = math.ceil(math.log2(batch / limit)) + 2
+        summary = None
+        per_scan = []
+        for _ in range(13):
+            gw = _gateway([], fault_script=max_span_fault(limit))
+            summary = scan_event(_plan(1_000, 24_999, batch, learned=summary), gw, ListSink(),
+                                 sleeper=lambda _s: None)
+            per_scan.append(_refusals(gw, summary))
+        assert max(per_scan) <= budget, per_scan
+        assert (summary.accepted_span, summary.refused_span) == (limit, limit + 1)
+
+    @pytest.mark.parametrize("batch, limit", [(10_000, 2_000), (10_000, 7), (100, 25), (64, 5)])
+    def test_each_refusal_halves_the_gap(self, batch, limit):
+        """Every query wider than the accepted span goes at most halfway to the refused
+        span, so a chain of scans is refused at most 1 + floor(log2(batch)) times, plus
+        once per re-probe past the refused span, one per REPROBE_STREAKS streaks."""
+        summary = None
+        refusals = probes = 0
+        for _ in range(6):
+            gw = _gateway([], fault_script=max_span_fault(limit))
+            summary = scan_event(_plan(0, 49 * limit, batch, learned=summary), gw, ListSink(),
+                                 sleeper=lambda _s: None)
+            refusals += _refusals(gw, summary)
+            probes += summary.batches_issued // (GROWTH_STREAK * REPROBE_STREAKS)
+        assert refusals <= 1 + math.floor(math.log2(batch)) + probes, (refusals, probes)
+        assert (summary.accepted_span, summary.refused_span) == (limit, limit + 1)
+
+    def test_a_result_count_limit_lets_a_sparse_range_grow_again(self):
+        """A provider that refuses answers of more than 50 logs refuses narrow spans over
+        a dense range only; the re-probe lets the sparse range beyond it grow again."""
+        blocks = list(range(1_000)) + list(range(1_000, 100_000, 1_000))
+
+        def by_count(_call_index, query):
+            n = (bisect.bisect_right(blocks, query.to_block)
+                 - bisect.bisect_left(blocks, query.from_block))
+            return ErrorKind.RESPONSE_TOO_LARGE if n > 50 else None
+
+        gw = _gateway(blocks, fault_script=by_count)
         sink = ListSink()
-        plan = _plan(start, end, rng.choice([1, 3, 8, 32]), batch_max=64)
-        try:
-            summary = scan_event(plan, gw, sink, sleeper=lambda _s: None)
-        except GatewayError as exc:
-            # only the shrink-below-one-block dead end may abort
-            assert "oversized" in exc.detail
-            continue
-        covered = []
-        for lo, hi in committed_ranges(gw, script):
-            covered.extend(range(lo, hi + 1))
-        assert covered == list(range(start, end + 1)), f"seed {seed}"
-        keys = [log.key for log in sink.rows]
-        assert keys == sorted(set(keys)), f"seed {seed}"
-        assert summary.rows_emitted == len(blocks), f"seed {seed}"
+        summary = scan_event(_plan(0, 99_999, 10_000), gw, sink, sleeper=lambda _s: None)
+        assert summary.rows_emitted == len(blocks)
+        assert summary.refused_span is None  # a sparse span answered what the dense one refused
+        assert summary.batches_issued < 100  # spans held under 51 blocks would take 2,000
+
+    def test_a_rate_limit_teaches_no_span(self):
+        script = scripted_faults([ErrorKind.RATE_LIMITED])
+        gw = _gateway([7], fault_script=script)
+        summary = scan_event(_plan(0, 99, 40), gw, ListSink(), sleeper=lambda _s: None)
+        assert summary.refused_span is None
+        assert summary.accepted_span == 20  # the halved batch, answered
+
+        gw = _gateway([7])
+        scan_event(_plan(0, 99, 40, learned=summary), gw, ListSink(), sleeper=lambda _s: None)
+        assert committed_ranges(gw)[0] == (0, 39)  # the next scan starts at --batch again
+
+    def test_learned_spans_must_bracket_an_answered_span(self):
+        for accepted, refused in [(0, 10), (10, 10), (11, 10)]:
+            plan = _plan(0, 99, 5)
+            plan.accepted_span, plan.refused_span = accepted, refused
+            with pytest.raises(ValueError):
+                plan.validate()
 
 
 def test_checkpoint_persisted_per_batch(tmp_path):
@@ -248,16 +352,9 @@ def test_checkpoint_persisted_per_batch(tmp_path):
 
 
 def test_sequential_event_discipline():
-    sig2 = "IsolationModeTotalDebtUpdated(address,uint256)"
-    schema2 = EventSchema(
-        event_name="IsolationModeTotalDebtUpdated",
-        canonical_signature=sig2,
-        topic0=keccak256(sig2.encode()),
-        fields=(EventField("asset", "address", True), EventField("totalDebt", "uint256")),
-    )
     gw = _gateway([10, 20, 30])
     scan_event(_plan(0, 99, 25), gw, ListSink(), sleeper=lambda _s: None)
-    scan_event(ScanPlan(chain=CHAIN, event=schema2, cursor=0, end_block=99,
+    scan_event(ScanPlan(chain=CHAIN, event=SCHEMA2, cursor=0, end_block=99,
                         batch_size=25), gw, ListSink(), sleeper=lambda _s: None)
     topics = [q.topic0 for q in gw.calls]
     flip_points = sum(
