@@ -43,6 +43,7 @@ from .scanner import (
     Checkpoint,
     ScanPlan,
     ScanSummary,
+    SpanLimits,
     checkpoint_path,
     scan_event,
 )
@@ -173,7 +174,7 @@ def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
         start_block = max(start_block, config.from_block)
 
     summaries: list[ScanSummary] = []
-    learned = ScanSummary(chain=chain_name, event="")  # spans one scan passes to the next
+    limits = SpanLimits()  # what one event scan passes to the next
     for event_name in event_names:
         schema = registry.event(event_name)
         cp_file = checkpoint_path(config.out_dir, chain_name, event_name)
@@ -213,14 +214,14 @@ def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
             continue
 
         plan = ScanPlan(chain=chain, event=schema, cursor=cursor, end_block=end_block,
-                        batch_size=config.batch, batch_max=config.batch_max,
-                        accepted_span=learned.accepted_span, refused_span=learned.refused_span)
+                        batch_size=config.batch, batch_max=config.batch_max, limits=limits)
         sink = DecodingSink(writer, schema, chain_name, strict=not config.lenient)
-        learned = scan_event(plan, gateway, sink, checkpoint_file=cp_file,
+        summary = scan_event(plan, gateway, sink, checkpoint_file=cp_file,
                              rows_emitted_so_far=rows_so_far, sleeper=sleeper,
                              on_progress=progress)
         writer.finalize()
-        summaries.append(learned)
+        summaries.append(summary)
+        limits = summary.limits
     return summaries
 
 

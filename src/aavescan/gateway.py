@@ -13,9 +13,9 @@ TRANSIENT failures are retried in-gateway before surfacing.
 ``HttpGateway`` asks for the uncached block timestamps of one ``eth_getLogs``
 answer in JSON-RPC 2.0 batches (https://www.jsonrpc.org/specification, section
 6) of at most ``TIMESTAMP_BATCH_MAX`` requests, one POST each. A server that
-refuses a batch as too large answers RESPONSE_TOO_LARGE, so the scanner halves
-its range until an answer's batch fits; a server that refuses every batch is
-not supported.
+refuses a batch as too large answers RESPONSE_TOO_LARGE, which the scanner
+treats as any oversize refusal: it narrows its range (see ``scanner``) until an
+answer's batch fits. A server that refuses every batch is not supported.
 
 Only building an ``HttpGateway`` imports the HTTP client (``requests``), so
 only ``extract --live`` loads it: the offline commands neither pay its import

@@ -4,13 +4,15 @@ The scanner issues getLogs queries batch by batch. A rate limit halves the
 batch width and a streak of successes doubles it. A too-large refusal bounds
 the span the provider answers: from then on each wider query goes at most
 halfway from the widest span answered to the narrowest refused, so every
-refusal at least halves the gap between them. Now and then growth passes the
-refused span once, and a wider span answered there drops it: a limit on
-results, not span, moves with the density of the range. A plan may start
-from the spans an earlier scan of the same chain learned; nothing keeps them
-longer. A batch commits by handing its ordered logs to the sink, flushing
-them durably, and only then persisting the checkpoint, so an interrupted run
-resumed from the checkpoint covers every block exactly once.
+refusal at least halves the gap between them. A provider may limit the logs
+in an answer rather than its span, and such a limit moves with the density of
+the range: a streak whose answers were sparse, next to the densest answer,
+grows past the refused span by the factor they were sparser, and a wider span
+answered there drops the refused one. A plan may start from the SpanLimits an
+earlier scan of the same chain learned; nothing keeps them longer. A batch
+commits by handing its ordered logs to the sink, flushing them durably, and
+only then persisting the checkpoint, so an interrupted run resumed from the
+checkpoint covers every block exactly once.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import enum
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field, replace
 from typing import Callable, Protocol
 
 from .gateway import ErrorKind, GatewayError, LogQuery
@@ -29,7 +31,6 @@ from .sink import MAX_PART_NUMBER, PART_ROW_LIMIT, PartRecord, _atomic_write, lo
 DEFAULT_BATCH_SIZE = 10_000
 DEFAULT_BATCH_MAX = 100_000
 GROWTH_STREAK = 5  # consecutive clean batches before the size doubles
-REPROBE_STREAKS = 8  # streaks in a scan per growth past the refused span
 
 RATE_LIMIT_PAUSE_S = 2.0
 RATE_LIMIT_PAUSE_CAP_S = 60.0
@@ -66,6 +67,18 @@ class BatchSink(Protocol):
 
 
 @dataclass
+class SpanLimits:
+    """What too-large refusals taught about a provider, passed from one event
+    scan of a chain to the next."""
+
+    accepted: int = 0  # widest span answered below ``refused``, 0 if none
+    refused: int | None = None  # narrowest span refused as too large
+    # most logs one answer held; a streak whose answers each held under half as
+    # many grows past ``refused``. Lowered to that streak's most if refused there
+    probe_rows: int = 0
+
+
+@dataclass
 class ScanPlan:
     chain: ChainConfig
     event: EventSchema
@@ -73,8 +86,7 @@ class ScanPlan:
     end_block: int
     batch_size: int = DEFAULT_BATCH_SIZE
     batch_max: int = DEFAULT_BATCH_MAX
-    accepted_span: int = 0  # widest query answered below refused_span, 0 if none
-    refused_span: int | None = None  # narrowest query refused as too large
+    limits: SpanLimits = field(default_factory=SpanLimits)
 
     def validate(self) -> None:
         if not self.chain.start_block <= self.cursor <= self.end_block + 1:
@@ -86,9 +98,9 @@ class ScanPlan:
             raise ValueError(
                 f"batch_size {self.batch_size} outside [1, {self.batch_max}]"
             )
-        if self.refused_span is not None and not 0 < self.accepted_span < self.refused_span:
-            raise ValueError(f"accepted span {self.accepted_span} outside "
-                             f"[1, refused span {self.refused_span})")
+        if self.limits.refused is not None and not 0 < self.limits.accepted < self.limits.refused:
+            raise ValueError(f"accepted span {self.limits.accepted} outside "
+                             f"[1, refused span {self.limits.refused})")
 
 
 @dataclass
@@ -143,8 +155,7 @@ class ScanSummary:
     rows_emitted: int = 0
     batches_issued: int = 0
     resize_events: int = 0
-    accepted_span: int = 0  # the plan's learned spans, as the scan left them
-    refused_span: int | None = None
+    limits: SpanLimits = field(default_factory=SpanLimits)  # the plan's, as the scan left them
 
 
 ProgressFn = Callable[[ScanSummary, int, int], None]
@@ -165,21 +176,23 @@ def scan_event(
     to RATE_LIMIT_RETRIES pauses in a row; ResponseTooLarge retries at once at
     the midpoint of the accepted and refused spans (half the refused span when
     none narrower was accepted), up to a single-block query. Growth stops at
-    that midpoint except on every REPROBE_STREAKS-th streak. Past either limit,
-    and on terminal (and surfaced transient) gateway errors, the scan aborts
-    with the checkpoint intact. A plan that knows a refused span starts at its
-    accepted span; the summary carries both spans to the chain's next plan.
+    that midpoint unless the streak's answers were sparse (see SpanLimits).
+    Past either limit, and on terminal (and surfaced transient) gateway errors,
+    the scan aborts with the checkpoint intact. A plan that knows a refused span
+    starts at its accepted span; the summary carries the limits to the chain's
+    next plan.
     """
     plan.validate()
+    limits = replace(plan.limits)
     summary = ScanSummary(chain=plan.chain.chain_name, event=plan.event.event_name,
-                          rows_emitted=rows_emitted_so_far, accepted_span=plan.accepted_span,
-                          refused_span=plan.refused_span)
+                          rows_emitted=rows_emitted_so_far, limits=limits)
 
     cursor = plan.cursor
     batch_size = plan.batch_size
-    if plan.refused_span is not None:  # start at the span the provider is known to answer
-        batch_size = plan.accepted_span
-    streak = streaks = 0
+    if limits.refused is not None:  # start at the span the provider is known to answer
+        batch_size = limits.accepted
+    streak, streak_rows = 0, 1  # clean batches in a row, and the most logs one held (min 1)
+    probe: int | None = None  # streak_rows of the streak whose growth past refused is in flight
     rate_limited = 0  # pauses since the last committed batch
     last_key: tuple[int, int] | None = None
 
@@ -200,7 +213,7 @@ def scan_event(
                                        f"limited after {RATE_LIMIT_RETRIES} pauses") from exc
                 batch_size = resize(batch_size, Outcome.RATE_LIMITED, plan.batch_max)
                 summary.resize_events += 1
-                streak = 0
+                streak, streak_rows, probe = 0, 1, None
                 sleeper(min(RATE_LIMIT_PAUSE_S * 2 ** rate_limited, RATE_LIMIT_PAUSE_CAP_S))
                 rate_limited += 1
                 continue
@@ -211,12 +224,14 @@ def scan_event(
                         ErrorKind.TERMINAL,
                         f"single-block query [{cursor}, {hi}] still oversized",
                     ) from exc
-                summary.refused_span = min(span, summary.refused_span or span)
-                if summary.accepted_span >= summary.refused_span:
-                    summary.accepted_span = 0  # refused a span answered elsewhere: halve
-                batch_size = (summary.accepted_span + summary.refused_span) // 2
+                if probe is not None:  # refused though the answers were sparse
+                    limits.probe_rows, probe = probe, None
+                limits.refused = min(span, limits.refused or span)
+                if limits.accepted >= limits.refused:
+                    limits.accepted = 0  # refused a span answered elsewhere: halve
+                batch_size = (limits.accepted + limits.refused) // 2
                 summary.resize_events += 1
-                streak = 0
+                streak, streak_rows = 0, 1
                 continue
             raise  # TERMINAL, or TRANSIENT the gateway already gave up on
 
@@ -230,9 +245,11 @@ def scan_event(
 
         summary.rows_emitted += sink.commit_batch(logs)
         summary.batches_issued += 1
-        summary.accepted_span = max(summary.accepted_span, hi - cursor + 1)
-        if summary.refused_span is not None and summary.accepted_span >= summary.refused_span:
-            summary.refused_span = None  # answered a span once refused: no span limit
+        limits.accepted = max(limits.accepted, hi - cursor + 1)
+        if limits.refused is not None and limits.accepted >= limits.refused:
+            limits.refused = None  # answered a span once refused: no span limit
+        limits.probe_rows = max(limits.probe_rows, len(logs))
+        probe = None
         cursor = hi + 1
         rate_limited = 0
 
@@ -251,14 +268,18 @@ def scan_event(
             on_progress(summary, cursor, plan.end_block)
 
         streak += 1
+        streak_rows = max(streak_rows, len(logs))
         if streak >= GROWTH_STREAK:
-            streaks += 1
             grown = resize(batch_size, Outcome.SUCCESS_STREAK, plan.batch_max)
-            if summary.refused_span is not None and streaks % REPROBE_STREAKS:
-                grown = min(grown, (summary.accepted_span + summary.refused_span) // 2)
+            if limits.refused is not None:
+                if 2 * streak_rows < limits.probe_rows:  # as dense, twice the span would fit
+                    grown = min(batch_size * limits.probe_rows // streak_rows, plan.batch_max)
+                    probe = streak_rows
+                else:
+                    grown = min(grown, (limits.accepted + limits.refused) // 2)
             if grown != batch_size:
                 summary.resize_events += 1
                 batch_size = grown
-            streak = 0
+            streak, streak_rows = 0, 1
 
     return summary

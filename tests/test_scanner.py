@@ -1,10 +1,9 @@
-import bisect
 import math
 import random
 
 import pytest
 
-from faults import max_span_fault, scripted_faults
+from faults import max_logs_fault, max_span_fault, scripted_faults
 
 from aavescan.gateway import (
     ErrorKind,
@@ -17,10 +16,10 @@ from aavescan.keccak import keccak256
 from aavescan.scanner import (
     GROWTH_STREAK,
     RATE_LIMIT_RETRIES,
-    REPROBE_STREAKS,
     Checkpoint,
     Outcome,
     ScanPlan,
+    SpanLimits,
     resize,
     scan_event,
 )
@@ -84,12 +83,10 @@ def _gateway(blocks, fault_script=None, head=10**6):
     return FixtureGateway(logs, timestamps, head_block=head, fault_script=fault_script)
 
 
-def _plan(cursor, end, batch, batch_max=100_000, learned=None, event=SCHEMA):
-    """A plan; ``learned``, an earlier scan's summary, gives it that scan's spans."""
-    spans = {} if learned is None else {"accepted_span": learned.accepted_span,
-                                        "refused_span": learned.refused_span}
-    return ScanPlan(chain=CHAIN, event=event, cursor=cursor, end_block=end,
-                    batch_size=batch, batch_max=batch_max, **spans)
+def _plan(cursor, end, batch, batch_max=100_000, limits=None, event=SCHEMA):
+    """A plan; ``limits``, an earlier scan's, start it from what that scan learned."""
+    return ScanPlan(chain=CHAIN, event=event, cursor=cursor, end_block=end, batch_size=batch,
+                    batch_max=batch_max, limits=limits or SpanLimits())
 
 
 def committed_ranges(gateway, fault_script=None):
@@ -215,8 +212,8 @@ class TestCoverage:
 def test_randomized_fault_scripts_partition_exactly():
     for seed in range(60):
         rng = random.Random(seed)
-        summary = None
-        for plan_index in range(2):  # the second plan starts from the spans the first learned
+        limits = SpanLimits()
+        for plan_index in range(2):  # the second plan starts from what the first learned
             start = rng.randrange(0, 50)
             end = start + rng.randrange(0, 400)
             blocks = sorted(rng.randrange(start, end + 1) for _ in range(rng.randrange(0, 60)))
@@ -228,7 +225,7 @@ def test_randomized_fault_scripts_partition_exactly():
             script = scripted_faults(faults)
             gw = _gateway(blocks, fault_script=script)
             sink = ListSink()
-            plan = _plan(start, end, rng.choice([1, 3, 8, 32]), batch_max=64, learned=summary)
+            plan = _plan(start, end, rng.choice([1, 3, 8, 32]), batch_max=64, limits=limits)
             try:
                 summary = scan_event(plan, gw, sink, sleeper=lambda _s: None)
             except GatewayError as exc:
@@ -243,6 +240,7 @@ def test_randomized_fault_scripts_partition_exactly():
             keys = [log.key for log in sink.rows]
             assert keys == sorted(set(keys)), where
             assert summary.rows_emitted == len(blocks), where
+            limits = summary.limits
 
 
 def _refusals(gateway, summary):
@@ -254,79 +252,109 @@ class TestLearnedSpans:
         script = max_span_fault(25)
         first_gw = _gateway(range(0, 300, 7), fault_script=script)
         first = scan_event(_plan(0, 299, 100), first_gw, ListSink(), sleeper=lambda _s: None)
-        assert (first.accepted_span, first.refused_span) == (25, 26)
+        assert (first.limits.accepted, first.limits.refused) == (25, 26)
         assert _refusals(first_gw, first) > 0
 
-        second_gw = _gateway(range(0, 300, 7), fault_script=script)
-        second = scan_event(_plan(0, 299, 100, learned=first, event=SCHEMA2), second_gw,
-                            ListSink(), sleeper=lambda _s: None)
+        second_gw = _gateway(range(0, 300, 7), fault_script=script)  # as dense as the first
+        second = scan_event(_plan(0, 299, 100, limits=first.limits), second_gw, ListSink(),
+                            sleeper=lambda _s: None)
         assert _refusals(second_gw, second) == 0
         assert committed_ranges(second_gw) == [(lo, lo + 24) for lo in range(0, 300, 25)]
-        assert (second.accepted_span, second.refused_span) == (25, 26)
+        assert (second.limits.accepted, second.limits.refused) == (25, 26)
 
     def test_refusals_per_scan_stay_within_the_halving_budget(self):
         """The live-stub shape: a 2,000-block limit, --batch 10,000, 13 scans of a
         24,000-block window. Halving alone costs ceil(log2(batch / limit)) refusals."""
         batch, limit = 10_000, 2_000
         budget = math.ceil(math.log2(batch / limit)) + 2
-        summary = None
+        limits = SpanLimits()
         per_scan = []
         for _ in range(13):
             gw = _gateway([], fault_script=max_span_fault(limit))
-            summary = scan_event(_plan(1_000, 24_999, batch, learned=summary), gw, ListSink(),
+            summary = scan_event(_plan(1_000, 24_999, batch, limits=limits), gw, ListSink(),
                                  sleeper=lambda _s: None)
             per_scan.append(_refusals(gw, summary))
+            limits = summary.limits
         assert max(per_scan) <= budget, per_scan
-        assert (summary.accepted_span, summary.refused_span) == (limit, limit + 1)
+        assert (limits.accepted, limits.refused) == (limit, limit + 1)
 
     @pytest.mark.parametrize("batch, limit", [(10_000, 2_000), (10_000, 7), (100, 25), (64, 5)])
     def test_each_refusal_halves_the_gap(self, batch, limit):
         """Every query wider than the accepted span goes at most halfway to the refused
-        span, so a chain of scans is refused at most 1 + floor(log2(batch)) times, plus
-        once per re-probe past the refused span, one per REPROBE_STREAKS streaks."""
-        summary = None
-        refusals = probes = 0
+        span, so a chain of scans is refused at most 1 + floor(log2(batch)) times."""
+        limits = SpanLimits()
+        refusals = 0
         for _ in range(6):
             gw = _gateway([], fault_script=max_span_fault(limit))
-            summary = scan_event(_plan(0, 49 * limit, batch, learned=summary), gw, ListSink(),
+            summary = scan_event(_plan(0, 49 * limit, batch, limits=limits), gw, ListSink(),
                                  sleeper=lambda _s: None)
             refusals += _refusals(gw, summary)
-            probes += summary.batches_issued // (GROWTH_STREAK * REPROBE_STREAKS)
-        assert refusals <= 1 + math.floor(math.log2(batch)) + probes, (refusals, probes)
-        assert (summary.accepted_span, summary.refused_span) == (limit, limit + 1)
+            limits = summary.limits
+        assert refusals <= 1 + math.floor(math.log2(batch)), refusals
+        assert (limits.accepted, limits.refused) == (limit, limit + 1)
 
     def test_a_result_count_limit_lets_a_sparse_range_grow_again(self):
         """A provider that refuses answers of more than 50 logs refuses narrow spans over
-        a dense range only; the re-probe lets the sparse range beyond it grow again."""
+        a dense range only; the sparse range beyond it grows past the refused span."""
         blocks = list(range(1_000)) + list(range(1_000, 100_000, 1_000))
-
-        def by_count(_call_index, query):
-            n = (bisect.bisect_right(blocks, query.to_block)
-                 - bisect.bisect_left(blocks, query.from_block))
-            return ErrorKind.RESPONSE_TOO_LARGE if n > 50 else None
-
-        gw = _gateway(blocks, fault_script=by_count)
+        gw = _gateway(blocks, fault_script=max_logs_fault(blocks, 50))
         sink = ListSink()
         summary = scan_event(_plan(0, 99_999, 10_000), gw, sink, sleeper=lambda _s: None)
         assert summary.rows_emitted == len(blocks)
-        assert summary.refused_span is None  # a sparse span answered what the dense one refused
+        assert summary.limits.refused is None  # a sparse span answered what a dense one refused
         assert summary.batches_issued < 100  # spans held under 51 blocks would take 2,000
+
+    def test_a_dense_event_does_not_hold_a_sparse_one_to_its_span(self):
+        """Under a limit of 500 logs an answer, a dense event learns a 500-block span.
+        The sparse event after it grows past that span after one streak, and so takes
+        at most GROWTH_STREAK batches more than a scan that starts at --batch."""
+        dense, sparse = list(range(24_000)), list(range(0, 24_000, 1_000))
+        first_gw = _gateway(dense, fault_script=max_logs_fault(dense, 500))
+        first = scan_event(_plan(0, 23_999, 10_000), first_gw, ListSink(),
+                           sleeper=lambda _s: None)
+        assert (first.limits.accepted, first.limits.refused) == (500, 501)
+
+        fresh = scan_event(_plan(0, 23_999, 10_000),
+                           _gateway(sparse, fault_script=max_logs_fault(sparse, 500)),
+                           ListSink(), sleeper=lambda _s: None)
+        second_gw = _gateway(sparse, fault_script=max_logs_fault(sparse, 500))
+        second = scan_event(_plan(0, 23_999, 10_000, limits=first.limits),
+                            second_gw, ListSink(), sleeper=lambda _s: None)
+        assert _refusals(second_gw, second) == 0
+        assert second.limits.refused is None
+        assert second.batches_issued <= fresh.batches_issued + GROWTH_STREAK, (
+            second.batches_issued, fresh.batches_issued)
+
+    def test_a_refused_probe_is_not_repeated_at_the_same_density(self):
+        """A span limit refuses the probe a sparse event makes; the refusal lowers the
+        logs a later probe must undercut, so an event as sparse probes no more."""
+        script = max_span_fault(25)
+        limits = SpanLimits()
+        refusals = []
+        for blocks in (range(300), range(0, 300, 7), range(0, 300, 7)):
+            gw = _gateway(blocks, fault_script=script)
+            summary = scan_event(_plan(0, 299, 100, limits=limits), gw, ListSink(),
+                                 sleeper=lambda _s: None)
+            refusals.append(_refusals(gw, summary))
+            limits = summary.limits
+        assert refusals[1:] == [1, 0]
+        assert (limits.accepted, limits.refused) == (25, 26)
 
     def test_a_rate_limit_teaches_no_span(self):
         script = scripted_faults([ErrorKind.RATE_LIMITED])
         gw = _gateway([7], fault_script=script)
         summary = scan_event(_plan(0, 99, 40), gw, ListSink(), sleeper=lambda _s: None)
-        assert summary.refused_span is None
-        assert summary.accepted_span == 20  # the halved batch, answered
+        assert summary.limits.refused is None
+        assert summary.limits.accepted == 20  # the halved batch, answered
 
         gw = _gateway([7])
-        scan_event(_plan(0, 99, 40, learned=summary), gw, ListSink(), sleeper=lambda _s: None)
+        scan_event(_plan(0, 99, 40, limits=summary.limits), gw, ListSink(),
+                   sleeper=lambda _s: None)
         assert committed_ranges(gw)[0] == (0, 39)  # the next scan starts at --batch again
 
     def test_learned_spans_must_bracket_an_answered_span(self):
         for accepted, refused in [(0, 10), (10, 10), (11, 10)]:
-            plan = _plan(0, 99, 5)
-            plan.accepted_span, plan.refused_span = accepted, refused
+            plan = _plan(0, 99, 5, limits=SpanLimits(accepted, refused))
             with pytest.raises(ValueError):
                 plan.validate()
 
