@@ -130,10 +130,11 @@ def _enter_chain_process(parent_pid: int) -> None:
 def _stop_if_orphaned() -> None:
     """End a chain process whose extract process is gone (killed, not unwound).
 
-    Called after each batch, once its rows and checkpoint are durable, so at
-    most the batch in flight is written after the kill and ``--resume`` can
-    follow at once. ``_exit``: a raised error would leave the process blocked
-    on the pool's queues, which nothing reads any more.
+    Called after each commit, once its rows and checkpoint are durable, so at
+    most the commit in flight is written after the kill and ``--resume`` can
+    follow at once; answers held for the next commit are dropped, and the
+    resume asks for them again. ``_exit``: a raised error would leave the
+    process blocked on the pool's queues, which nothing reads any more.
     """
     if _extract_pid is not None and os.getppid() != _extract_pid:
         os._exit(EXIT_IO)
@@ -236,9 +237,10 @@ def run_extract(config: RunConfig) -> list[ScanSummary]:
     """Programmatic entry point behind the ``extract`` command.
 
     Several chains run in one forked process each; chains share no state, so
-    they use every core. A chain process stops at its next batch boundary
-    once this process is gone. A chain's error is re-raised here once every
-    chain has stopped; a chain process that dies raises ``BrokenProcessPool``.
+    they use every core. A chain process stops at its next commit (every
+    ``--batch`` blocks at least) once this process is gone. A chain's error is
+    re-raised here once every chain has stopped; a chain process that dies
+    raises ``BrokenProcessPool``.
     A single chain runs in this process. Several run in one thread each where
     ``fork`` is missing or unsafe because other threads are running.
     """
@@ -300,8 +302,10 @@ def events(registry_path) -> None:
 @click.option("--out", "out_dir", required=True, type=click.Path())
 @click.option("--from", "from_block", type=int, default=None)
 @click.option("--to", "to_block", type=int, default=None)
-@click.option("--batch", type=int, default=DEFAULT_BATCH_SIZE, show_default=True)
-@click.option("--batch-max", type=int, default=DEFAULT_BATCH_MAX, show_default=True)
+@click.option("--batch", type=int, default=DEFAULT_BATCH_SIZE, show_default=True,
+              help="Blocks per query to start with, and the fewest blocks per commit.")
+@click.option("--batch-max", type=int, default=DEFAULT_BATCH_MAX, show_default=True,
+              help="Widest query, in blocks, that growth may reach.")
 @click.option("--fixture-dir", type=click.Path(exists=True), default=None,
               help="Run against a fixture corpus instead of live endpoints.")
 @click.option("--live", is_flag=True, help="Allow live JSON-RPC access.")

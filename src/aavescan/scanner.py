@@ -8,11 +8,17 @@ refusal at least halves the gap between them. A provider may limit the logs
 in an answer rather than its span, and such a limit moves with the density of
 the range: a streak whose answers were sparse, next to the densest answer,
 grows past the refused span by the factor they were sparser, and a wider span
-answered there drops the refused one. A plan may start from the SpanLimits an
-earlier scan of the same chain learned; nothing keeps them longer. A batch
-commits by handing its ordered logs to the sink, flushing them durably, and
-only then persisting the checkpoint, so an interrupted run resumed from the
-checkpoint covers every block exactly once.
+answered there drops the refused one, while a refused probe holds the provider
+to its span. A plan may start from the SpanLimits an earlier scan of the same
+chain learned; nothing keeps them longer.
+
+Queries and commits are apart. Answers wait in memory until they cover at
+least the plan's batch size in blocks, or reach the end block; one commit then
+hands their ordered logs to the sink, flushes them durably, and only then
+persists the checkpoint. A provider's span limit therefore sets how many
+queries a scan sends, not how many commits it makes. An interrupted run
+resumed from the checkpoint asks again for the answers it had not committed,
+and so covers every block exactly once.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ def resize(batch_size: int, outcome: Outcome, batch_max: int = DEFAULT_BATCH_MAX
 
 
 class BatchSink(Protocol):
-    """Commit target for one scanned batch of ordered raw logs."""
+    """Commit target for the ordered raw logs of one or more answered queries."""
 
     def commit_batch(self, logs: list) -> int: ...
 
@@ -76,6 +82,8 @@ class SpanLimits:
     # most logs one answer held; a streak whose answers each held under half as
     # many grows past ``refused``. Lowered to that streak's most if refused there
     probe_rows: int = 0
+    # a probe past ``refused`` was refused: answers no longer raise ``probe_rows``
+    probe_refused: bool = False
 
 
 @dataclass
@@ -105,7 +113,7 @@ class ScanPlan:
 
 @dataclass
 class Checkpoint:
-    """The one durable record of a stream, replaced once per committed batch.
+    """The one durable record of a stream, replaced once per commit.
 
     ``parts`` lists the closed parts in the JSON shape of the manifest's
     ``parts``; a resume needs nothing else from the stream's directory.
@@ -170,17 +178,20 @@ def scan_event(
     sleeper: Callable[[float], None] = time.sleep,
     on_progress: ProgressFn | None = None,
 ) -> ScanSummary:
-    """Scan ``[plan.cursor, plan.end_block]`` completely, committing per batch.
+    """Scan ``[plan.cursor, plan.end_block]`` completely, committing once per
+    ``plan.batch_size`` blocks answered and at the end block.
 
-    RateLimited halves the batch and pauses before retrying the same range, up
-    to RATE_LIMIT_RETRIES pauses in a row; ResponseTooLarge retries at once at
-    the midpoint of the accepted and refused spans (half the refused span when
-    none narrower was accepted), up to a single-block query. Growth stops at
-    that midpoint unless the streak's answers were sparse (see SpanLimits).
-    Past either limit, and on terminal (and surfaced transient) gateway errors,
-    the scan aborts with the checkpoint intact. A plan that knows a refused span
-    starts at its accepted span; the summary carries the limits to the chain's
-    next plan.
+    Each answered query is checked for key order and waits for the next commit,
+    so a commit spans fewer than ``plan.batch_size`` blocks plus one query's
+    span. RateLimited halves the query and pauses before retrying the same
+    range, up to RATE_LIMIT_RETRIES pauses in a row; ResponseTooLarge retries
+    at once at the midpoint of the accepted and refused spans (half the refused
+    span when none narrower was accepted), up to a single-block query. Growth
+    stops at that midpoint unless the streak's answers were sparse (see
+    SpanLimits). Past either limit, and on terminal (and surfaced transient) gateway errors,
+    the scan aborts with the checkpoint at the last commit, and the answers
+    since are dropped. A plan that knows a refused span starts at its accepted
+    span; the summary carries the limits to the chain's next plan.
     """
     plan.validate()
     limits = replace(plan.limits)
@@ -193,8 +204,10 @@ def scan_event(
         batch_size = limits.accepted
     streak, streak_rows = 0, 1  # clean batches in a row, and the most logs one held (min 1)
     probe: int | None = None  # streak_rows of the streak whose growth past refused is in flight
-    rate_limited = 0  # pauses since the last committed batch
+    rate_limited = 0  # pauses since the last answered query
     last_key: tuple[int, int] | None = None
+    pending: list = []  # logs answered since the last commit, in key order
+    committed = cursor  # first block past the last commit
 
     while cursor <= plan.end_block:
         hi = min(cursor + batch_size - 1, plan.end_block)
@@ -225,7 +238,7 @@ def scan_event(
                         f"single-block query [{cursor}, {hi}] still oversized",
                     ) from exc
                 if probe is not None:  # refused though the answers were sparse
-                    limits.probe_rows, probe = probe, None
+                    limits.probe_rows, limits.probe_refused, probe = probe, True, None
                 limits.refused = min(span, limits.refused or span)
                 if limits.accepted >= limits.refused:
                     limits.accepted = 0  # refused a span answered elsewhere: halve
@@ -243,29 +256,33 @@ def scan_event(
                 )
             last_key = log.key
 
-        summary.rows_emitted += sink.commit_batch(logs)
+        pending.extend(logs)
         summary.batches_issued += 1
         limits.accepted = max(limits.accepted, hi - cursor + 1)
         if limits.refused is not None and limits.accepted >= limits.refused:
-            limits.refused = None  # answered a span once refused: no span limit
-        limits.probe_rows = max(limits.probe_rows, len(logs))
+            # answered a span once refused: no span limit
+            limits.refused, limits.probe_refused = None, False
+        if not limits.probe_refused:
+            limits.probe_rows = max(limits.probe_rows, len(logs))
         probe = None
         cursor = hi + 1
         rate_limited = 0
 
-        if checkpoint_file is not None:
-            Checkpoint(
-                chain=plan.chain.chain_name,
-                event=plan.event.event_name,
-                last_completed_block=hi,
-                rows_emitted_total=summary.rows_emitted,
-                current_part_number=sink.part_number,
-                rows_in_current_part=sink.rows_in_part,
-                parts=sink.closed_parts,
-            ).save(checkpoint_file)
-
-        if on_progress is not None:
-            on_progress(summary, cursor, plan.end_block)
+        if cursor - committed >= plan.batch_size or cursor > plan.end_block:
+            summary.rows_emitted += sink.commit_batch(pending)
+            pending, committed = [], cursor
+            if checkpoint_file is not None:
+                Checkpoint(
+                    chain=plan.chain.chain_name,
+                    event=plan.event.event_name,
+                    last_completed_block=hi,
+                    rows_emitted_total=summary.rows_emitted,
+                    current_part_number=sink.part_number,
+                    rows_in_current_part=sink.rows_in_part,
+                    parts=sink.closed_parts,
+                ).save(checkpoint_file)
+            if on_progress is not None:
+                on_progress(summary, cursor, plan.end_block)
 
         streak += 1
         streak_rows = max(streak_rows, len(logs))

@@ -385,24 +385,31 @@ class ShardWriter:
         return writer
 
     def _truncate_open_part(self, path: str, keep_rows: int) -> tuple[tuple[int, int], ...]:
-        """Cut an open part to its header and ``keep_rows`` whole rows; return their key range."""
-        picked: dict[int, list[str]] = {}
-        size = 0
+        """Cut an open part to its header and ``keep_rows`` whole rows; return their key range.
+
+        Every kept row must decode and carry an integer key above the key before it.
+        """
         with open(path, "r+b") as fh:
-            for index, line in enumerate(fh):
-                if index > keep_rows or not line.endswith(b"\n"):
+            line = fh.readline()
+            header = next(csv.reader([line.decode("utf-8")]), None)
+            if not line.endswith(b"\n") or header != self._header:
+                raise IoFailure(f"open part {path!r} has an unexpected header")
+            size, rows = len(line), 0
+            first, last = None, self._last_key  # the closed parts' last key, if any
+            for line in fh:
+                if rows == keep_rows or not line.endswith(b"\n"):
                     break
                 size += len(line)
-                text = line.decode("utf-8")  # every kept row must decode, not only these
-                if index in (0, 1, keep_rows):
-                    picked[index] = next(csv.reader([text]))
-            if picked.get(0) != self._header:
-                raise IoFailure(f"open part {path!r} has an unexpected header")
-            if keep_rows not in picked:
+                cells = line.decode("utf-8").split(",", 6)  # rows are unquoted (see ``append``)
+                key = (int(cells[2]), int(cells[5]))
+                rows += 1
+                if last is not None and key <= last:
+                    raise IoFailure(f"open part {path!r}: row {rows} key {key} not above {last}")
+                first, last = first or key, key
+            if rows < keep_rows:
                 raise IoFailure(f"open part {path!r} holds fewer than {keep_rows} rows")
             fh.truncate(size)
-        first, last = picked[1], picked[keep_rows]
-        return (int(first[2]), int(first[5])), (int(last[2]), int(last[5]))
+        return first, last
 
 
 class DecodingSink:

@@ -510,12 +510,13 @@ class TestLiveExtract:
         http_gateway = cli_module.HttpGateway
         monkeypatch.setenv("RPC_URL_ETHEREUM", "http://rpc.test")
 
-        def run(**rpc_options):
-            rpc = _FakeRpc(records, timestamps, head, max_span=3_000, **rpc_options)
+        def run(max_span=3_000, args=(), **rpc_options):
+            rpc = _FakeRpc(records, timestamps, head, max_span=max_span, **rpc_options)
             monkeypatch.setattr(cli_module, "HttpGateway", lambda url: http_gateway(
                 url, session=rpc, sleeper=lambda _s: None))
             result = runner.invoke(main, ["extract", "--live", "--chain", "ethereum",
-                                          "--event", "all", "--out", str(tmp_path / "out")])
+                                          "--event", "all", "--out", str(tmp_path / "out"),
+                                          *args])
             return result, rpc
 
         return run
@@ -551,6 +552,26 @@ class TestLiveExtract:
         assert rpc.batches_refused > 0
         assert rpc.blocks_asked == collections.Counter(
             {record["blockNumber"]: 1 for record in rpc.records})
+
+    def test_answers_commit_once_per_batch_of_blocks(self, live, tmp_path, mini_corpus_dir,
+                                                     registry, monkeypatch):
+        """A provider answering at most 2,000 blocks a query still sees one commit, one
+        checkpoint save and one progress line per 10,000 blocks (--batch) a stream."""
+        from aavescan.scanner import Checkpoint
+
+        saves = collections.Counter()
+        save = Checkpoint.save
+        monkeypatch.setattr(Checkpoint, "save", lambda self, path: (
+            saves.update([self.event]), save(self, path))[1])
+        result, rpc = live(max_span=2_000, args=["--json-progress"])
+        assert result.exit_code == 0, result.output + result.stderr
+        self._assert_parts_match_reference(tmp_path / "out", mini_corpus_dir, registry)
+        assert rpc.logs_refused > 0
+        progress = collections.Counter(json.loads(line)["event"]
+                                       for line in result.stderr.splitlines()
+                                       if line.startswith("{"))
+        assert saves == progress
+        assert saves == {event: 10 for event in registry.event_names()}
 
     def test_log_still_removed_after_the_retries_exits_3_with_its_checkpoint_unmoved(
             self, live, tmp_path, mini_corpus_dir, registry):

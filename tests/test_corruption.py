@@ -305,6 +305,10 @@ RESUME_CASES = {
     "open_part_not_utf8_in_a_middle_row": (
         ".part001.open.csv", _interrupted(_edit_row(3, _not_utf8))),
     "open_part_non_integer_key": (".part001.open.csv", _interrupted(_edit_row(1, _set_log_index))),
+    "open_part_non_integer_key_in_a_middle_row": (
+        ".part001.open.csv", _interrupted(_edit_row(3, _set_log_index))),
+    "open_part_keys_out_of_order": (
+        ".part001.open.csv", _interrupted(partial(_edit_rows, edit=_swap_rows))),
 }
 
 

@@ -1,5 +1,7 @@
 import math
+import os
 import random
+from datetime import datetime, timezone
 
 import pytest
 
@@ -20,9 +22,11 @@ from aavescan.scanner import (
     Outcome,
     ScanPlan,
     SpanLimits,
+    checkpoint_path,
     resize,
     scan_event,
 )
+from aavescan.sink import DecodingSink, ShardWriter
 
 SIG = "MintedToTreasury(address,uint256)"
 SCHEMA = EventSchema(
@@ -340,6 +344,31 @@ class TestLearnedSpans:
         assert refusals[1:] == [1, 0]
         assert (limits.accepted, limits.refused) == (25, 26)
 
+    def test_a_refused_probe_holds_later_sparse_events_to_the_span(self):
+        """Once a probe past the refused span is refused, a denser event in between
+        does not raise the logs a probe must undercut, so the next sparse event
+        sends no refused query."""
+        script = max_span_fault(25)
+        limits = SpanLimits()
+        refusals = []
+        for blocks in (range(300), range(0, 300, 7), range(300), range(0, 300, 7)):
+            gw = _gateway(blocks, fault_script=script)
+            summary = scan_event(_plan(0, 299, 100, limits=limits), gw, ListSink(),
+                                 sleeper=lambda _s: None)
+            refusals.append(_refusals(gw, summary))
+            limits = summary.limits
+        assert refusals[1:] == [1, 0, 0]
+        assert limits.probe_refused
+
+    def test_a_span_once_refused_and_then_answered_forgets_the_refused_probe(self):
+        """Answering past the refused span shows a limit on results, not span, so
+        answers raise the logs a probe must undercut again."""
+        limits = SpanLimits(accepted=25, refused=26, probe_rows=4, probe_refused=True)
+        summary = scan_event(_plan(0, 299, 100, limits=limits), _gateway(range(0, 300, 50)),
+                             ListSink(), sleeper=lambda _s: None)
+        assert summary.limits.refused is None
+        assert not summary.limits.probe_refused
+
     def test_a_rate_limit_teaches_no_span(self):
         script = scripted_faults([ErrorKind.RATE_LIMITED])
         gw = _gateway([7], fault_script=script)
@@ -357,6 +386,114 @@ class TestLearnedSpans:
             plan = _plan(0, 99, 5, limits=SpanLimits(accepted, refused))
             with pytest.raises(ValueError):
                 plan.validate()
+
+
+class CountingSink(ListSink):
+    def __init__(self):
+        super().__init__()
+        self.commits = []  # logs handed over per commit
+
+    def commit_batch(self, logs):
+        self.commits.append(len(logs))
+        return super().commit_batch(logs)
+
+
+class TestGroupCommit:
+    """Answers commit once per ``batch_size`` blocks, whatever span the provider allows."""
+
+    def test_a_span_limit_sets_the_queries_not_the_commits(self, tmp_path, monkeypatch):
+        saves = []
+        save = Checkpoint.save
+        monkeypatch.setattr(Checkpoint, "save",
+                            lambda self, path: (saves.append(self.last_completed_block),
+                                                save(self, path))[1])
+        script = max_span_fault(2_000)
+        gw = _gateway(range(0, 24_000, 50), fault_script=script)
+        sink = CountingSink()
+        summary = scan_event(_plan(0, 23_999, 10_000), gw, sink,
+                             checkpoint_file=str(tmp_path / "checkpoint.json"),
+                             sleeper=lambda _s: None)
+        # the queries of a scan that committed each answer
+        assert [(q.from_block, q.to_block) for q in gw.calls] == [
+            (0, 9999), (0, 4999), (0, 2499), (0, 1249), (1250, 2499), (2500, 3749),
+            (3750, 4999), (5000, 6249), (6250, 8124), (8125, 9999), (10000, 11874),
+            (11875, 13749), (13750, 15624), (15625, 17811), (15625, 17655), (15625, 17577),
+            (17578, 19530), (19531, 21483), (21484, 23436), (23437, 23999)]
+        assert summary.batches_issued == 15  # answered queries
+        assert saves == [9999, 21483, 23999]
+        assert sink.commits == [200, 230, 50]
+        assert summary.rows_emitted == 480
+
+    def test_commits_span_at_least_the_batch_and_less_than_one_query_more(self):
+        for seed in range(40):
+            rng = random.Random(seed)
+            end = rng.randrange(100, 2_000)
+            batch, batch_max = rng.choice([(1, 8), (16, 64), (50, 50), (100, 400)])
+            rate_limits = scripted_faults(rng.choice([None, None, ErrorKind.RATE_LIMITED])
+                                          for _ in range(rng.randrange(0, 40)))
+            span = max_span_fault(rng.randrange(1, 2 * batch_max))
+            ends = []
+            scan_event(_plan(0, end, batch, batch_max=batch_max),
+                       _gateway(sorted(rng.randrange(0, end + 1) for _ in range(50)),
+                                fault_script=lambda i, q: rate_limits(i, q) or span(i, q)),
+                       ListSink(), sleeper=lambda _s: None,
+                       on_progress=lambda _summary, cursor, _end: ends.append(cursor))
+            assert ends[-1] == end + 1, seed
+            spans = [b - a for a, b in zip([0] + ends, ends)]
+            assert all(batch <= span < batch + batch_max for span in spans[:-1]), (seed, spans)
+
+    def test_a_crash_inside_a_commit_loses_only_its_answers(self, tmp_path):
+        """A terminal error between two queries of one commit leaves the checkpoint and
+        the open part at the last commit; the resumed scan asks each later block once
+        and ends with the files of a scan never interrupted."""
+        clock = lambda: datetime(2026, 1, 1, tzinfo=timezone.utc)  # noqa: E731
+        blocks, span = range(0, 24_000, 50), max_span_fault(2_000)
+
+        def extract(out, script, cursor=0, checkpoint=None):
+            if checkpoint is None:
+                writer = ShardWriter(str(out), CHAIN.chain_name, SCHEMA, clock=clock,
+                                     row_limit=150)
+            else:
+                writer = ShardWriter.resume(
+                    str(out), CHAIN.chain_name, SCHEMA, checkpoint.current_part_number,
+                    checkpoint.rows_in_current_part, checkpoint.parts, clock=clock,
+                    row_limit=150)
+            gw = _gateway(blocks, fault_script=script)
+            scan_event(_plan(cursor, 23_999, 10_000), gw,
+                       DecodingSink(writer, SCHEMA, CHAIN.chain_name),
+                       checkpoint_file=checkpoint_path(str(out), CHAIN.chain_name,
+                                                       SCHEMA.event_name),
+                       rows_emitted_so_far=checkpoint.rows_emitted_total if checkpoint else 0,
+                       sleeper=lambda _s: None)
+            writer.finalize()
+            return gw
+
+        def files(out):
+            stream = out / CHAIN.chain_name / SCHEMA.event_name
+            return {name: (stream / name).read_bytes() for name in os.listdir(stream)}
+
+        extract(tmp_path / "whole", span)
+
+        def crash(call_index, query):  # two answered queries into the second commit
+            if query.from_block == 13_750:
+                return ErrorKind.TERMINAL
+            return span(call_index, query)
+
+        out = tmp_path / "crashed"
+        with pytest.raises(GatewayError):
+            extract(out, crash)
+        checkpoint = Checkpoint.load(checkpoint_path(str(out), CHAIN.chain_name,
+                                                     SCHEMA.event_name),
+                                     CHAIN.chain_name, SCHEMA.event_name)
+        assert (checkpoint.last_completed_block, checkpoint.rows_emitted_total) == (9_999, 200)
+        assert (checkpoint.current_part_number, checkpoint.rows_in_current_part) == (2, 50)
+        open_part = files(out)[".part002.open.csv"]
+        assert open_part.count(b"\n") == 1 + 50  # the header and the committed rows
+
+        resumed = extract(out, span, cursor=10_000, checkpoint=checkpoint)
+        covered = [b for lo, hi in committed_ranges(resumed, span) for b in range(lo, hi + 1)]
+        assert covered == list(range(10_000, 24_000))
+        assert files(out) == files(tmp_path / "whole")
 
 
 def test_checkpoint_persisted_per_batch(tmp_path):
