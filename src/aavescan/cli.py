@@ -130,14 +130,26 @@ def _enter_chain_process(parent_pid: int) -> None:
 def _stop_if_orphaned() -> None:
     """End a chain process whose extract process is gone (killed, not unwound).
 
-    Called after each commit, once its rows and checkpoint are durable, so at
-    most the commit in flight is written after the kill and ``--resume`` can
-    follow at once; answers held for the next commit are dropped, and the
-    resume asks for them again. ``_exit``: a raised error would leave the
-    process blocked on the pool's queues, which nothing reads any more.
+    Called before each query (``_OrphanCheckedGateway``) and after each
+    commit, so after the kill at most the query in flight is answered and the
+    commit it completes written; answers held for the next commit are
+    dropped, and ``--resume`` asks for them again. ``_exit``: a raised error
+    would leave the process blocked on the pool's queues, which nothing reads
+    any more.
     """
     if _extract_pid is not None and os.getppid() != _extract_pid:
         os._exit(EXIT_IO)
+
+
+class _OrphanCheckedGateway:
+    """A chain's gateway, checked for a gone extract process before each query."""
+
+    def __init__(self, gateway):
+        self._gateway = gateway
+
+    def get_logs(self, query):
+        _stop_if_orphaned()
+        return self._gateway.get_logs(query)
 
 
 def _progress_printer(json_mode: bool):
@@ -164,6 +176,7 @@ def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
                    event_names: list[str]) -> list[ScanSummary]:
     chain = registry.chain(chain_name)
     gateway = _make_gateway(config, registry, chain_name)
+    queries = _OrphanCheckedGateway(gateway)
     sleeper = (lambda _s: None) if config.fixture_dir else time.sleep
     progress = _progress_printer(config.json_progress)
 
@@ -217,7 +230,7 @@ def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
         plan = ScanPlan(chain=chain, event=schema, cursor=cursor, end_block=end_block,
                         batch_size=config.batch, batch_max=config.batch_max, limits=limits)
         sink = DecodingSink(writer, schema, chain_name, strict=not config.lenient)
-        summary = scan_event(plan, gateway, sink, checkpoint_file=cp_file,
+        summary = scan_event(plan, queries, sink, checkpoint_file=cp_file,
                              rows_emitted_so_far=rows_so_far, sleeper=sleeper,
                              on_progress=progress)
         writer.finalize()
@@ -237,10 +250,10 @@ def run_extract(config: RunConfig) -> list[ScanSummary]:
     """Programmatic entry point behind the ``extract`` command.
 
     Several chains run in one forked process each; chains share no state, so
-    they use every core. A chain process stops at its next commit (every
-    ``--batch`` blocks at least) once this process is gone. A chain's error is
-    re-raised here once every chain has stopped; a chain process that dies
-    raises ``BrokenProcessPool``.
+    they use every core. Once this process is gone, a chain process stops
+    before its next query, after at most the query in flight and the commit it
+    completes. A chain's error is re-raised here once every chain has stopped;
+    a chain process that dies raises ``BrokenProcessPool``.
     A single chain runs in this process. Several run in one thread each where
     ``fork`` is missing or unsafe because other threads are running.
     """

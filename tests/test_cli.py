@@ -440,10 +440,11 @@ class _FakeRpc:
     """A JSON-RPC endpoint over one chain of a corpus, in place of the live
     gateway's ``requests`` session. It answers a batch in reverse order and
     refuses any eth_getLogs span above ``max_span`` blocks as too large, and
-    any batch of more than ``batch_limit`` requests as go-ethereum does."""
+    any batch of more than ``batch_limit`` requests as go-ethereum does.
+    ``on_logs_answered`` is called after each eth_getLogs it answers."""
 
     def __init__(self, records, timestamps, head, max_span, removed_key=None,
-                 null_logs=False, batch_limit=None):
+                 null_logs=False, batch_limit=None, on_logs_answered=None):
         self.records = records
         self.timestamps = timestamps
         self.head = head
@@ -451,6 +452,7 @@ class _FakeRpc:
         self.removed_key = removed_key  # (block, log index) of a log removed by a reorg
         self.null_logs = null_logs  # answer eth_getLogs with "result": null
         self.batch_limit = batch_limit
+        self.on_logs_answered = on_logs_answered or (lambda: None)
         self.batches_refused = 0
         self.bodies = []
         self.logs_answered = 0
@@ -494,6 +496,7 @@ class _FakeRpc:
                 and record["address"] == params[0]["address"].lower()
                 and record["topics"][0] == params[0]["topics"][0]
             ]
+            self.on_logs_answered()
         return reply
 
 
@@ -572,6 +575,45 @@ class TestLiveExtract:
                                        if line.startswith("{"))
         assert saves == progress
         assert saves == {event: 10 for event in registry.event_names()}
+
+    def test_a_chain_whose_extract_is_gone_stops_before_its_next_query(
+            self, live, tmp_path, mini_corpus_dir, registry, monkeypatch):
+        """The extract process dies while the first query after the first event's
+        second commit is in flight, so answers wait for a third commit: no query
+        is sent and nothing committed after it, and a resume completes every
+        stream as an uninterrupted run does."""
+        import aavescan.cli as cli_module
+        from aavescan.scanner import Checkpoint, checkpoint_path
+
+        saves = []
+        save = Checkpoint.save
+        monkeypatch.setattr(Checkpoint, "save", lambda self, path: (
+            saves.append(self), save(self, path))[1])
+
+        def exit_(code):  # os._exit, as a SystemExit the test runner reports
+            raise SystemExit(code)
+
+        monkeypatch.setattr(os, "_exit", exit_)
+        monkeypatch.setattr(cli_module, "_extract_pid", os.getppid())
+        answers = []  # per answered eth_getLogs, the commits made before it
+
+        def kill_after_second_commit():
+            answers.append(len(saves))
+            if answers.count(2) == 1:
+                monkeypatch.setattr(cli_module, "_extract_pid", -1)
+
+        result, _rpc = live(max_span=2_000, on_logs_answered=kill_after_second_commit)
+        assert result.exit_code == 4, result.output + result.stderr
+        assert answers[-1] == 2 and answers.count(2) == 1  # no query after the kill
+        assert len(saves) == 2  # no commit after the kill
+        event = saves[0].event
+        cp_file = checkpoint_path(str(tmp_path / "out"), "ethereum", event)
+        assert Checkpoint.load(cp_file, "ethereum", event) == saves[-1]
+
+        monkeypatch.setattr(cli_module, "_extract_pid", None)
+        result, _rpc = live(max_span=2_000, args=["--resume"])
+        assert result.exit_code == 0, result.output + result.stderr
+        self._assert_parts_match_reference(tmp_path / "out", mini_corpus_dir, registry)
 
     def test_log_still_removed_after_the_retries_exits_3_with_its_checkpoint_unmoved(
             self, live, tmp_path, mini_corpus_dir, registry):
