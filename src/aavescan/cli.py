@@ -7,6 +7,7 @@ network unless --live is given; --fixture-dir selects the offline emulator.
 
 from __future__ import annotations
 
+import fcntl
 import json
 import multiprocessing
 import os
@@ -15,6 +16,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
 from heapq import merge
 from operator import itemgetter
@@ -44,8 +46,9 @@ from .scanner import (
     ScanPlan,
     ScanSummary,
     SpanLimits,
+    StreamScan,
     checkpoint_path,
-    scan_event,
+    scan_events,
 )
 from .sink import (DecodingSink, IoFailure, ShardWriter, iter_part_rows, iter_streams,
                    list_stream_parts, stream_parts, validate_output)
@@ -130,9 +133,9 @@ def _enter_chain_process(parent_pid: int) -> None:
 def _stop_if_orphaned() -> None:
     """End a chain process whose extract process is gone (killed, not unwound).
 
-    Called before each query (``_OrphanCheckedGateway``) and after each
-    commit, so after the kill at most the query in flight is answered and the
-    commit it completes written; answers held for the next commit are
+    Called before each round (``_OrphanCheckedGateway``) and after each
+    commit, so after the kill at most the round in flight is answered and the
+    commits it completes written; answers held for later commits are
     dropped, and ``--resume`` asks for them again. ``_exit``: a raised error
     would leave the process blocked on the pool's queues, which nothing reads
     any more.
@@ -142,14 +145,31 @@ def _stop_if_orphaned() -> None:
 
 
 class _OrphanCheckedGateway:
-    """A chain's gateway, checked for a gone extract process before each query."""
+    """A chain's gateway, checked for a gone extract process before each round."""
 
     def __init__(self, gateway):
         self._gateway = gateway
 
-    def get_logs(self, query):
+    def get_logs_many(self, queries):
         _stop_if_orphaned()
-        return self._gateway.get_logs(query)
+        return self._gateway.get_logs_many(queries)
+
+
+@contextmanager
+def _chain_lock(chain_dir: str):
+    """Hold an exclusive ``flock`` on ``chain_dir`` itself, so no file is added;
+    IoFailure names the directory when another extract holds it."""
+    os.makedirs(chain_dir, exist_ok=True)
+    fd = os.open(chain_dir, os.O_RDONLY)
+    try:
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise IoFailure(f"{chain_dir} is locked by another extract of this chain; "
+                            "wait for it to end") from None
+        yield
+    finally:
+        os.close(fd)
 
 
 def _progress_printer(json_mode: bool):
@@ -174,9 +194,17 @@ def _progress_printer(json_mode: bool):
 
 def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
                    event_names: list[str]) -> list[ScanSummary]:
+    with ExitStack() as held:  # until the extract ends: the lock, then every part file
+        held.enter_context(_chain_lock(os.path.join(config.out_dir, chain_name)))
+        return _extract_locked_chain(config, registry, chain_name, event_names, held)
+
+
+def _extract_locked_chain(config: RunConfig, registry: Registry, chain_name: str,
+                          event_names: list[str], held: ExitStack) -> list[ScanSummary]:
+    """Scan every unfinished stream of a chain in lockstep, then finalize them.
+    ``held`` closes each stream's writer however the extract ends."""
     chain = registry.chain(chain_name)
     gateway = _make_gateway(config, registry, chain_name)
-    queries = _OrphanCheckedGateway(gateway)
     sleeper = (lambda _s: None) if config.fixture_dir else time.sleep
     progress = _progress_printer(config.json_progress)
 
@@ -187,8 +215,10 @@ def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
     if config.from_block is not None:
         start_block = max(start_block, config.from_block)
 
-    summaries: list[ScanSummary] = []
-    limits = SpanLimits()  # what one event scan passes to the next
+    summaries: dict[str, ScanSummary] = {}
+    scans: list[StreamScan] = []
+    writers: list[ShardWriter] = []
+    limits = SpanLimits()  # shared by the chain's streams
     for event_name in event_names:
         schema = registry.event(event_name)
         cp_file = checkpoint_path(config.out_dir, chain_name, event_name)
@@ -219,24 +249,26 @@ def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
                     "refusing to mix streams"
                 )
             writer = ShardWriter(config.out_dir, chain_name, schema)
+        held.callback(writer.close)
 
         # a stream scanned to the end (re)does whatever of finalize is missing
         if cursor > end_block:
             writer.finalize()
-            summaries.append(ScanSummary(chain=chain_name, event=event_name,
-                                         rows_emitted=rows_so_far))
+            summaries[event_name] = ScanSummary(chain=chain_name, event=event_name,
+                                                rows_emitted=rows_so_far)
             continue
 
         plan = ScanPlan(chain=chain, event=schema, cursor=cursor, end_block=end_block,
                         batch_size=config.batch, batch_max=config.batch_max, limits=limits)
         sink = DecodingSink(writer, schema, chain_name, strict=not config.lenient)
-        summary = scan_event(plan, queries, sink, checkpoint_file=cp_file,
-                             rows_emitted_so_far=rows_so_far, sleeper=sleeper,
-                             on_progress=progress)
+        scans.append(StreamScan(plan, sink, cp_file, rows_so_far, progress))
+        writers.append(writer)
+
+    for summary in scan_events(scans, _OrphanCheckedGateway(gateway), sleeper):
+        summaries[summary.event] = summary
+    for writer in writers:
         writer.finalize()
-        summaries.append(summary)
-        limits = summary.limits
-    return summaries
+    return [summaries[event_name] for event_name in event_names]
 
 
 def _run_chain(config: RunConfig, registry: Registry, chain_name: str,
@@ -251,9 +283,12 @@ def run_extract(config: RunConfig) -> list[ScanSummary]:
 
     Several chains run in one forked process each; chains share no state, so
     they use every core. Once this process is gone, a chain process stops
-    before its next query, after at most the query in flight and the commit it
-    completes. A chain's error is re-raised here once every chain has stopped;
-    a chain process that dies raises ``BrokenProcessPool``.
+    before its next round, after at most the round in flight and the commits
+    it completes. Each chain locks its output directory for the whole
+    extract, so a second extract of that chain, a resume started while an
+    orphan still runs included, exits 4. A chain's error is re-raised here
+    once every chain has stopped; a chain process that dies raises
+    ``BrokenProcessPool``.
     A single chain runs in this process. Several run in one thread each where
     ``fork`` is missing or unsafe because other threads are running.
     """

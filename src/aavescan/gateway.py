@@ -10,12 +10,16 @@ RATE_LIMITED, RESPONSE_TOO_LARGE, TRANSIENT or TERMINAL. The first two are
 surfaced immediately because they drive the scanner's batch resizing;
 TRANSIENT failures are retried in-gateway before surfacing.
 
-``HttpGateway`` asks for the uncached block timestamps of one ``eth_getLogs``
-answer in JSON-RPC 2.0 batches (https://www.jsonrpc.org/specification, section
-6) of at most ``TIMESTAMP_BATCH_MAX`` requests, one POST each. A server that
-refuses a batch as too large answers RESPONSE_TOO_LARGE, which the scanner
-treats as any oversize refusal: it narrows its range (see ``scanner``) until an
-answer's batch fits. A server that refuses every batch is not supported.
+A chain scans its event streams in rounds (see ``scanner``), and
+``get_logs_many`` answers one round: one JSON-RPC 2.0 batch
+(https://www.jsonrpc.org/specification, section 6) of every stream's next
+``eth_getLogs``, then one timestamp lookup over every block the answers hold,
+in batches of uncached ``eth_getBlockByNumber`` requests. Each entry gets its
+logs or its own classified error; ``get_logs`` is the one-query case. A
+server that refuses a batch as too large halves the gateway's batch limit
+(at first ``TIMESTAMP_BATCH_MAX``) for the rest of the run, and the refused
+requests go again at once in smaller POSTs, so no answer is lost and no range
+narrowed. A server that refuses a batch of one is not supported.
 
 Only building an ``HttpGateway`` imports the HTTP client (``requests``), so
 only ``extract --live`` loads it: the offline commands neither pay its import
@@ -39,9 +43,9 @@ if TYPE_CHECKING:
 
 TRANSIENT_BACKOFF_S = (1.0, 2.0, 4.0)  # one pause per retry
 REQUEST_TIMEOUT_S = 30.0
-# eth_getBlockByNumber requests per batch POST: the smallest default batch limit
-# of the node clients (Erigon's --rpc.batch.limit, 100; go-ethereum's
-# --rpc.batch-request-limit, 1000; Besu's and Nethermind's, 1024)
+# requests per batch POST until a server refuses a batch as too large: the
+# smallest default batch limit of the node clients (Erigon's --rpc.batch.limit,
+# 100; go-ethereum's --rpc.batch-request-limit, 1000; Besu's and Nethermind's, 1024)
 TIMESTAMP_BATCH_MAX = 100
 
 
@@ -213,24 +217,39 @@ def classify_error(
 
 
 class _GatewayBase:
-    """Block-timestamp cache: one upstream fetch per distinct block. The
-    uncached blocks of a ``get_logs`` answer are fetched in ascending chunks of
-    at most ``TIMESTAMP_BATCH_MAX``, each cached as soon as it arrives, so a
-    chunk that fails costs none of the chunks before it.
+    """Block-timestamp cache, and ``get_logs`` as the one-query case of
+    ``get_logs_many``. One upstream fetch per distinct block: the uncached
+    blocks of a round's answers are fetched in ascending chunks of at most
+    ``batch_limit``, each cached as soon as it arrives, so a chunk that fails
+    costs none of the chunks before it.
 
     ``extract`` builds one gateway per chain and calls it from one thread, so the
-    cache and the request ids take no lock.
+    cache, the batch limit and the request ids take no lock.
     """
+
+    batch_limit = TIMESTAMP_BATCH_MAX  # requests per batch POST
 
     def __init__(self) -> None:
         self._ts_cache: dict[int, int] = {}
 
+    def get_logs_many(self, queries: list[LogQuery]) -> list[list[RawLog] | GatewayError]:
+        """Per query, in order: its logs in key order, each with its block
+        timestamp, or its own classified error. An error of the whole round (a
+        batch refused, or a timestamp lookup that failed) is raised."""
+        raise NotImplementedError
+
+    def get_logs(self, query: LogQuery) -> list[RawLog]:
+        (logs,) = self.get_logs_many([query])
+        if isinstance(logs, GatewayError):
+            raise logs
+        return logs
+
     def _cached_timestamps(self, blocks: set[int]) -> dict[int, int]:
         """The cache, after fetching the blocks of ``blocks`` it lacks."""
         missing = sorted(blocks.difference(self._ts_cache))
-        for start in range(0, len(missing), TIMESTAMP_BATCH_MAX):
-            self._ts_cache.update(
-                self._fetch_block_timestamps(missing[start:start + TIMESTAMP_BATCH_MAX]))
+        while missing:
+            chunk, missing = missing[:self.batch_limit], missing[self.batch_limit:]
+            self._ts_cache.update(self._fetch_block_timestamps(chunk))
         return self._ts_cache
 
     def get_block_timestamp(self, block_number: int) -> int:
@@ -238,14 +257,17 @@ class _GatewayBase:
 
     def _fetch_block_timestamps(self, blocks: list[int]) -> dict[int, int]:
         """Timestamps of ``blocks`` (distinct, ascending, at most
-        ``TIMESTAMP_BATCH_MAX``), all of them or an error."""
+        ``batch_limit``), all of them or an error."""
         raise NotImplementedError
 
-    def _enrich(self, logs: list[RawLog]) -> list[RawLog]:
+    def _enrich(self, answers: list) -> list:
+        """``answers``, each log of them given its block timestamp by one lookup."""
+        logs = [log for answer in answers if not isinstance(answer, GatewayError)
+                for log in answer]
         timestamps = self._cached_timestamps({log.block_number for log in logs})
         for log in logs:
             log.block_timestamp = timestamps[log.block_number]
-        return logs
+        return answers
 
 
 class HttpGateway(_GatewayBase):
@@ -301,6 +323,24 @@ class HttpGateway(_GatewayBase):
         except ValueError as exc:
             raise GatewayError(ErrorKind.TRANSIENT, f"non-JSON response: {exc}") from exc
 
+    def _post_batch(self, batch: list[dict], read: Callable[[list[dict], object], list]) -> list:
+        """One answer per request of ``batch``, in order: ``read(chunk, reply)``
+        of each POST of a chunk of at most ``batch_limit`` requests.
+
+        A chunk refused as too large halves the limit for the rest of the run
+        and goes again at once; a refused batch of one request surfaces.
+        """
+        answers: list = []
+        while len(answers) < len(batch):
+            chunk = batch[len(answers):len(answers) + self.batch_limit]
+            try:
+                answers += self._post(chunk, partial(read, chunk))
+            except GatewayError as exc:
+                if exc.kind is not ErrorKind.RESPONSE_TOO_LARGE or len(chunk) == 1:
+                    raise
+                self.batch_limit = len(chunk) // 2
+        return answers
+
     def _call(self, method: str, params: list, read: Callable[[object], object]):
         """One request; ``read`` checks its result and returns the answer."""
 
@@ -313,37 +353,39 @@ class HttpGateway(_GatewayBase):
 
         return self._post(self._request(method, params), read_reply)
 
-    def get_logs(self, query: LogQuery) -> list[RawLog]:
-        query.validate()
-        address = query.address.lower()
-
-        def read(result) -> list[RawLog]:
-            if not isinstance(result, list):
-                raise GatewayError(ErrorKind.TERMINAL,
-                                   f"eth_getLogs: result {result!r:.80} is not a list")
-            logs = [parse_log(entry) for entry in result]
-            for log in logs:
-                if log.address != address:
-                    raise GatewayError(ErrorKind.TERMINAL,
-                                       f"log {log.key} of foreign {log.address}")
-            return sorted(logs, key=lambda log: log.key)
-
-        logs = self._call(
-            "eth_getLogs",
-            [{
-                "fromBlock": hex(query.from_block),
-                "toBlock": hex(query.to_block),
-                "address": query.address,
-                "topics": ["0x" + query.topic0.hex()],
-            }],
-            read,
-        )
-        return self._enrich(logs)
+    def get_logs_many(self, queries: list[LogQuery]) -> list[list[RawLog] | GatewayError]:
+        """One batch of ``eth_getLogs``. Entries whose answer is TRANSIENT (a log
+        removed by a reorg, say) go again after each pause of TRANSIENT_BACKOFF_S;
+        the answered ones are not asked again."""
+        for query in queries:
+            query.validate()
+        batch = [self._request("eth_getLogs", [{
+            "fromBlock": hex(query.from_block),
+            "toBlock": hex(query.to_block),
+            "address": query.address,
+            "topics": ["0x" + query.topic0.hex()],
+        }]) for query in queries]
+        answers: list = [None] * len(queries)
+        todo = range(len(queries))
+        for pause in (*TRANSIENT_BACKOFF_S, None):
+            retry = []
+            for i, entry in zip(todo, self._post_batch([batch[i] for i in todo], _match_batch)):
+                try:
+                    answers[i] = _read_logs(queries[i].address.lower(), entry)
+                except GatewayError as exc:
+                    # a new error: a traceback would hold this frame, and so the reply
+                    answers[i] = GatewayError(exc.kind, exc.detail)
+                    if exc.kind is ErrorKind.TRANSIENT:
+                        retry.append(i)
+            if not retry or pause is None:
+                break
+            self._sleeper(pause)
+            todo = retry
+        return self._enrich(answers)
 
     def _fetch_block_timestamps(self, blocks: list[int]) -> dict[int, int]:
         batch = [self._request("eth_getBlockByNumber", [hex(block), False]) for block in blocks]
-        block_of = {request["id"]: block for request, block in zip(batch, blocks)}
-        return self._post(batch, partial(_read_timestamps, block_of))
+        return dict(zip(blocks, self._post_batch(batch, _read_timestamps)))
 
     def latest_block(self) -> int:
         return self._call("eth_blockNumber", [],
@@ -359,43 +401,78 @@ def _raise_rpc_error(reply: dict) -> None:
         raise classify_error(message=str(error.get("message", "")), rpc_code=error.get("code"))
 
 
-def _read_timestamps(block_of: dict[int, int], reply) -> dict[int, int]:
-    """Timestamps by block from the reply to a batch whose ids map to ``block_of``.
+def _asked(request: dict) -> str:
+    """What ``request`` asks for, as an error message names it."""
+    params = request["params"][0]
+    if request["method"] == "eth_getLogs":
+        return f"blocks [{int(params['fromBlock'], 16)}, {int(params['toBlock'], 16)}]"
+    return f"block {int(params, 16)}"
+
+
+def _match_batch(chunk: list[dict], reply) -> list[dict]:
+    """The entries of ``reply``, the reply to the batch ``chunk``, in request order.
 
     A server may answer a batch in any order, so entries are matched by id. A
     reply that is one error object (a batch throttled, or refused as too large)
-    or an entry's error is classified; every other deviation is TERMINAL.
+    or an unmatched entry's error is classified; every other deviation is
+    TERMINAL.
     """
+    method = chunk[0]["method"]
+
     def malformed(detail: str) -> GatewayError:
-        return GatewayError(ErrorKind.TERMINAL, f"eth_getBlockByNumber: {detail}")
+        return GatewayError(ErrorKind.TERMINAL, f"{method}: {detail}")
 
     if isinstance(reply, dict):
         _raise_rpc_error(reply)
     if not isinstance(reply, list):
         raise malformed(f"batch reply {reply!r:.80} is neither an array nor an error object")
-    timestamps: dict[int, int] = {}
+    position = {request["id"]: i for i, request in enumerate(chunk)}
+    entries: list = [None] * len(chunk)
     for entry in reply:
         if not isinstance(entry, dict):
             raise malformed(f"batch entry {entry!r:.80} is not an object")
-        _raise_rpc_error(entry)
         rid = entry.get("id")
-        block = block_of.get(rid) if isinstance(rid, int) else None
-        if block is None:
+        i = position.get(rid) if isinstance(rid, int) else None
+        if i is None:
+            _raise_rpc_error(entry)
             raise malformed(f"answer with unknown id {rid!r:.80}")
-        if block in timestamps:
-            raise malformed(f"block {block} answered twice")
+        if entries[i] is not None:
+            raise malformed(f"{_asked(chunk[i])} answered twice")
+        entries[i] = entry
+    if missing := [request for request, entry in zip(chunk, entries) if entry is None]:
+        raise malformed(f"no answer for {_asked(missing[0])} ({len(missing)} unanswered)")
+    return entries
+
+
+def _read_logs(address: str, entry: dict) -> list[RawLog]:
+    """The logs of one ``eth_getLogs`` answer for ``address``, in key order."""
+    _raise_rpc_error(entry)
+    result = entry.get("result")
+    if not isinstance(result, list):
+        raise GatewayError(ErrorKind.TERMINAL, f"eth_getLogs: result {result!r:.80} is not a list")
+    logs = [parse_log(log) for log in result]
+    for log in logs:
+        if log.address != address:
+            raise GatewayError(ErrorKind.TERMINAL, f"log {log.key} of foreign {log.address}")
+    return sorted(logs, key=lambda log: log.key)
+
+
+def _read_timestamps(chunk: list[dict], reply) -> list[int]:
+    """The timestamps of the blocks ``chunk`` asks for, from its reply."""
+    timestamps = []
+    for request, entry in zip(chunk, _match_batch(chunk, reply)):
+        _raise_rpc_error(entry)
+        block = int(request["params"][0], 16)
         result = entry.get("result")
         if result is None:
             raise GatewayError(ErrorKind.TERMINAL, f"block {block} beyond chain head")
         timestamp = result.get("timestamp") if isinstance(result, dict) else None
-        timestamps[block] = _hex_quantity(timestamp, f"block {block} timestamp")
-    if missing := sorted(set(block_of.values()).difference(timestamps)):
-        raise malformed(f"no answer for block {missing[0]} ({len(missing)} unanswered)")
+        timestamps.append(_hex_quantity(timestamp, f"block {block} timestamp"))
     return timestamps
 
 
-# A fault script inspects (call_index, query) before each get_logs and may
-# return an ErrorKind to inject; None lets the call through.
+# A fault script inspects (call_index, query) before each query is answered
+# and may return an ErrorKind to inject; None lets the query through.
 FaultScript = Callable[[int, LogQuery], Optional[ErrorKind]]
 
 
@@ -403,9 +480,11 @@ class FixtureGateway(_GatewayBase):
     """Deterministic corpus-backed emulator.
 
     The corpus is a per-chain set of raw logs sorted by (block_number,
-    log_index) plus a block-to-timestamp table. ``calls`` records every
-    get_logs query (faulted or not) and ``block_fetches`` counts upstream
-    timestamp lookups, so tests can observe batching and cache behaviour.
+    log_index) plus a block-to-timestamp table. ``calls`` records every query
+    of every round in order (faulted or not; the fault script sees them in
+    the same order, and a fault lands on its query alone) and
+    ``block_fetches`` counts upstream timestamp lookups, so tests can observe
+    batching and cache behaviour.
     """
 
     def __init__(
@@ -436,22 +515,26 @@ class FixtureGateway(_GatewayBase):
         timestamps = {int(k): int(v) for k, v in table["timestamps"].items()}
         return cls(logs, timestamps, head_block=int(table["head"]), fault_script=fault_script)
 
-    def get_logs(self, query: LogQuery) -> list[RawLog]:
-        query.validate()
-        call_index = len(self.calls)
-        self.calls.append(query)
-        if self._fault_script is not None:
-            kind = self._fault_script(call_index, query)
+    def get_logs_many(self, queries: list[LogQuery]) -> list[list[RawLog] | GatewayError]:
+        for query in queries:
+            query.validate()
+        answers: list = []
+        for query in queries:
+            call_index = len(self.calls)
+            self.calls.append(query)
+            kind = self._fault_script(call_index, query) if self._fault_script else None
             if kind is not None:
-                raise GatewayError(kind, f"injected fault on call {call_index}")
-        lo = bisect.bisect_left(self._block_keys, query.from_block)
-        hi = bisect.bisect_right(self._block_keys, query.to_block)
-        address = query.address.lower()
-        selected = [RawLog(log.address, log.topics, log.data, log.block_number,
-                           log.transaction_hash, log.log_index)
-                    for log in self._logs[lo:hi]
-                    if log.address == address and log.topics and log.topics[0] == query.topic0]
-        return self._enrich(selected)
+                answers.append(GatewayError(kind, f"injected fault on call {call_index}"))
+                continue
+            lo = bisect.bisect_left(self._block_keys, query.from_block)
+            hi = bisect.bisect_right(self._block_keys, query.to_block)
+            address = query.address.lower()
+            answers.append([RawLog(log.address, log.topics, log.data, log.block_number,
+                                   log.transaction_hash, log.log_index)
+                            for log in self._logs[lo:hi]
+                            if log.address == address and log.topics
+                            and log.topics[0] == query.topic0])
+        return self._enrich(answers)
 
     def _fetch_block_timestamps(self, blocks: list[int]) -> dict[int, int]:
         timestamps = {}

@@ -1,4 +1,4 @@
-"""Adaptive batch walker over one (chain, event) block range.
+"""Adaptive batch walker over the (chain, event) block ranges of one chain.
 
 The scanner issues getLogs queries batch by batch. A rate limit halves the
 batch width and a streak of successes doubles it. A too-large refusal bounds
@@ -11,6 +11,16 @@ grows past the refused span by the factor they were sparser, and a wider span
 answered there drops the refused one, while a refused probe holds the provider
 to its span. A plan may start from the SpanLimits an earlier scan of the same
 chain learned; nothing keeps them longer.
+
+A chain's streams scan in lockstep (``scan_events``). Each stream is a
+generator that keeps its own state machine, checkpoint, pending answers and
+commits; each round sends the next query of every unfinished stream in one
+``get_logs_many`` call, which an HTTP gateway sends as one JSON-RPC batch, so
+a provider sees one POST a round, not one a query. The streams share one
+SpanLimits. So that they do not all probe the same width together, once the
+chain has seen a refusal (or before its first answer) at most one query a
+round asks a span wider than the widest answered; the others are narrowed to
+it, or wait while there is none. A rate-limited round pauses once.
 
 Queries and commits are apart. Answers wait in memory until they cover at
 least the plan's batch size in blocks, or reach the end block; one commit then
@@ -74,8 +84,8 @@ class BatchSink(Protocol):
 
 @dataclass
 class SpanLimits:
-    """What too-large refusals taught about a provider, passed from one event
-    scan of a chain to the next."""
+    """What too-large refusals taught about a provider, shared by the event
+    scans of a chain."""
 
     accepted: int = 0  # widest span answered below ``refused``, 0 if none
     refused: int | None = None  # narrowest span refused as too large
@@ -163,10 +173,21 @@ class ScanSummary:
     rows_emitted: int = 0
     batches_issued: int = 0
     resize_events: int = 0
-    limits: SpanLimits = field(default_factory=SpanLimits)  # the plan's, as the scan left them
+    limits: SpanLimits = field(default_factory=SpanLimits)  # the chain's, as the scan left them
 
 
 ProgressFn = Callable[[ScanSummary, int, int], None]
+
+
+@dataclass
+class StreamScan:
+    """One stream's part of a chain's scan: what ``scan_event`` takes besides the gateway."""
+
+    plan: ScanPlan
+    sink: BatchSink
+    checkpoint_file: str | None = None
+    rows_emitted_so_far: int = 0
+    on_progress: ProgressFn | None = None
 
 
 def scan_event(
@@ -178,25 +199,91 @@ def scan_event(
     sleeper: Callable[[float], None] = time.sleep,
     on_progress: ProgressFn | None = None,
 ) -> ScanSummary:
-    """Scan ``[plan.cursor, plan.end_block]`` completely, committing once per
-    ``plan.batch_size`` blocks answered and at the end block.
+    """Scan one stream: the one-stream case of ``scan_events``."""
+    (summary,) = scan_events(
+        [StreamScan(plan, sink, checkpoint_file, rows_emitted_so_far, on_progress)],
+        gateway, sleeper)
+    return summary
 
-    Each answered query is checked for key order and waits for the next commit,
-    so a commit spans fewer than ``plan.batch_size`` blocks plus one query's
-    span. RateLimited halves the query and pauses before retrying the same
-    range, up to RATE_LIMIT_RETRIES pauses in a row; ResponseTooLarge retries
-    at once at the midpoint of the accepted and refused spans (half the refused
-    span when none narrower was accepted), up to a single-block query. Growth
-    stops at that midpoint unless the streak's answers were sparse (see
-    SpanLimits). Past either limit, and on terminal (and surfaced transient) gateway errors,
-    the scan aborts with the checkpoint at the last commit, and the answers
-    since are dropped. A plan that knows a refused span starts at its accepted
-    span; the summary carries the limits to the chain's next plan.
+
+def scan_events(scans: list[StreamScan], gateway,
+                sleeper: Callable[[float], None] = time.sleep) -> list[ScanSummary]:
+    """Scan the streams of one chain in lockstep, as the module docstring
+    says; one summary per scan, in order. The streams share a copy of the
+    first plan's SpanLimits, and each summary carries it; its ``accepted`` is
+    the widest span answered. A round pauses once, for the longest pause its
+    streams' rate limits ask. The first stream to fail aborts the whole scan;
+    every stream's checkpoint stays at its last commit.
     """
+    limits = replace(scans[0].plan.limits) if scans else SpanLimits()
+    streams = [_scan(scan, limits) for scan in scans]
+    summaries: list = [None] * len(streams)
+    wishes: dict[int, tuple[int, int, float]] = {}  # stream -> (cursor, last block, pause)
+
+    def step(i: int, answer) -> None:
+        try:
+            if isinstance(answer, GatewayError):
+                wishes[i] = streams[i].throw(answer.with_traceback(None))
+            else:
+                wishes[i] = streams[i].send(answer)
+        except StopIteration as done:
+            summaries[i] = done.value
+            wishes.pop(i, None)
+
+    for i in range(len(streams)):
+        step(i, None)
+    refused = limits.refused is not None  # the chain has seen a refusal
+    while wishes:
+        held = refused or not limits.accepted
+        untried_free = True  # no query of this round asks past limits.accepted yet
+        sent: list[tuple[int, int]] = []  # (stream, last block)
+        for i, (cursor, hi, _pause) in wishes.items():
+            if held and hi - cursor + 1 > limits.accepted:
+                if untried_free:
+                    untried_free = False
+                elif limits.accepted:
+                    hi = cursor + limits.accepted - 1
+                else:
+                    continue
+            sent.append((i, hi))
+        if pause := max(wishes[i][2] for i, _hi in sent):
+            sleeper(pause)
+        queries = [streams[i].send(hi) for i, hi in sent]
+        try:
+            answers = gateway.get_logs_many(queries)
+        except GatewayError as exc:
+            answers = [exc] * len(queries)
+        for (i, _hi), answer in zip(sent, answers):
+            refused |= (isinstance(answer, GatewayError)
+                        and answer.kind is ErrorKind.RESPONSE_TOO_LARGE)
+            step(i, answer)
+    return summaries
+
+
+def _scan(scan: StreamScan, limits: SpanLimits):
+    """One stream's scan of ``[plan.cursor, plan.end_block]`` as a generator
+    driven by ``scan_events``: it yields ``(cursor, last block, pause)`` for
+    the query it wants, is sent the last block granted, yields that LogQuery,
+    and is sent its logs or thrown its GatewayError; it returns its summary.
+
+    Commits come once per ``plan.batch_size`` blocks answered and at the end
+    block. Each answered query is checked for key order and waits for the next
+    commit, so a commit spans fewer than ``plan.batch_size`` blocks plus one
+    query's span. RateLimited halves the query and asks a pause before
+    retrying the same range, up to RATE_LIMIT_RETRIES pauses in a row;
+    ResponseTooLarge retries at the midpoint of the accepted and refused spans
+    (half the refused span when none narrower was accepted), up to a
+    single-block query. Growth stops at that midpoint unless the streak's
+    answers were sparse (see SpanLimits). Past either limit, and on terminal
+    (and surfaced transient) gateway errors, the scan aborts with the
+    checkpoint at the last commit, and the answers since are dropped. A plan
+    that knows a refused span starts at its accepted span, and a query that
+    ``scan_events`` narrows sets the span the stream goes on from.
+    """
+    plan = scan.plan
     plan.validate()
-    limits = replace(plan.limits)
     summary = ScanSummary(chain=plan.chain.chain_name, event=plan.event.event_name,
-                          rows_emitted=rows_emitted_so_far, limits=limits)
+                          rows_emitted=scan.rows_emitted_so_far, limits=limits)
 
     cursor = plan.cursor
     batch_size = plan.batch_size
@@ -205,20 +292,24 @@ def scan_event(
     streak, streak_rows = 0, 1  # clean batches in a row, and the most logs one held (min 1)
     probe: int | None = None  # streak_rows of the streak whose growth past refused is in flight
     rate_limited = 0  # pauses since the last answered query
+    pause = 0.0  # to wait before the next query
     last_key: tuple[int, int] | None = None
     pending: list = []  # logs answered since the last commit, in key order
     committed = cursor  # first block past the last commit
 
     while cursor <= plan.end_block:
-        hi = min(cursor + batch_size - 1, plan.end_block)
-        query = LogQuery(
-            from_block=cursor,
-            to_block=hi,
-            address=plan.chain.pool_address,
-            topic0=plan.event.topic0,
-        )
+        wanted = min(cursor + batch_size - 1, plan.end_block)
+        hi = yield cursor, wanted, pause
+        if hi < wanted:  # narrowed to the span the chain has answered
+            batch_size, probe = hi - cursor + 1, None
+        pause = 0.0
         try:
-            logs = gateway.get_logs(query)
+            logs = yield LogQuery(
+                from_block=cursor,
+                to_block=hi,
+                address=plan.chain.pool_address,
+                topic0=plan.event.topic0,
+            )
         except GatewayError as exc:
             if exc.kind is ErrorKind.RATE_LIMITED:
                 if rate_limited == RATE_LIMIT_RETRIES:
@@ -227,7 +318,7 @@ def scan_event(
                 batch_size = resize(batch_size, Outcome.RATE_LIMITED, plan.batch_max)
                 summary.resize_events += 1
                 streak, streak_rows, probe = 0, 1, None
-                sleeper(min(RATE_LIMIT_PAUSE_S * 2 ** rate_limited, RATE_LIMIT_PAUSE_CAP_S))
+                pause = min(RATE_LIMIT_PAUSE_S * 2 ** rate_limited, RATE_LIMIT_PAUSE_CAP_S)
                 rate_limited += 1
                 continue
             if exc.kind is ErrorKind.RESPONSE_TOO_LARGE:
@@ -269,20 +360,20 @@ def scan_event(
         rate_limited = 0
 
         if cursor - committed >= plan.batch_size or cursor > plan.end_block:
-            summary.rows_emitted += sink.commit_batch(pending)
+            summary.rows_emitted += scan.sink.commit_batch(pending)
             pending, committed = [], cursor
-            if checkpoint_file is not None:
+            if scan.checkpoint_file is not None:
                 Checkpoint(
                     chain=plan.chain.chain_name,
                     event=plan.event.event_name,
                     last_completed_block=hi,
                     rows_emitted_total=summary.rows_emitted,
-                    current_part_number=sink.part_number,
-                    rows_in_current_part=sink.rows_in_part,
-                    parts=sink.closed_parts,
-                ).save(checkpoint_file)
-            if on_progress is not None:
-                on_progress(summary, cursor, plan.end_block)
+                    current_part_number=scan.sink.part_number,
+                    rows_in_current_part=scan.sink.rows_in_part,
+                    parts=scan.sink.closed_parts,
+                ).save(scan.checkpoint_file)
+            if scan.on_progress is not None:
+                scan.on_progress(summary, cursor, plan.end_block)
 
         streak += 1
         streak_rows = max(streak_rows, len(logs))

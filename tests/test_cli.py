@@ -153,6 +153,37 @@ class TestExtract:
         assert (stream / name).read_bytes() == reference.stream_csv_bytes(
             mini_corpus_dir, "ethereum", "Supply")
 
+    def test_an_extract_of_a_chain_another_extract_holds_exits_4(self, runner, tmp_path,
+                                                                 mini_corpus_dir, monkeypatch):
+        """A chain's output directory is locked for a whole extract: a second one,
+        here a resume, exits 4 naming it and changes no file."""
+        import fcntl
+
+        from aavescan.sink import ShardWriter
+
+        def failing_finalize(writer):
+            raise OSError("disk full")
+
+        out = tmp_path / "out"
+        args = ["extract", "--chain", "ethereum", "--event", "all",
+                "--out", str(out), "--fixture-dir", mini_corpus_dir]
+        with monkeypatch.context() as patch:
+            patch.setattr(ShardWriter, "finalize", failing_finalize)
+            assert runner.invoke(main, args).exit_code == 4  # every stream left to finalize
+        before = _tree_bytes(out)
+        holder = os.open(out / "ethereum", os.O_RDONLY)
+        try:
+            fcntl.flock(holder, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            locked = runner.invoke(main, args + ["--resume"])
+        finally:
+            os.close(holder)
+        assert locked.exit_code == 4, locked.output + locked.stderr
+        assert f"{out / 'ethereum'} is locked by another extract" in locked.stderr
+        assert _tree_bytes(out) == before
+        resumed = runner.invoke(main, args + ["--resume"])
+        assert resumed.exit_code == 0, resumed.stderr
+        assert runner.invoke(main, ["validate", str(out)]).exit_code == 0
+
     def test_fsync_budget_of_one_chain(self, runner, tmp_path, mini_corpus_dir, monkeypatch):
         """One fsync per batch flush with an open part, per checkpoint, per part
         close and per manifest."""
@@ -390,18 +421,18 @@ class TestChainProcesses:
                 assert [(stream / part).read_bytes() for part in parts] == [expected]
 
 
-# extract with every fixture get_logs call slowed, recording the pid of each
+# extract with every fixture round of queries slowed, recording the pid of each
 # process that scans; argv[1] is the pid directory, the rest the CLI arguments
 _SLOW_EXTRACT = """
 import os, sys, time
 from aavescan.gateway import FixtureGateway
 pid_dir = sys.argv.pop(1)
-get_logs = FixtureGateway.get_logs
-def slow_get_logs(self, query):
+get_logs_many = FixtureGateway.get_logs_many
+def slow_get_logs_many(self, queries):
     open(os.path.join(pid_dir, str(os.getpid())), "a").close()
     time.sleep(0.02)
-    return get_logs(self, query)
-FixtureGateway.get_logs = slow_get_logs
+    return get_logs_many(self, queries)
+FixtureGateway.get_logs_many = slow_get_logs_many
 from aavescan.cli import main
 main(prog_name="aavescan")
 """
@@ -422,6 +453,15 @@ def _running(pid: int) -> bool:
         return False
 
 
+def _tree_bytes(root) -> dict:
+    files = {}
+    for d, _dirs, names in os.walk(root):
+        for name in names:
+            with open(os.path.join(d, name), "rb") as fh:
+                files[os.path.join(d, name)] = fh.read()
+    return files
+
+
 def _tree_state(root) -> dict:
     return {os.path.join(d, n): os.stat(os.path.join(d, n)).st_mtime_ns
             for d, _dirs, names in os.walk(root) for n in names}
@@ -440,11 +480,10 @@ class _FakeRpc:
     """A JSON-RPC endpoint over one chain of a corpus, in place of the live
     gateway's ``requests`` session. It answers a batch in reverse order and
     refuses any eth_getLogs span above ``max_span`` blocks as too large, and
-    any batch of more than ``batch_limit`` requests as go-ethereum does.
-    ``on_logs_answered`` is called after each eth_getLogs it answers."""
+    any batch of more than ``batch_limit`` requests as go-ethereum does."""
 
     def __init__(self, records, timestamps, head, max_span, removed_key=None,
-                 null_logs=False, batch_limit=None, on_logs_answered=None):
+                 null_logs=False, batch_limit=None):
         self.records = records
         self.timestamps = timestamps
         self.head = head
@@ -452,7 +491,6 @@ class _FakeRpc:
         self.removed_key = removed_key  # (block, log index) of a log removed by a reorg
         self.null_logs = null_logs  # answer eth_getLogs with "result": null
         self.batch_limit = batch_limit
-        self.on_logs_answered = on_logs_answered or (lambda: None)
         self.batches_refused = 0
         self.bodies = []
         self.logs_answered = 0
@@ -496,7 +534,6 @@ class _FakeRpc:
                 and record["address"] == params[0]["address"].lower()
                 and record["topics"][0] == params[0]["topics"][0]
             ]
-            self.on_logs_answered()
         return reply
 
 
@@ -543,18 +580,32 @@ class TestLiveExtract:
         assert rpc.blocks_asked == collections.Counter(
             {record["blockNumber"]: 1 for record in rpc.records})
         singles = [body["method"] for body in rpc.bodies if isinstance(body, dict)]
-        assert set(singles) == {"eth_getLogs", "eth_blockNumber"}
-        batches = [body for body in rpc.bodies if isinstance(body, list)]
-        assert 0 < len(batches) <= rpc.logs_answered
+        assert singles == ["eth_blockNumber"]  # every eth_getLogs goes in a round's batch
+        methods = [{request["method"] for request in body}
+                   for body in rpc.bodies if isinstance(body, list)]
+        rounds, lookups = methods.count({"eth_getLogs"}), methods.count({"eth_getBlockByNumber"})
+        assert rounds + lookups == len(methods)
+        assert 0 < lookups <= rounds  # at most one timestamp batch per round here
+        assert max(len(body) for body in rpc.bodies if isinstance(body, list)
+                   and body[0]["method"] == "eth_getLogs") == len(registry.event_names())
 
-    def test_a_smaller_provider_batch_limit_is_met_by_halving_the_range(
+    def test_a_smaller_provider_batch_limit_is_met_by_halving_the_batch(
             self, live, tmp_path, mini_corpus_dir, registry):
+        """Smaller POSTs, learned once, meet a provider that takes two requests a
+        batch: the scans send the eth_getLogs queries they send without that limit."""
+        unlimited, unlimited_rpc = live()
+        shutil.rmtree(tmp_path / "out")
         result, rpc = live(batch_limit=2)
         assert result.exit_code == 0, result.output + result.stderr
         self._assert_parts_match_reference(tmp_path / "out", mini_corpus_dir, registry)
-        assert rpc.batches_refused > 0
+        assert 0 < rpc.batches_refused <= 7  # 100 halved to 1 at most, not once a round
         assert rpc.blocks_asked == collections.Counter(
             {record["blockNumber"]: 1 for record in rpc.records})
+        assert (rpc.logs_answered, rpc.logs_refused) == (unlimited_rpc.logs_answered,
+                                                         unlimited_rpc.logs_refused)
+        summaries = [line for line in result.stderr.splitlines() if " batches=" in line]
+        assert summaries == [line for line in unlimited.stderr.splitlines()
+                             if " batches=" in line]
 
     def test_answers_commit_once_per_batch_of_blocks(self, live, tmp_path, mini_corpus_dir,
                                                      registry, monkeypatch):
@@ -578,11 +629,12 @@ class TestLiveExtract:
 
     def test_a_chain_whose_extract_is_gone_stops_before_its_next_query(
             self, live, tmp_path, mini_corpus_dir, registry, monkeypatch):
-        """The extract process dies while the first query after the first event's
-        second commit is in flight, so answers wait for a third commit: no query
-        is sent and nothing committed after it, and a resume completes every
-        stream as an uninterrupted run does."""
+        """The extract process dies while the second round after the first commits is
+        in flight, a round that completes no commit: no round is sent and nothing
+        committed after it, and a resume completes every stream as an
+        uninterrupted run does."""
         import aavescan.cli as cli_module
+        from aavescan.gateway import HttpGateway
         from aavescan.scanner import Checkpoint, checkpoint_path
 
         saves = []
@@ -595,22 +647,28 @@ class TestLiveExtract:
 
         monkeypatch.setattr(os, "_exit", exit_)
         monkeypatch.setattr(cli_module, "_extract_pid", os.getppid())
-        answers = []  # per answered eth_getLogs, the commits made before it
+        rounds = []  # per round sent, the commits made before it
+        send_round = HttpGateway.get_logs_many
 
-        def kill_after_second_commit():
-            answers.append(len(saves))
-            if answers.count(2) == 1:
+        def kill_in_the_second_round_after_a_commit(gateway, queries):
+            rounds.append(len(saves))
+            if sum(1 for count in rounds if count) == 2:
                 monkeypatch.setattr(cli_module, "_extract_pid", -1)
+            return send_round(gateway, queries)
 
-        result, _rpc = live(max_span=2_000, on_logs_answered=kill_after_second_commit)
+        monkeypatch.setattr(HttpGateway, "get_logs_many", kill_in_the_second_round_after_a_commit)
+        result, _rpc = live(max_span=2_000)
         assert result.exit_code == 4, result.output + result.stderr
-        assert answers[-1] == 2 and answers.count(2) == 1  # no query after the kill
-        assert len(saves) == 2  # no commit after the kill
-        event = saves[0].event
-        cp_file = checkpoint_path(str(tmp_path / "out"), "ethereum", event)
-        assert Checkpoint.load(cp_file, "ethereum", event) == saves[-1]
+        killed = [i for i, count in enumerate(rounds) if count][1]
+        assert len(rounds) == killed + 1  # no round after the one in flight
+        assert len(saves) == rounds[killed]  # no commit after the kill
+        for event in {cp.event for cp in saves}:
+            cp_file = checkpoint_path(str(tmp_path / "out"), "ethereum", event)
+            assert Checkpoint.load(cp_file, "ethereum", event) == [
+                cp for cp in saves if cp.event == event][-1]
 
         monkeypatch.setattr(cli_module, "_extract_pid", None)
+        monkeypatch.setattr(HttpGateway, "get_logs_many", send_round)
         result, _rpc = live(max_span=2_000, args=["--resume"])
         assert result.exit_code == 0, result.output + result.stderr
         self._assert_parts_match_reference(tmp_path / "out", mini_corpus_dir, registry)

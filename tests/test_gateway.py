@@ -244,7 +244,9 @@ def _blocks_reply(timestamps):
 
 
 def _logs_reply(entries):
-    return _FakeResponse(payload={"jsonrpc": "2.0", "id": 1, "result": entries})
+    """The reply to a batch of one eth_getLogs request whose result is ``entries``."""
+    return lambda batch: _FakeResponse(payload=[{"jsonrpc": "2.0", "id": batch[0]["id"],
+                                                 "result": entries}])
 
 
 def _http(script, sleeper=lambda _s: None):
@@ -275,7 +277,7 @@ class TestHttpGateway:
             },
         ]
         session = _FakeSession([
-            _FakeResponse(payload={"jsonrpc": "2.0", "id": 1, "result": result}),
+            _logs_reply(result),
             _blocks_reply({99: "0x5f5e100", 100: "0x5f5e101"}),
         ])
         gw = HttpGateway("http://unit.test", session=session, sleeper=lambda _s: None)
@@ -283,8 +285,9 @@ class TestHttpGateway:
         assert [l.block_number for l in logs] == [99, 100]
         assert logs[0].address == POOL
         assert logs[0].block_timestamp == 0x5F5E100
-        assert session.requests[0]["method"] == "eth_getLogs"
-        assert session.requests[0]["params"][0]["fromBlock"] == hex(99)
+        (request,) = session.requests[0]  # a batch, even of one query
+        assert request["method"] == "eth_getLogs"
+        assert request["params"][0]["fromBlock"] == hex(99)
 
     def test_transient_retry_then_success(self):
         sleeps = []
@@ -643,3 +646,151 @@ class TestReorgedLogs:
         assert "(100, 1)" in excinfo.value.detail
         assert sleeps == [1.0, 2.0, 4.0]
         assert len(session.requests) == 4
+
+
+def _round_reply(answers):
+    """The reply to a round's batch of eth_getLogs requests, in reverse order:
+    ``answers`` maps each request's fromBlock to its result list, or to an
+    error object (a dict)."""
+
+    def reply(batch):
+        entries = []
+        for request in batch:
+            answer = answers[int(request["params"][0]["fromBlock"], 16)]
+            entries.append({"jsonrpc": "2.0", "id": request["id"],
+                            "error" if isinstance(answer, dict) else "result": answer})
+        return _FakeResponse(payload=entries[::-1])
+
+    return reply
+
+
+ROUND = [LogQuery(0, 99, POOL, TOPIC), LogQuery(100, 199, POOL, TOPIC),
+         LogQuery(200, 299, POOL, TOPIC)]
+TOO_LARGE = {"code": -32005, "message": "query returned more than 10000 results"}
+
+
+class _BatchLimitedRpc:
+    """Answers one eth_getLogs log per query (in its first block) and every
+    block's timestamp, and refuses any batch of more than ``limit`` requests as
+    go-ethereum does."""
+
+    def __init__(self, limit):
+        self.limit = limit
+        self.sizes = []  # requests per POST
+        self.answered = []  # fromBlock of each eth_getLogs answered
+
+    def post(self, url, json=None, timeout=None):
+        self.sizes.append(len(json))
+        if len(json) > self.limit:
+            return _FakeResponse(payload={"jsonrpc": "2.0", "id": None, "error": {
+                "code": -32600, "message": "batch too large"}})
+        entries = []
+        for request in json:
+            block = request["params"][0]
+            if request["method"] == "eth_getLogs":
+                block = block["fromBlock"]
+                self.answered.append(int(block, 16))
+                result = _logs_in_blocks([int(block, 16)])
+            else:
+                result = {"timestamp": hex(int(block, 16) * 12)}
+            entries.append({"jsonrpc": "2.0", "id": request["id"], "result": result})
+        return _FakeResponse(payload=entries)
+
+
+class TestGetLogsMany:
+    """A round of queries is one batch POST, then one timestamp lookup."""
+
+    def test_one_post_and_one_lookup_per_round_answered_in_any_order(self):
+        gw, session = _http([_round_reply({0: _logs_in_blocks([50]), 100: [],
+                                           200: _logs_in_blocks([250])}),
+                             _blocks_reply({50: "0x5", 250: "0x19"})])
+        answers = gw.get_logs_many(ROUND)
+        assert [[(l.block_number, l.block_timestamp) for l in logs] for logs in answers] == [
+            [(50, 5)], [], [(250, 25)]]
+        logs_batch, blocks_batch = session.requests
+        assert [request["params"][0]["fromBlock"] for request in logs_batch] == [
+            hex(0), hex(100), hex(200)]
+        assert [request["params"][0] for request in blocks_batch] == [hex(50), hex(250)]
+
+    def test_a_too_large_error_lands_on_its_own_entry_only(self):
+        gw, session = _http([_round_reply({0: _logs_in_blocks([50]), 100: TOO_LARGE, 200: []}),
+                             _blocks_reply({50: "0x5"})])
+        first, refused, last = gw.get_logs_many(ROUND)
+        assert [l.block_timestamp for l in first] == [5] and last == []
+        assert isinstance(refused, GatewayError)
+        assert refused.kind is ErrorKind.RESPONSE_TOO_LARGE
+        # nothing of the round's reply is held by the error
+        assert refused.__traceback__ is None and refused.__context__ is None
+        assert len(session.requests) == 2
+
+    @pytest.mark.parametrize("mangle", ["unknown_id", "repeated_id"])
+    def test_an_unknown_or_repeated_id_is_terminal_for_the_round(self, mangle):
+        def reply(batch):
+            entries = [{"jsonrpc": "2.0", "id": request["id"], "result": []}
+                       for request in batch]
+            entries[1]["id"] = 10_000 if mangle == "unknown_id" else entries[0]["id"]
+            return _FakeResponse(payload=entries)
+
+        gw, _session = _http([reply])
+        with pytest.raises(GatewayError) as excinfo:
+            gw.get_logs_many(ROUND)
+        assert excinfo.value.kind is ErrorKind.TERMINAL
+        assert excinfo.value.detail.startswith("eth_getLogs: ")
+        assert ("10000" if mangle == "unknown_id" else "blocks [0, 99] answered twice") in \
+            excinfo.value.detail
+
+    def test_a_whole_reply_error_is_raised_for_the_round(self):
+        gw, session = _http([_FakeResponse(payload={
+            "jsonrpc": "2.0", "id": None,
+            "error": {"code": -32005, "message": "rate limit exceeded"}})])
+        with pytest.raises(GatewayError) as excinfo:
+            gw.get_logs_many(ROUND)
+        assert excinfo.value.kind is ErrorKind.RATE_LIMITED
+        assert len(session.requests) == 1
+
+    def test_only_transient_entries_are_asked_again(self):
+        sleeps = []
+        gw, session = _http([_round_reply({0: [_rpc_log(blockNumber=hex(50), removed=True)],
+                                           100: _logs_in_blocks([150]), 200: []}),
+                             _round_reply({0: _logs_in_blocks([50])}),
+                             _blocks_reply({50: "0x5", 150: "0xf"})], sleeper=sleeps.append)
+        answers = gw.get_logs_many(ROUND)
+        assert [[l.block_timestamp for l in logs] for logs in answers] == [[5], [15], []]
+        assert sleeps == [1.0]
+        assert session.requests[1] == session.requests[0][:1]
+
+    def test_a_batch_refused_as_too_large_halves_the_limit_and_loses_no_answer(self):
+        rpc = _BatchLimitedRpc(limit=2)
+        gw = HttpGateway("http://unit.test", session=rpc, sleeper=lambda _s: None)
+        queries = [LogQuery(block, block + 9, POOL, TOPIC) for block in range(0, 50, 10)]
+        answers = gw.get_logs_many(queries)
+        assert [[(l.block_number, l.block_timestamp) for l in logs] for logs in answers] == [
+            [(block, block * 12)] for block in range(0, 50, 10)]
+        assert gw.batch_limit == 2
+        # logs: 5 refused, then 2 + 2 + 1; timestamps of the 5 blocks: 2 + 2 + 1
+        assert rpc.sizes == [5, 2, 2, 1, 2, 2, 1]
+        assert rpc.answered == list(range(0, 50, 10))  # each query answered once
+        gw.get_logs_many([LogQuery(block, block + 9, POOL, TOPIC) for block in range(50, 90, 10)])
+        assert rpc.sizes[7:] == [2, 2, 2, 2]  # the limit holds for the rest of the run
+
+    def test_fixture_get_logs_many_equals_get_logs_per_query(self):
+        queries = [LogQuery(0, 120, POOL, TOPIC), LogQuery(121, 400, POOL, TOPIC),
+                   LogQuery(121, 199, POOL, TOPIC), LogQuery(200, 280, POOL, TOPIC)]
+
+        def outcome(answer):
+            if isinstance(answer, GatewayError):
+                return answer.kind
+            return [(l.key, l.block_timestamp) for l in answer]
+
+        many = _gateway(fault_script=max_span_fault(100))
+        one = _gateway(fault_script=max_span_fault(100))
+        per_query = []
+        for query in queries:
+            try:
+                per_query.append(outcome(one.get_logs(query)))
+            except GatewayError as exc:
+                per_query.append(exc.kind)
+        assert [outcome(answer) for answer in many.get_logs_many(queries)] == per_query
+        assert per_query[1] is ErrorKind.RESPONSE_TOO_LARGE and per_query[3] == [
+            ((200, 2), 1_700_001_200), ((250, 0), 1_700_001_800)]
+        assert many.calls == one.calls == queries

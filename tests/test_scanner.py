@@ -17,14 +17,17 @@ from aavescan.registry import ChainConfig, EventField, EventSchema
 from aavescan.keccak import keccak256
 from aavescan.scanner import (
     GROWTH_STREAK,
+    RATE_LIMIT_PAUSE_S,
     RATE_LIMIT_RETRIES,
     Checkpoint,
     Outcome,
     ScanPlan,
     SpanLimits,
+    StreamScan,
     checkpoint_path,
     resize,
     scan_event,
+    scan_events,
 )
 from aavescan.sink import DecodingSink, ShardWriter
 
@@ -41,6 +44,13 @@ SCHEMA2 = EventSchema(
     canonical_signature=SIG2,
     topic0=keccak256(SIG2.encode()),
     fields=(EventField("asset", "address", True), EventField("totalDebt", "uint256")),
+)
+SIG3 = "UserEModeSet(address,uint8)"
+SCHEMA3 = EventSchema(
+    event_name="UserEModeSet",
+    canonical_signature=SIG3,
+    topic0=keccak256(SIG3.encode()),
+    fields=(EventField("user", "address", True), EventField("categoryId", "uint8")),
 )
 CHAIN = ChainConfig("testchain", "0x" + "aa" * 20, 0, 10**6, "RPC_URL_TESTCHAIN")
 
@@ -494,6 +504,84 @@ class TestGroupCommit:
         covered = [b for lo, hi in committed_ranges(resumed, span) for b in range(lo, hi + 1)]
         assert covered == list(range(10_000, 24_000))
         assert files(out) == files(tmp_path / "whole")
+
+
+class RoundLog:
+    """A gateway that records each round as (query, answer) pairs; a round whose
+    number (from 1) is in ``fail`` raises that ErrorKind for the whole round."""
+
+    def __init__(self, gateway, fail=None):
+        self.gateway = gateway
+        self.fail = fail or {}
+        self.rounds = []
+
+    def get_logs_many(self, queries):
+        kind = self.fail.get(len(self.rounds) + 1)
+        answers = ([GatewayError(kind, "round refused")] * len(queries) if kind
+                   else self.gateway.get_logs_many(queries))
+        self.rounds.append(list(zip(queries, answers)))
+        if kind:
+            raise answers[0]
+        return answers
+
+
+def _events_gateway(blocks_by_event, fault_script=None):
+    """A FixtureGateway with one log of each (schema, blocks) pair's event per block."""
+    logs, timestamps = [], {}
+    for schema, blocks in blocks_by_event:
+        for b in blocks:
+            logs.append(RawLog(CHAIN.pool_address, [schema.topic0, bytes(32)], bytes(32), b,
+                               f"0x{b:060x}{len(logs):04x}", len(logs)))
+            timestamps[b] = 1_700_000_000 + b
+    return FixtureGateway(logs, timestamps, head_block=10**6, fault_script=fault_script)
+
+
+class TestLockstep:
+    """A chain's streams scan together, one round of queries at a time."""
+
+    def test_streams_cover_their_ranges_once_with_one_untried_span_a_round(self):
+        dense, medium, sparse = range(0, 30_000, 7), range(3, 30_000, 40), range(11, 30_000, 900)
+        gw = RoundLog(_events_gateway([(SCHEMA, dense), (SCHEMA2, medium), (SCHEMA3, sparse)],
+                                      fault_script=max_span_fault(700)))
+        plans = [_plan(0, 29_999, 4_000),
+                 _plan(12_345, 29_999, 4_000, event=SCHEMA2),  # resumed further on
+                 _plan(0, 29_999, 4_000, event=SCHEMA3)]
+        sinks = [ListSink() for _ in plans]
+        summaries = scan_events([StreamScan(plan, sink) for plan, sink in zip(plans, sinks)],
+                                gw, sleeper=lambda _s: None)
+        for plan, sink, blocks in zip(plans, sinks, (dense, medium, sparse)):
+            answered = [(q.from_block, q.to_block) for queries in gw.rounds for q, answer in queries
+                        if q.topic0 == plan.event.topic0 and not isinstance(answer, GatewayError)]
+            covered = [b for lo, hi in answered for b in range(lo, hi + 1)]
+            assert covered == list(range(plan.cursor, plan.end_block + 1)), plan.event
+            assert [log.block_number for log in sink.rows] == [b for b in blocks
+                                                               if b >= plan.cursor]
+        widest = 0  # the widest span answered before the round
+        for queries in gw.rounds:
+            assert sum(q.to_block - q.from_block + 1 > widest for q, _answer in queries) <= 1
+            widest = max([widest] + [q.to_block - q.from_block + 1 for q, answer in queries
+                                     if not isinstance(answer, GatewayError)])
+        assert max(len(queries) for queries in gw.rounds) == 3
+        assert len(gw.rounds) < sum(summary.batches_issued for summary in summaries)
+        assert all(summary.limits is summaries[0].limits for summary in summaries)
+
+    @pytest.mark.parametrize("whole_round", [False, True])
+    def test_a_rate_limited_round_pauses_once(self, whole_round):
+        # the first round asks one query; each of the second round's three is rate limited
+        script = scripted_faults([None] + [ErrorKind.RATE_LIMITED] * 3 * (not whole_round))
+        gw = RoundLog(_events_gateway([(SCHEMA, range(0, 100, 3)), (SCHEMA2, range(1, 100, 5)),
+                                       (SCHEMA3, range(2, 100, 7))], fault_script=script),
+                      fail={2: ErrorKind.RATE_LIMITED} if whole_round else None)
+        sleeps = []
+        plans = [_plan(0, 99, 20, event=event) for event in (SCHEMA, SCHEMA2, SCHEMA3)]
+        sinks = [ListSink() for _ in plans]
+        scan_events([StreamScan(plan, sink) for plan, sink in zip(plans, sinks)], gw,
+                    sleeper=sleeps.append)
+        assert [len(queries) for queries in gw.rounds[:3]] == [1, 3, 3]
+        assert [(q.from_block, q.to_block) for q, _answer in gw.rounds[2]] == [
+            (20, 29), (0, 9), (0, 9)]  # each stream halved its query
+        assert sleeps == [RATE_LIMIT_PAUSE_S]
+        assert [len(sink.rows) for sink in sinks] == [34, 20, 14]
 
 
 def test_checkpoint_persisted_per_batch(tmp_path):
