@@ -16,7 +16,7 @@ import threading
 import time
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import merge
 from operator import itemgetter
@@ -194,81 +194,74 @@ def _progress_printer(json_mode: bool):
 
 def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
                    event_names: list[str]) -> list[ScanSummary]:
-    with ExitStack() as held:  # until the extract ends: the lock, then every part file
-        held.enter_context(_chain_lock(os.path.join(config.out_dir, chain_name)))
-        return _extract_locked_chain(config, registry, chain_name, event_names, held)
+    """Scan every unfinished stream of a chain in lockstep, then finalize them,
+    holding the chain's output directory locked throughout."""
+    with _chain_lock(os.path.join(config.out_dir, chain_name)):
+        chain = registry.chain(chain_name)
+        gateway = _make_gateway(config, registry, chain_name)
+        sleeper = (lambda _s: None) if config.fixture_dir else time.sleep
+        progress = _progress_printer(config.json_progress)
 
+        end_block = min(chain.max_block, gateway.latest_block())
+        if config.to_block is not None:
+            end_block = min(end_block, config.to_block)
+        start_block = chain.start_block
+        if config.from_block is not None:
+            start_block = max(start_block, config.from_block)
 
-def _extract_locked_chain(config: RunConfig, registry: Registry, chain_name: str,
-                          event_names: list[str], held: ExitStack) -> list[ScanSummary]:
-    """Scan every unfinished stream of a chain in lockstep, then finalize them.
-    ``held`` closes each stream's writer however the extract ends."""
-    chain = registry.chain(chain_name)
-    gateway = _make_gateway(config, registry, chain_name)
-    sleeper = (lambda _s: None) if config.fixture_dir else time.sleep
-    progress = _progress_printer(config.json_progress)
+        summaries: dict[str, ScanSummary] = {}
+        scans: list[StreamScan] = []
+        writers: list[ShardWriter] = []
+        limits = SpanLimits()  # shared by the chain's streams
+        for event_name in event_names:
+            schema = registry.event(event_name)
+            cp_file = checkpoint_path(config.out_dir, chain_name, event_name)
+            cursor = start_block
+            rows_so_far = 0
 
-    end_block = min(chain.max_block, gateway.latest_block())
-    if config.to_block is not None:
-        end_block = min(end_block, config.to_block)
-    start_block = chain.start_block
-    if config.from_block is not None:
-        start_block = max(start_block, config.from_block)
-
-    summaries: dict[str, ScanSummary] = {}
-    scans: list[StreamScan] = []
-    writers: list[ShardWriter] = []
-    limits = SpanLimits()  # shared by the chain's streams
-    for event_name in event_names:
-        schema = registry.event(event_name)
-        cp_file = checkpoint_path(config.out_dir, chain_name, event_name)
-        cursor = start_block
-        rows_so_far = 0
-
-        if os.path.exists(cp_file):
-            if not config.resume:
-                raise click.UsageError(
-                    f"{chain_name}/{event_name} already has a checkpoint; "
-                    "pass --resume or use a fresh output directory"
+            if os.path.exists(cp_file):
+                if not config.resume:
+                    raise click.UsageError(
+                        f"{chain_name}/{event_name} already has a checkpoint; "
+                        "pass --resume or use a fresh output directory"
+                    )
+                checkpoint = Checkpoint.load(cp_file, chain_name, event_name)
+                cursor = max(cursor, checkpoint.last_completed_block + 1)
+                rows_so_far = checkpoint.rows_emitted_total
+                writer = ShardWriter.resume(
+                    config.out_dir, chain_name, schema, checkpoint.current_part_number,
+                    checkpoint.rows_in_current_part, checkpoint.parts,
                 )
-            checkpoint = Checkpoint.load(cp_file, chain_name, event_name)
-            cursor = max(cursor, checkpoint.last_completed_block + 1)
-            rows_so_far = checkpoint.rows_emitted_total
-            writer = ShardWriter.resume(
-                config.out_dir, chain_name, schema, checkpoint.current_part_number,
-                checkpoint.rows_in_current_part, checkpoint.parts,
-            )
-        elif config.resume:
-            # killed before its first checkpoint: what it wrote is uncommitted
-            writer = ShardWriter.resume(config.out_dir, chain_name, schema, 0, 0)
-        else:
-            stream = os.path.join(config.out_dir, chain_name, event_name)
-            if os.path.isdir(stream) and list_stream_parts(stream):
-                raise click.UsageError(
-                    f"{stream} already holds part files but no checkpoint; "
-                    "refusing to mix streams"
-                )
-            writer = ShardWriter(config.out_dir, chain_name, schema)
-        held.callback(writer.close)
+            elif config.resume:
+                # killed before its first checkpoint: what it wrote is uncommitted
+                writer = ShardWriter.resume(config.out_dir, chain_name, schema, 0, 0)
+            else:
+                stream = os.path.join(config.out_dir, chain_name, event_name)
+                if os.path.isdir(stream) and list_stream_parts(stream):
+                    raise click.UsageError(
+                        f"{stream} already holds part files but no checkpoint; "
+                        "refusing to mix streams"
+                    )
+                writer = ShardWriter(config.out_dir, chain_name, schema)
 
-        # a stream scanned to the end (re)does whatever of finalize is missing
-        if cursor > end_block:
+            # a stream scanned to the end (re)does whatever of finalize is missing
+            if cursor > end_block:
+                writer.finalize()
+                summaries[event_name] = ScanSummary(chain=chain_name, event=event_name,
+                                                    rows_emitted=rows_so_far)
+                continue
+
+            plan = ScanPlan(chain=chain, event=schema, cursor=cursor, end_block=end_block,
+                            batch_size=config.batch, batch_max=config.batch_max, limits=limits)
+            sink = DecodingSink(writer, schema, chain_name, strict=not config.lenient)
+            scans.append(StreamScan(plan, sink, cp_file, rows_so_far, progress))
+            writers.append(writer)
+
+        for summary in scan_events(scans, _OrphanCheckedGateway(gateway), sleeper):
+            summaries[summary.event] = summary
+        for writer in writers:
             writer.finalize()
-            summaries[event_name] = ScanSummary(chain=chain_name, event=event_name,
-                                                rows_emitted=rows_so_far)
-            continue
-
-        plan = ScanPlan(chain=chain, event=schema, cursor=cursor, end_block=end_block,
-                        batch_size=config.batch, batch_max=config.batch_max, limits=limits)
-        sink = DecodingSink(writer, schema, chain_name, strict=not config.lenient)
-        scans.append(StreamScan(plan, sink, cp_file, rows_so_far, progress))
-        writers.append(writer)
-
-    for summary in scan_events(scans, _OrphanCheckedGateway(gateway), sleeper):
-        summaries[summary.event] = summary
-    for writer in writers:
-        writer.finalize()
-    return [summaries[event_name] for event_name in event_names]
+        return [summaries[event_name] for event_name in event_names]
 
 
 def _run_chain(config: RunConfig, registry: Registry, chain_name: str,

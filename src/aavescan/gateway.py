@@ -36,7 +36,7 @@ import re
 import time
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING, Callable, Iterable, Optional
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional
 
 if TYPE_CHECKING:
     import requests
@@ -294,20 +294,22 @@ class HttpGateway(_GatewayBase):
         self._id += 1
         return {"jsonrpc": "2.0", "id": self._id, "method": method, "params": params}
 
-    def _post(self, body: dict | list, read: Callable[[object], object]):
+    def _post(self, body: dict | list, read: Callable[[object], object],
+              pauses: Iterator[float] | None = None):
         """POST ``body`` and return ``read`` of the decoded reply: one retried unit.
 
         A TRANSIENT failure anywhere in it, ``read``'s shape checks included, is
-        retried after each pause of TRANSIENT_BACKOFF_S; other kinds surface at once.
+        retried after each pause of ``pauses`` (by default a fresh
+        TRANSIENT_BACKOFF_S); other kinds surface at once.
         """
-        for pause in TRANSIENT_BACKOFF_S:
+        pauses = iter(TRANSIENT_BACKOFF_S) if pauses is None else pauses
+        while True:
             try:
                 return read(self._post_once(body))
             except GatewayError as exc:
-                if exc.kind is not ErrorKind.TRANSIENT:
+                if exc.kind is not ErrorKind.TRANSIENT or (pause := next(pauses, None)) is None:
                     raise
             self._sleeper(pause)
-        return read(self._post_once(body))
 
     def _post_once(self, body: dict | list) -> object:
         try:
@@ -323,9 +325,11 @@ class HttpGateway(_GatewayBase):
         except ValueError as exc:
             raise GatewayError(ErrorKind.TRANSIENT, f"non-JSON response: {exc}") from exc
 
-    def _post_batch(self, batch: list[dict], read: Callable[[list[dict], object], list]) -> list:
+    def _post_batch(self, batch: list[dict], read: Callable[[list[dict], object], list],
+                    pauses: Iterator[float] | None = None) -> list:
         """One answer per request of ``batch``, in order: ``read(chunk, reply)``
-        of each POST of a chunk of at most ``batch_limit`` requests.
+        of each POST of a chunk of at most ``batch_limit`` requests, each
+        retried as ``_post`` does (all of them drawing on ``pauses``, if given).
 
         A chunk refused as too large halves the limit for the rest of the run
         and goes again at once; a refused batch of one request surfaces.
@@ -334,7 +338,7 @@ class HttpGateway(_GatewayBase):
         while len(answers) < len(batch):
             chunk = batch[len(answers):len(answers) + self.batch_limit]
             try:
-                answers += self._post(chunk, partial(read, chunk))
+                answers += self._post(chunk, partial(read, chunk), pauses)
             except GatewayError as exc:
                 if exc.kind is not ErrorKind.RESPONSE_TOO_LARGE or len(chunk) == 1:
                     raise
@@ -355,8 +359,9 @@ class HttpGateway(_GatewayBase):
 
     def get_logs_many(self, queries: list[LogQuery]) -> list[list[RawLog] | GatewayError]:
         """One batch of ``eth_getLogs``. Entries whose answer is TRANSIENT (a log
-        removed by a reorg, say) go again after each pause of TRANSIENT_BACKOFF_S;
-        the answered ones are not asked again."""
+        removed by a reorg, say) go again after a pause; the answered ones are
+        not asked again. These pauses and those of a failed POST draw on one
+        TRANSIENT_BACKOFF_S, so a round makes at most three TRANSIENT retries."""
         for query in queries:
             query.validate()
         batch = [self._request("eth_getLogs", [{
@@ -367,9 +372,11 @@ class HttpGateway(_GatewayBase):
         }]) for query in queries]
         answers: list = [None] * len(queries)
         todo = range(len(queries))
-        for pause in (*TRANSIENT_BACKOFF_S, None):
+        pauses = iter(TRANSIENT_BACKOFF_S)
+        while True:
             retry = []
-            for i, entry in zip(todo, self._post_batch([batch[i] for i in todo], _match_batch)):
+            for i, entry in zip(todo, self._post_batch([batch[i] for i in todo], _match_batch,
+                                                       pauses)):
                 try:
                     answers[i] = _read_logs(queries[i].address.lower(), entry)
                 except GatewayError as exc:
@@ -377,7 +384,7 @@ class HttpGateway(_GatewayBase):
                     answers[i] = GatewayError(exc.kind, exc.detail)
                     if exc.kind is ErrorKind.TRANSIENT:
                         retry.append(i)
-            if not retry or pause is None:
+            if not retry or (pause := next(pauses, None)) is None:
                 break
             self._sleeper(pause)
             todo = retry
@@ -413,9 +420,9 @@ def _match_batch(chunk: list[dict], reply) -> list[dict]:
     """The entries of ``reply``, the reply to the batch ``chunk``, in request order.
 
     A server may answer a batch in any order, so entries are matched by id. A
-    reply that is one error object (a batch throttled, or refused as too large)
-    or an unmatched entry's error is classified; every other deviation is
-    TERMINAL.
+    reply that is one error object (a batch throttled, or refused as too large),
+    an unmatched entry's error, or any entry's error in a reply that leaves
+    requests unanswered is classified; every other deviation is TERMINAL.
     """
     method = chunk[0]["method"]
 
@@ -440,6 +447,11 @@ def _match_batch(chunk: list[dict], reply) -> list[dict]:
             raise malformed(f"{_asked(chunk[i])} answered twice")
         entries[i] = entry
     if missing := [request for request, entry in zip(chunk, entries) if entry is None]:
+        # go-ethereum refuses a batch too large as one error entry bearing the
+        # id of the batch's first request
+        for entry in entries:
+            if entry is not None:
+                _raise_rpc_error(entry)
         raise malformed(f"no answer for {_asked(missing[0])} ({len(missing)} unanswered)")
     return entries
 

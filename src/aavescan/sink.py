@@ -212,7 +212,7 @@ class ShardWriter:
             self._fh = open(path, "w", newline="", encoding="utf-8")
             self._fh.write(",".join(self._header) + "\n")
         except OSError as exc:
-            self.close()
+            self._close_quietly()
             raise IoFailure(f"cannot open part file {path!r}: {exc}") from exc
         self._part_number = next_number
         self._rows_in_part = 0
@@ -240,7 +240,7 @@ class ShardWriter:
                            f"{event.block_timestamp},{event.transaction_hash},{event.log_index},"
                            f"{event.contract_address},{fields}{event.usd_value}\n")
         except OSError as exc:
-            self.close()
+            self._close_quietly()
             raise IoFailure(f"write failed on part {self._part_number}: {exc}") from exc
         if self._first_key_in_part is None:
             self._first_key_in_part = key
@@ -256,7 +256,7 @@ class ShardWriter:
                 self._fh.flush()
                 os.fsync(self._fh.fileno())
             except OSError as exc:
-                self.close()
+                self._close_quietly()
                 raise IoFailure(f"flush failed: {exc}") from exc
 
     def _close_part(self) -> None:
@@ -288,9 +288,7 @@ class ShardWriter:
         self._rows_in_part = 0
         self._first_key_in_part = None
 
-    def close(self) -> None:
-        """Close the open part file, if any, without finalizing; a later resume
-        truncates it to its checkpoint."""
+    def _close_quietly(self) -> None:
         if self._fh is not None:
             try:
                 self._fh.close()
@@ -307,7 +305,7 @@ class ShardWriter:
         elif self._fh is not None:
             # open but empty part file: discard it
             open_path = self._open_part_path(self._part_number)
-            self.close()
+            self._close_quietly()
             try:
                 os.remove(open_path)
             except OSError:

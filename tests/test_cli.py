@@ -502,8 +502,8 @@ class _FakeRpc:
         if isinstance(json, list):
             if self.batch_limit is not None and len(json) > self.batch_limit:
                 self.batches_refused += 1
-                return _FakeRpcResponse({"jsonrpc": "2.0", "id": json[0]["id"], "error": {
-                    "code": -32600, "message": "batch too large"}})
+                return _FakeRpcResponse([{"jsonrpc": "2.0", "id": json[0]["id"], "error": {
+                    "code": -32600, "message": "batch too large"}}])
             return _FakeRpcResponse([self._answer(request) for request in json][::-1])
         return _FakeRpcResponse(self._answer(json))
 

@@ -647,6 +647,18 @@ class TestReorgedLogs:
         assert sleeps == [1.0, 2.0, 4.0]
         assert len(session.requests) == 4
 
+    def test_removed_logs_and_transport_errors_share_one_retry_budget(self):
+        sleeps = []
+        removed = _logs_reply([_rpc_log(removed=True)])
+        gw, session = _http([removed, requests.ConnectionError("reset"), removed,
+                             requests.Timeout("slow"), removed], sleeper=sleeps.append)
+        with pytest.raises(GatewayError) as excinfo:
+            gw.get_logs(LogQuery(0, 200, POOL, TOPIC))
+        assert excinfo.value.kind is ErrorKind.TRANSIENT
+        assert isinstance(excinfo.value.__cause__, requests.Timeout)
+        assert sleeps == [1.0, 2.0, 4.0]
+        assert len(session.requests) == 4
+
 
 def _round_reply(answers):
     """The reply to a round's batch of eth_getLogs requests, in reverse order:
@@ -670,28 +682,34 @@ TOO_LARGE = {"code": -32005, "message": "query returned more than 10000 results"
 
 
 class _BatchLimitedRpc:
-    """Answers one eth_getLogs log per query (in its first block) and every
-    block's timestamp, and refuses any batch of more than ``limit`` requests as
-    go-ethereum does."""
+    """Answers an eth_getLogs query with one log in each of its first
+    ``logs_per_query`` blocks and every block's timestamp, and refuses any batch
+    of more than ``limit`` requests: as go-ethereum does (an array of one error
+    entry bearing the first request's id), or as one bare error object."""
 
-    def __init__(self, limit):
+    def __init__(self, limit, geth_refusal=True, logs_per_query=1):
         self.limit = limit
+        self.geth_refusal = geth_refusal
+        self.logs_per_query = logs_per_query
         self.sizes = []  # requests per POST
         self.answered = []  # fromBlock of each eth_getLogs answered
+        self.blocks_asked = []  # block of each eth_getBlockByNumber answered
 
     def post(self, url, json=None, timeout=None):
         self.sizes.append(len(json))
         if len(json) > self.limit:
-            return _FakeResponse(payload={"jsonrpc": "2.0", "id": None, "error": {
-                "code": -32600, "message": "batch too large"}})
+            error = {"jsonrpc": "2.0", "id": json[0]["id"] if self.geth_refusal else None,
+                     "error": {"code": -32600, "message": "batch too large"}}
+            return _FakeResponse(payload=[error] if self.geth_refusal else error)
         entries = []
         for request in json:
             block = request["params"][0]
             if request["method"] == "eth_getLogs":
-                block = block["fromBlock"]
-                self.answered.append(int(block, 16))
-                result = _logs_in_blocks([int(block, 16)])
+                block = int(block["fromBlock"], 16)
+                self.answered.append(block)
+                result = _logs_in_blocks(range(block, block + self.logs_per_query))
             else:
+                self.blocks_asked.append(int(block, 16))
                 result = {"timestamp": hex(int(block, 16) * 12)}
             entries.append({"jsonrpc": "2.0", "id": request["id"], "result": result})
         return _FakeResponse(payload=entries)
@@ -759,8 +777,10 @@ class TestGetLogsMany:
         assert sleeps == [1.0]
         assert session.requests[1] == session.requests[0][:1]
 
-    def test_a_batch_refused_as_too_large_halves_the_limit_and_loses_no_answer(self):
-        rpc = _BatchLimitedRpc(limit=2)
+    @pytest.mark.parametrize("geth_refusal", [True, False], ids=["geth_array", "error_object"])
+    def test_a_batch_refused_as_too_large_halves_the_limit_and_loses_no_answer(
+            self, geth_refusal):
+        rpc = _BatchLimitedRpc(limit=2, geth_refusal=geth_refusal)
         gw = HttpGateway("http://unit.test", session=rpc, sleeper=lambda _s: None)
         queries = [LogQuery(block, block + 9, POOL, TOPIC) for block in range(0, 50, 10)]
         answers = gw.get_logs_many(queries)
@@ -772,6 +792,18 @@ class TestGetLogsMany:
         assert rpc.answered == list(range(0, 50, 10))  # each query answered once
         gw.get_logs_many([LogQuery(block, block + 9, POOL, TOPIC) for block in range(50, 90, 10)])
         assert rpc.sizes[7:] == [2, 2, 2, 2]  # the limit holds for the rest of the run
+
+    @pytest.mark.parametrize("geth_refusal", [True, False], ids=["geth_array", "error_object"])
+    def test_a_timestamp_batch_refused_as_too_large_halves_the_limit(self, geth_refusal):
+        rpc = _BatchLimitedRpc(limit=2, geth_refusal=geth_refusal, logs_per_query=5)
+        gw = HttpGateway("http://unit.test", session=rpc, sleeper=lambda _s: None)
+        (logs,) = gw.get_logs_many([LogQuery(100, 199, POOL, TOPIC)])
+        assert [(l.block_number, l.block_timestamp) for l in logs] == [
+            (block, block * 12) for block in range(100, 105)]
+        assert gw.batch_limit == 2
+        # logs: 1; timestamps of the 5 blocks: 5 refused, then 2 + 2 + 1
+        assert rpc.sizes == [1, 5, 2, 2, 1]
+        assert rpc.blocks_asked == list(range(100, 105))  # each block answered once
 
     def test_fixture_get_logs_many_equals_get_logs_per_query(self):
         queries = [LogQuery(0, 120, POOL, TOPIC), LogQuery(121, 400, POOL, TOPIC),
