@@ -23,13 +23,14 @@ from .risk import (
     replay,
 )
 from .scanner import ScanPlan, ScanSummary, resize, scan_event
-from .sink import ShardManifest, ShardWriter, part_filename, validate_output
+from .sink import Checkpoint, ShardWriter, part_filename, validate_output
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AssetParams",
     "ChainConfig",
+    "Checkpoint",
     "DecodedEvent",
     "ErrorKind",
     "EventSchema",
@@ -47,7 +48,6 @@ __all__ = [
     "ScanPlan",
     "ScanSummary",
     "SECONDS_PER_YEAR",
-    "ShardManifest",
     "ShardWriter",
     "classify_error",
     "compounded_interest",

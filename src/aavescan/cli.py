@@ -42,16 +42,15 @@ from .risk import (
 from .scanner import (
     DEFAULT_BATCH_MAX,
     DEFAULT_BATCH_SIZE,
-    Checkpoint,
     ScanPlan,
     ScanSummary,
     SpanLimits,
     StreamScan,
-    checkpoint_path,
     scan_events,
 )
-from .sink import (DecodingSink, IoFailure, ShardWriter, iter_part_rows, iter_streams,
-                   list_stream_parts, stream_parts, validate_output)
+from .sink import (Checkpoint, DecodingSink, IoFailure, ShardWriter, checkpoint_path,
+                   iter_part_rows, iter_streams, list_stream_parts, stream_parts,
+                   validate_output)
 
 EXIT_CONFIG = 2
 EXIT_NETWORK = 3
@@ -195,7 +194,8 @@ def _progress_printer(json_mode: bool):
 def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
                    event_names: list[str]) -> list[ScanSummary]:
     """Scan every unfinished stream of a chain in lockstep, then finalize them,
-    holding the chain's output directory locked throughout."""
+    holding the chain's output directory locked throughout. Every stream's record
+    is read, and refused, before any stream's files change."""
     with _chain_lock(os.path.join(config.out_dir, chain_name)):
         chain = registry.chain(chain_name)
         gateway = _make_gateway(config, registry, chain_name)
@@ -209,58 +209,65 @@ def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
         if config.from_block is not None:
             start_block = max(start_block, config.from_block)
 
-        summaries: dict[str, ScanSummary] = {}
-        scans: list[StreamScan] = []
-        writers: list[ShardWriter] = []
-        limits = SpanLimits()  # shared by the chain's streams
+        records: list[Checkpoint | None] = []
         for event_name in event_names:
-            schema = registry.event(event_name)
             cp_file = checkpoint_path(config.out_dir, chain_name, event_name)
-            cursor = start_block
-            rows_so_far = 0
-
+            record = None
             if os.path.exists(cp_file):
                 if not config.resume:
                     raise click.UsageError(
                         f"{chain_name}/{event_name} already has a checkpoint; "
                         "pass --resume or use a fresh output directory"
                     )
-                checkpoint = Checkpoint.load(cp_file, chain_name, event_name)
-                cursor = max(cursor, checkpoint.last_completed_block + 1)
-                rows_so_far = checkpoint.rows_emitted_total
-                writer = ShardWriter.resume(
-                    config.out_dir, chain_name, schema, checkpoint.current_part_number,
-                    checkpoint.rows_in_current_part, checkpoint.parts,
-                )
-            elif config.resume:
-                # killed before its first checkpoint: what it wrote is uncommitted
-                writer = ShardWriter.resume(config.out_dir, chain_name, schema, 0, 0)
-            else:
+                record = Checkpoint.load(cp_file, chain_name, event_name)
+                if record.finalized and record.last_completed_block < end_block:
+                    raise IoFailure(
+                        f"{chain_name}/{event_name} is finalized at block "
+                        f"{record.last_completed_block}, below end block {end_block}; "
+                        "a finalized stream cannot be extended"
+                    )
+            elif not config.resume:
                 stream = os.path.join(config.out_dir, chain_name, event_name)
                 if os.path.isdir(stream) and list_stream_parts(stream):
                     raise click.UsageError(
                         f"{stream} already holds part files but no checkpoint; "
                         "refusing to mix streams"
                     )
+            records.append(record)
+
+        summaries: dict[str, ScanSummary] = {}
+        scans: list[StreamScan] = []
+        writers: list[ShardWriter] = []
+        limits = SpanLimits()  # shared by the chain's streams
+        for event_name, record in zip(event_names, records):
+            schema = registry.event(event_name)
+            cursor = start_block
+            if record is not None:
+                cursor = max(cursor, record.last_completed_block + 1)
+            if config.resume:
+                # without a record, killed before its first commit: what it wrote is uncommitted
+                writer = ShardWriter.resume(config.out_dir, chain_name, schema, record)
+            else:
                 writer = ShardWriter(config.out_dir, chain_name, schema)
 
             # a stream scanned to the end (re)does whatever of finalize is missing
             if cursor > end_block:
-                writer.finalize()
-                summaries[event_name] = ScanSummary(chain=chain_name, event=event_name,
-                                                    rows_emitted=rows_so_far)
+                summaries[event_name] = ScanSummary(
+                    chain=chain_name, event=event_name,
+                    rows_emitted=writer.finalize(cursor - 1).rows_emitted_total)
                 continue
 
             plan = ScanPlan(chain=chain, event=schema, cursor=cursor, end_block=end_block,
                             batch_size=config.batch, batch_max=config.batch_max, limits=limits)
             sink = DecodingSink(writer, schema, chain_name, strict=not config.lenient)
-            scans.append(StreamScan(plan, sink, cp_file, rows_so_far, progress))
+            cp_file = checkpoint_path(config.out_dir, chain_name, event_name)
+            scans.append(StreamScan(plan, sink, cp_file, progress))
             writers.append(writer)
 
         for summary in scan_events(scans, _OrphanCheckedGateway(gateway), sleeper):
             summaries[summary.event] = summary
         for writer in writers:
-            writer.finalize()
+            writer.finalize(end_block)
         return [summaries[event_name] for event_name in event_names]
 
 

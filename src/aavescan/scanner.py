@@ -34,15 +34,13 @@ and so covers every block exactly once.
 from __future__ import annotations
 
 import enum
-import json
-import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Protocol
 
 from .gateway import ErrorKind, GatewayError, LogQuery
 from .registry import ChainConfig, EventSchema
-from .sink import MAX_PART_NUMBER, PART_ROW_LIMIT, PartRecord, _atomic_write, load_record
+from .sink import Checkpoint
 
 DEFAULT_BATCH_SIZE = 10_000
 DEFAULT_BATCH_MAX = 100_000
@@ -70,16 +68,10 @@ def resize(batch_size: int, outcome: Outcome, batch_max: int = DEFAULT_BATCH_MAX
 class BatchSink(Protocol):
     """Commit target for the ordered raw logs of one or more answered queries."""
 
-    def commit_batch(self, logs: list) -> int: ...
+    def commit_batch(self, logs: list) -> None: ...
 
-    @property
-    def part_number(self) -> int: ...
-
-    @property
-    def rows_in_part(self) -> int: ...
-
-    @property
-    def closed_parts(self) -> tuple[PartRecord, ...]: ...
+    def record(self, last_block: int) -> Checkpoint:
+        """The stream's durable record, every row committed through ``last_block``."""
 
 
 @dataclass
@@ -122,55 +114,10 @@ class ScanPlan:
 
 
 @dataclass
-class Checkpoint:
-    """The one durable record of a stream, replaced once per commit.
-
-    ``parts`` lists the closed parts in the JSON shape of the manifest's
-    ``parts``; a resume needs nothing else from the stream's directory.
-    """
-
-    chain: str
-    event: str
-    last_completed_block: int
-    rows_emitted_total: int
-    current_part_number: int
-    rows_in_current_part: int
-    parts: tuple[PartRecord, ...] = ()
-
-    def save(self, path: str) -> None:
-        _atomic_write(path, json.dumps(asdict(self), indent=2))
-
-    @classmethod
-    def load(cls, path: str, chain: str, event: str) -> "Checkpoint":
-        """The checkpoint of stream ``chain``/``event`` at ``path``; FileFault names a bad one."""
-        return load_record(path, chain, event, lambda doc: cls(
-            chain=doc["chain"],
-            event=doc["event"],
-            last_completed_block=_count(doc, "last_completed_block"),
-            rows_emitted_total=_count(doc, "rows_emitted_total"),
-            current_part_number=_count(doc, "current_part_number", MAX_PART_NUMBER),
-            rows_in_current_part=_count(doc, "rows_in_current_part", PART_ROW_LIMIT),
-            parts=tuple(PartRecord.from_doc(p) for p in doc.get("parts", ())),
-        ))
-
-
-def _count(doc: dict, key: str, limit: float = float("inf")) -> int:
-    """``doc[key]`` as an integer in 0..``limit``; ValueError otherwise."""
-    value = int(doc[key])
-    if not 0 <= value <= limit:
-        raise ValueError(f"{key} {value} outside 0..{limit}")
-    return value
-
-
-def checkpoint_path(out_dir: str, chain: str, event: str) -> str:
-    return os.path.join(out_dir, chain, event, "checkpoint.json")
-
-
-@dataclass
 class ScanSummary:
     chain: str
     event: str
-    rows_emitted: int = 0
+    rows_emitted: int = 0  # the stream's rows at its last commit, earlier runs' included
     batches_issued: int = 0
     resize_events: int = 0
     limits: SpanLimits = field(default_factory=SpanLimits)  # the chain's, as the scan left them
@@ -186,7 +133,6 @@ class StreamScan:
     plan: ScanPlan
     sink: BatchSink
     checkpoint_file: str | None = None
-    rows_emitted_so_far: int = 0
     on_progress: ProgressFn | None = None
 
 
@@ -195,14 +141,12 @@ def scan_event(
     gateway,
     sink: BatchSink,
     checkpoint_file: str | None = None,
-    rows_emitted_so_far: int = 0,
     sleeper: Callable[[float], None] = time.sleep,
     on_progress: ProgressFn | None = None,
 ) -> ScanSummary:
     """Scan one stream: the one-stream case of ``scan_events``."""
-    (summary,) = scan_events(
-        [StreamScan(plan, sink, checkpoint_file, rows_emitted_so_far, on_progress)],
-        gateway, sleeper)
+    (summary,) = scan_events([StreamScan(plan, sink, checkpoint_file, on_progress)],
+                             gateway, sleeper)
     return summary
 
 
@@ -283,7 +227,7 @@ def _scan(scan: StreamScan, limits: SpanLimits):
     plan = scan.plan
     plan.validate()
     summary = ScanSummary(chain=plan.chain.chain_name, event=plan.event.event_name,
-                          rows_emitted=scan.rows_emitted_so_far, limits=limits)
+                          limits=limits)
 
     cursor = plan.cursor
     batch_size = plan.batch_size
@@ -360,18 +304,12 @@ def _scan(scan: StreamScan, limits: SpanLimits):
         rate_limited = 0
 
         if cursor - committed >= plan.batch_size or cursor > plan.end_block:
-            summary.rows_emitted += scan.sink.commit_batch(pending)
+            scan.sink.commit_batch(pending)
             pending, committed = [], cursor
+            record = scan.sink.record(hi)
+            summary.rows_emitted = record.rows_emitted_total
             if scan.checkpoint_file is not None:
-                Checkpoint(
-                    chain=plan.chain.chain_name,
-                    event=plan.event.event_name,
-                    last_completed_block=hi,
-                    rows_emitted_total=summary.rows_emitted,
-                    current_part_number=scan.sink.part_number,
-                    rows_in_current_part=scan.sink.rows_in_part,
-                    parts=scan.sink.closed_parts,
-                ).save(scan.checkpoint_file)
+                record.save(scan.checkpoint_file)
             if scan.on_progress is not None:
                 scan.on_progress(summary, cursor, plan.end_block)
 

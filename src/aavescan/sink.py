@@ -2,13 +2,17 @@
 
 File contract: one directory per (chain, event); parts of at most one
 million rows named ``aave_V3_{chain}_{event}_part{nnn}_{YYYYMMDD_HHMMSS}.csv``
-with consecutive part numbers from 001, strictly increasing
-(block_number, log_index) keys within and across parts, and a JSON manifest
-written beside the data files at finalize.
+with consecutive part numbers from 001, and strictly increasing
+(block_number, log_index) keys within and across parts.
 
 The timestamp suffix in the filename carries the wall-clock time at which
 the part was closed, so an open part lives under a temporary dot-name and is
 renamed into place when it fills up (or at finalize).
+
+Beside the parts, ``checkpoint.json`` is the stream's one durable record
+(``Checkpoint``): replaced at each commit, and at finalize once more with
+``finalized`` true, no open part and every part listed. ``--resume`` and
+``validate`` read the stream's state from it alone.
 """
 
 from __future__ import annotations
@@ -17,10 +21,10 @@ import csv
 import json
 import os
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence, TypeVar
+from typing import Callable, Iterator, Sequence
 
 from .decoder import DecodeError, DecodedEvent, OrderViolation, decode
 from .gateway import ErrorKind, GatewayError
@@ -28,7 +32,6 @@ from .registry import CHAIN_NAME, EVENT_NAME, PREFIX_COLUMNS, EventSchema
 
 PART_ROW_LIMIT = 1_000_000
 MAX_PART_NUMBER = 999
-T = TypeVar("T")
 
 FILENAME_RE = re.compile(
     rf"^aave_V3_(?P<chain>{CHAIN_NAME})_(?P<event>{EVENT_NAME})"
@@ -47,7 +50,7 @@ class IoFailure(Exception):
 
 @dataclass(frozen=True)
 class Violation:
-    kind: str  # naming | part_numbering | header | row_limit | ordering | manifest
+    kind: str  # naming | part_numbering | header | row_limit | ordering | manifest (the record)
     path: str
     detail: str
     line: int | None = None
@@ -83,7 +86,7 @@ class PartRecord:
 
     @classmethod
     def from_doc(cls, doc: dict) -> "PartRecord":
-        """Inverse of ``asdict``, from the JSON shape of a manifest's ``parts``."""
+        """Inverse of ``asdict``, from the JSON shape of a record's ``parts``."""
         first, last, filename = doc["first_key"], doc["last_key"], doc["filename"]
         if not FILENAME_RE.match(filename):
             raise ValueError(f"{filename!r} is not a part filename")
@@ -91,44 +94,77 @@ class PartRecord:
                    (int(first[0]), int(first[1])), (int(last[0]), int(last[1])))
 
 
-@dataclass(frozen=True)
-class ShardManifest:
-    chain: str
-    event: str
-    parts: tuple[PartRecord, ...]
-
-    @property
-    def total_rows(self) -> int:
-        return sum(p.row_count for p in self.parts)
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-    @classmethod
-    def from_doc(cls, doc: dict) -> "ShardManifest":
-        return cls(doc["chain"], doc["event"], tuple(PartRecord.from_doc(p) for p in doc["parts"]))
-
-
 def stream_dir(out_dir: str, chain: str, event: str) -> str:
     return os.path.join(out_dir, chain, event)
 
 
-def load_record(path: str, chain: str, event: str, build: Callable[[dict], T]) -> T:
-    """``build`` of the JSON object at ``path``, a durable record of stream ``chain``/``event``.
+def checkpoint_path(out_dir: str, chain: str, event: str) -> str:
+    return os.path.join(stream_dir(out_dir, chain, event), "checkpoint.json")
 
-    FileFault names ``path`` at any fault: a read error, bytes not UTF-8 or not JSON, no
-    object, another stream, or a key or value that ``build`` rejects.
+
+@dataclass
+class Checkpoint:
+    """The one durable record of a stream, ``checkpoint.json`` in its directory.
+
+    Each commit replaces it; ``ShardWriter.finalize`` replaces it once more with
+    ``finalized`` true, no open part and every part in ``parts``. ``parts`` lists
+    the closed parts, so a resume and ``validate`` need nothing else from the
+    stream's directory. ``rows_emitted_total`` counts the rows of every part.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-        if (doc["chain"], doc["event"]) != (chain, event):
-            raise ValueError(f"names {doc['chain']}/{doc['event']}, not {chain}/{event}")
-        return build(doc)
-    except OSError as exc:
-        raise FileFault("manifest", path, f"unreadable: {exc.strerror or exc}") from exc
-    except (ValueError, LookupError, TypeError, ArithmeticError, RecursionError) as exc:
-        raise FileFault("manifest", path, f"malformed record: {type(exc).__name__}: {exc}") from exc
+
+    chain: str
+    event: str
+    last_completed_block: int
+    rows_emitted_total: int
+    current_part_number: int
+    rows_in_current_part: int
+    parts: tuple[PartRecord, ...] = ()
+    finalized: bool = False
+
+    def save(self, path: str) -> None:
+        _atomic_write(path, json.dumps(asdict(self), indent=2))
+
+    @classmethod
+    def load(cls, path: str, chain: str, event: str) -> "Checkpoint":
+        """The record of stream ``chain``/``event`` at ``path``.
+
+        FileFault names ``path`` at any fault: a read error, bytes not UTF-8 or not
+        JSON, no object, another stream, a key missing or out of range, a
+        ``finalized`` that is not a boolean, closed parts that do not match the
+        open part's number, or a finalized record with an open part.
+        """
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if (doc["chain"], doc["event"]) != (chain, event):
+                raise ValueError(f"names {doc['chain']}/{doc['event']}, not {chain}/{event}")
+            record = cls(chain, event, _count(doc, "last_completed_block"),
+                         _count(doc, "rows_emitted_total"),
+                         _count(doc, "current_part_number", MAX_PART_NUMBER),
+                         _count(doc, "rows_in_current_part", PART_ROW_LIMIT),
+                         tuple(PartRecord.from_doc(p) for p in doc["parts"]), doc["finalized"])
+            if not isinstance(record.finalized, bool):
+                raise ValueError(f"finalized {record.finalized!r} is not a boolean")
+            if len(record.parts) != record.current_part_number - (record.rows_in_current_part > 0):
+                raise ValueError(f"{len(record.parts)} closed parts, but part "
+                                 f"{record.current_part_number} open with "
+                                 f"{record.rows_in_current_part} rows")
+            if record.finalized and record.rows_in_current_part:
+                raise ValueError("a finalized stream lists an open part")
+            return record
+        except OSError as exc:
+            raise FileFault("manifest", path, f"unreadable: {exc.strerror or exc}") from exc
+        except (ValueError, LookupError, TypeError, ArithmeticError, RecursionError) as exc:
+            raise FileFault("manifest", path,
+                            f"malformed record: {type(exc).__name__}: {exc}") from exc
+
+
+def _count(doc: dict, key: str, limit: float = float("inf")) -> int:
+    """``doc[key]`` as an integer in 0..``limit``; ValueError otherwise."""
+    value = int(doc[key])
+    if not 0 <= value <= limit:
+        raise ValueError(f"{key} {value} outside 0..{limit}")
+    return value
 
 
 def _atomic_write(path: str, text: str) -> None:
@@ -146,7 +182,8 @@ class ShardWriter:
 
     Parts roll over lazily: the row that reaches the limit closes the part,
     and the next append opens the following one, so a stream ending exactly
-    on the limit never produces an empty trailing part.
+    on the limit never produces an empty trailing part. The writer builds
+    every record of its stream (``record``); ``finalize`` saves the last one.
     """
 
     def __init__(
@@ -170,35 +207,20 @@ class ShardWriter:
         self._last_key: tuple[int, int] | None = None
         self._first_key_in_part: tuple[int, int] | None = None
         self._fh = None
-        self._manifest: ShardManifest | None = None
+        self._final: Checkpoint | None = None  # the saved record, once finalized
 
         os.makedirs(self._dir, exist_ok=True)
 
-    # -- observable state, used for checkpoints --------------------------------
-
-    @property
-    def part_number(self) -> int:
-        return self._part_number
-
-    @property
-    def rows_in_part(self) -> int:
-        return self._rows_in_part
-
-    @property
-    def last_key(self) -> tuple[int, int] | None:
-        return self._last_key
-
-    @property
-    def closed_parts(self) -> tuple[PartRecord, ...]:
-        return tuple(self._closed_parts)
+    def record(self, last_block: int) -> Checkpoint:
+        """The stream's record with every row written so far committed through ``last_block``."""
+        return Checkpoint(self._chain, self._schema.event_name, last_block,
+                          sum(p.row_count for p in self._closed_parts) + self._rows_in_part,
+                          self._part_number, self._rows_in_part, tuple(self._closed_parts))
 
     # -- writing ----------------------------------------------------------------
 
     def _open_part_path(self, part_number: int) -> str:
         return os.path.join(self._dir, f".part{part_number:03d}.open.csv")
-
-    def _manifest_path(self) -> str:
-        return os.path.join(self._dir, f"manifest.{self._chain}.{self._schema.event_name}")
 
     def _open_next_part(self) -> None:
         next_number = self._part_number + 1
@@ -225,7 +247,7 @@ class ShardWriter:
         last written key for this stream. Opens and rolls parts as needed.
         """
         key = event.key
-        if self._manifest is not None:
+        if self._final is not None:
             raise IoFailure("stream already finalized")
         if self._last_key is not None and key <= self._last_key:
             raise OrderViolation(
@@ -296,10 +318,11 @@ class ShardWriter:
                 pass
             self._fh = None
 
-    def finalize(self) -> ShardManifest:
-        """Close the open part and write the manifest; idempotent."""
-        if self._manifest is not None:
-            return self._manifest
+    def finalize(self, last_block: int) -> Checkpoint:
+        """Close the open part, drop it if empty, and save the record finalized
+        through ``last_block``; idempotent."""
+        if self._final is not None:
+            return self._final
         if self._fh is not None and self._rows_in_part > 0:
             self._close_part()
         elif self._fh is not None:
@@ -311,13 +334,13 @@ class ShardWriter:
             except OSError:
                 pass
             self._part_number -= 1
-        manifest = ShardManifest(self._chain, self._schema.event_name, self.closed_parts)
+        final = replace(self.record(last_block), finalized=True)
         try:
-            _atomic_write(self._manifest_path(), manifest.to_json())
+            final.save(os.path.join(self._dir, "checkpoint.json"))
         except OSError as exc:
-            raise IoFailure(f"writing manifest failed: {exc}") from exc
-        self._manifest = manifest
-        return manifest
+            raise IoFailure(f"saving the finalized record failed: {exc}") from exc
+        self._final = final
+        return final
 
     # -- resume -------------------------------------------------------------------
 
@@ -327,36 +350,32 @@ class ShardWriter:
         out_dir: str,
         chain: str,
         schema: EventSchema,
-        part_number: int,
-        rows_in_part: int,
-        parts: tuple[PartRecord, ...] = (),
+        record: Checkpoint | None,
         clock: Callable[[], datetime] | None = None,
         row_limit: int = PART_ROW_LIMIT,
     ) -> "ShardWriter":
-        """Reopen a stream at its checkpoint, with ``parts`` closed, and make the disk agree.
+        """Reopen a stream at its loaded record, or at its start without one, and make
+        the disk agree.
 
-        Open part ``part_number``, also when a close the checkpoint missed renamed
-        it, is cut back to ``rows_in_part`` rows under its dot-name; part files
-        numbered above it are deleted. A stream with a manifest is left as it is.
+        The open part, also when a close the record missed renamed it, is cut
+        back to the record's rows under its dot-name; part files numbered above
+        it are deleted. A finalized stream is left as it is.
         """
         writer = cls(out_dir, chain, schema, clock=clock, row_limit=row_limit)
-        expected_closed = part_number if rows_in_part == 0 else part_number - 1
-        if len(parts) != max(expected_closed, 0):
-            raise IoFailure(
-                f"resume state inconsistent: checkpoint part {part_number} with "
-                f"{rows_in_part} rows but {len(parts)} closed parts recorded"
-            )
+        if record is None:
+            record = writer.record(-1)  # an empty stream's
+        elif record.finalized:
+            writer._final = record
+            return writer
+        part_number, rows_in_part, parts = (record.current_part_number,
+                                            record.rows_in_current_part, record.parts)
         writer._closed_parts = list(parts)
         writer._part_number = part_number
         if parts:
             writer._last_key = parts[-1].last_key
-        if os.path.exists(writer._manifest_path()):
-            writer._manifest = load_record(writer._manifest_path(), chain, schema.event_name,
-                                           ShardManifest.from_doc)
-            return writer
-        for record in parts:
-            if not os.path.exists(os.path.join(writer._dir, record.filename)):
-                raise IoFailure(f"closed part {record.filename!r} of the checkpoint is missing")
+        for part in parts:
+            if not os.path.exists(os.path.join(writer._dir, part.filename)):
+                raise IoFailure(f"closed part {part.filename!r} of the checkpoint is missing")
 
         open_path = writer._open_part_path(part_number)
         for name in os.listdir(writer._dir):
@@ -422,7 +441,7 @@ class DecodingSink:
         self._chain = chain_name
         self._strict = strict
 
-    def commit_batch(self, logs) -> int:
+    def commit_batch(self, logs) -> None:
         for log in logs:
             try:
                 event = decode(log, self._schema, self._chain, strict=self._strict)
@@ -431,19 +450,9 @@ class DecodingSink:
                                    f" log {log.key}: {exc}") from exc
             self._shards.append(event)
         self._shards.flush()
-        return len(logs)
 
-    @property
-    def part_number(self) -> int:
-        return self._shards.part_number
-
-    @property
-    def rows_in_part(self) -> int:
-        return self._shards.rows_in_part
-
-    @property
-    def closed_parts(self) -> tuple[PartRecord, ...]:
-        return self._shards.closed_parts
+    def record(self, last_block: int) -> Checkpoint:
+        return self._shards.record(last_block)
 
 
 # -- reading and validation ---------------------------------------------------
@@ -571,7 +580,7 @@ def _validate_stream(directory: str, chain: str, event: str) -> list[Violation]:
         return None
 
     actual_parts: list[PartRecord] = []
-    faulty: set[int] = set()  # parts with a FileFault, left out of the manifest comparison
+    faulty: set[int] = set()  # parts with a FileFault, left out of the record comparison
     last_key: tuple[int, int] | None = None  # keys rise across parts too
     for path in paths:
         name = os.path.basename(path)
@@ -603,21 +612,24 @@ def _validate_stream(directory: str, chain: str, event: str) -> list[Violation]:
         if first_key is not None:
             actual_parts.append(PartRecord(part, name, rows, first_key, last_key))
 
-    mpath = os.path.join(directory, f"manifest.{chain}.{event}")
+    record_path = os.path.join(directory, "checkpoint.json")
     try:
-        manifest = load_record(mpath, chain, event, ShardManifest.from_doc)
+        record = Checkpoint.load(record_path, chain, event)
     except FileFault as exc:
         violations.append(exc.violation)
         return violations
-    declared = {p.part_number: p for p in manifest.parts}
+    if not record.finalized:
+        violations.append(Violation("manifest", record_path, "stream not finalized"))
+        return violations
+    declared = {p.part_number: p for p in record.parts}
     actual = {p.part_number: p for p in actual_parts}
     for number in sorted((set(declared) | set(actual)) - faulty):
         listed, found = declared.get(number), actual.get(number)
         if listed != found:
-            detail = ("on disk but not in manifest" if listed is None
-                      else "in manifest but not on disk" if found is None
-                      else f"metadata disagrees with file (manifest {listed}, actual {found})")
-            violations.append(Violation("manifest", mpath, f"part{number:03d} {detail}"))
+            detail = ("on disk but not in the record" if listed is None
+                      else "in the record but not on disk" if found is None
+                      else f"metadata disagrees with file (record {listed}, actual {found})")
+            violations.append(Violation("manifest", record_path, f"part{number:03d} {detail}"))
     return violations
 
 

@@ -28,7 +28,7 @@ from oracles import (
     o_reserve_step,
 )
 from test_risk import LEDGER_EXPECT, _ledger_events
-from test_scanner import committed_ranges
+from test_scanner import ListSink, committed_ranges
 
 from aavescan.cli import DecodingSink, main
 from aavescan.decoder import DecodedEvent, decode, encode
@@ -45,8 +45,9 @@ from aavescan.raymath import RAY, SECONDS_PER_YEAR, compounded_interest, linear_
 from aavescan.registry import ChainConfig
 from aavescan.reserve import ReserveState, update_state
 from aavescan.risk import AssetParams, Position, health_factor, liquidation_quote, replay
-from aavescan.scanner import Checkpoint, ScanPlan, checkpoint_path, scan_event
-from aavescan.sink import ShardWriter, list_stream_parts, stream_dir, validate_output
+from aavescan.scanner import ScanPlan, scan_event
+from aavescan.sink import (Checkpoint, ShardWriter, checkpoint_path, list_stream_parts,
+                           stream_dir, validate_output)
 
 GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "golden")
 
@@ -245,17 +246,6 @@ def _synthetic_gateway(registry, blocks, fault_script=None):
 def test_criterion_06_scanner_coverage_and_resume(report, registry, tmp_path):
     started = time.monotonic()
 
-    class ListSink:
-        def __init__(self):
-            self.rows = []
-
-        def commit_batch(self, logs):
-            self.rows.extend(logs)
-            return len(logs)
-
-        part_number = 1
-        rows_in_part = 0
-
     for seed in range(200):
         rng = random.Random(seed)
         start = rng.randrange(0, 100)
@@ -297,7 +287,7 @@ def test_criterion_06_scanner_coverage_and_resume(report, registry, tmp_path):
                         batch_size=50, batch_max=100)
         scan_event(plan, gateway, DecodingSink(writer, schema, SMOKE_CHAIN.chain_name),
                    sleeper=lambda _s: None)
-        writer.finalize()
+        writer.finalize(499)
         return _stream_bytes(root, SMOKE_CHAIN.chain_name, schema.event_name)
 
     def run_interrupted(root, interrupt_call):
@@ -314,17 +304,13 @@ def test_criterion_06_scanner_coverage_and_resume(report, registry, tmp_path):
         writer.flush()
         checkpoint = Checkpoint.load(cp_file, SMOKE_CHAIN.chain_name, schema.event_name)
         gateway, _ = _synthetic_gateway(registry, blocks)
-        writer = ShardWriter.resume(root, SMOKE_CHAIN.chain_name, schema,
-                                    checkpoint.current_part_number,
-                                    checkpoint.rows_in_current_part)
+        writer = ShardWriter.resume(root, SMOKE_CHAIN.chain_name, schema, checkpoint)
         plan = ScanPlan(chain=SMOKE_CHAIN, event=schema,
                         cursor=checkpoint.last_completed_block + 1, end_block=499,
                         batch_size=50, batch_max=100)
         scan_event(plan, gateway, DecodingSink(writer, schema, SMOKE_CHAIN.chain_name),
-                   checkpoint_file=cp_file,
-                   rows_emitted_so_far=checkpoint.rows_emitted_total,
-                   sleeper=lambda _s: None)
-        writer.finalize()
+                   checkpoint_file=cp_file, sleeper=lambda _s: None)
+        writer.finalize(499)
         return _stream_bytes(root, SMOKE_CHAIN.chain_name, schema.event_name)
 
     baseline = run_uninterrupted(str(tmp_path / "straight"))
@@ -361,9 +347,9 @@ def test_criterion_07_shard_contract(report, registry, tmp_path):
             contract_address="0x87870bca3f3fd6335c3f4ce8392d69350b4fa4e2",
             fields=[("reserve", reserve), ("amountMinted", str(i))],
         ))
-    manifest = writer.finalize()
-    assert [p.row_count for p in manifest.parts] == [1_000_000, 1_000_000, 500_000]
-    assert [p.part_number for p in manifest.parts] == [1, 2, 3]
+    record = writer.finalize(16_291_127 + 2_499_999)
+    assert [p.row_count for p in record.parts] == [1_000_000, 1_000_000, 500_000]
+    assert [p.part_number for p in record.parts] == [1, 2, 3]
 
     directory = stream_dir(out, "ethereum", "MintedToTreasury")
     names = list_stream_parts(directory)
@@ -383,10 +369,11 @@ def test_criterion_07_shard_contract(report, registry, tmp_path):
     os.rename(os.path.join(directory, names[0].replace("part001", "part000")),
               os.path.join(directory, names[0]))
 
-    manifest_file = os.path.join(directory, "manifest.ethereum.MintedToTreasury")
-    doc = json.load(open(manifest_file))
+    record_file = checkpoint_path(out, "ethereum", "MintedToTreasury")
+    assert Checkpoint.load(record_file, "ethereum", "MintedToTreasury") == record
+    doc = json.load(open(record_file))
     doc["parts"][2]["row_count"] -= 1
-    json.dump(doc, open(manifest_file, "w"))
+    json.dump(doc, open(record_file, "w"))
     kinds = {v.kind for v in validate_output(out).violations}
     assert kinds == {"manifest"}
 

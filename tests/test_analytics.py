@@ -55,9 +55,10 @@ def _write(root, registry, chain, events, row_limit=1_000_000):
     for name, items in by_event.items():
         writer = ShardWriter(str(root), chain, registry.event(name),
                              clock=_clock, row_limit=row_limit)
-        for event in sorted(items, key=lambda e: e.key):
+        items.sort(key=lambda e: e.key)
+        for event in items:
             writer.append(event)
-        writer.finalize()
+        writer.finalize(items[-1].block_number)
 
 
 def _user(i):

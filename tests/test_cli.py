@@ -132,10 +132,10 @@ class TestExtract:
 
         real_finalize = ShardWriter.finalize
 
-        def failing_finalize(writer):
+        def failing_finalize(writer, last_block):
             if writer._schema.event_name == "Supply":
                 raise OSError("disk full")
-            return real_finalize(writer)
+            return real_finalize(writer, last_block)
 
         out = tmp_path / "out"
         args = ["extract", "--chain", "ethereum", "--event", "all",
@@ -153,6 +153,34 @@ class TestExtract:
         assert (stream / name).read_bytes() == reference.stream_csv_bytes(
             mini_corpus_dir, "ethereum", "Supply")
 
+    def test_resuming_a_finalized_stream_past_its_end_exits_4_before_any_query(
+            self, runner, tmp_path, mini_corpus_dir, monkeypatch):
+        """A stream finalized below the end block is not extended: the resume exits 4
+        naming the stream, sends no query and changes no file."""
+        from aavescan.gateway import FixtureGateway
+
+        out = tmp_path / "out"
+        args = ["extract", "--chain", "ethereum", "--out", str(out),
+                "--fixture-dir", mini_corpus_dir]
+        done = runner.invoke(main, args + ["--event", "all", "--to", "16350000"])
+        assert done.exit_code == 0, done.stderr
+        before, state = _tree_bytes(out), _tree_state(out)
+        queries = []
+        get_logs_many = FixtureGateway.get_logs_many
+        monkeypatch.setattr(FixtureGateway, "get_logs_many", lambda gateway, batch: (
+            queries.extend(batch), get_logs_many(gateway, batch))[1])
+        for event in ("RebalanceStableBorrowRate", "IsolationModeTotalDebtUpdated", "all"):
+            result = runner.invoke(main, args + ["--event", event, "--resume"])
+            assert result.exit_code == 4, result.output + result.stderr
+            assert "Traceback" not in result.output
+            named = "Supply" if event == "all" else event  # the first stream of all
+            assert f"ethereum/{named} is finalized at block 16350000" in result.stderr
+        assert queries == []
+        assert (_tree_bytes(out), _tree_state(out)) == (before, state)
+        again = runner.invoke(main, args + ["--event", "all", "--to", "16350000", "--resume"])
+        assert again.exit_code == 0, again.stderr  # up to its end block, a resume does nothing
+        assert (queries, _tree_bytes(out), _tree_state(out)) == ([], before, state)
+
     def test_an_extract_of_a_chain_another_extract_holds_exits_4(self, runner, tmp_path,
                                                                  mini_corpus_dir, monkeypatch):
         """A chain's output directory is locked for a whole extract: a second one,
@@ -161,7 +189,7 @@ class TestExtract:
 
         from aavescan.sink import ShardWriter
 
-        def failing_finalize(writer):
+        def failing_finalize(writer, last_block):
             raise OSError("disk full")
 
         out = tmp_path / "out"
@@ -185,19 +213,22 @@ class TestExtract:
         assert runner.invoke(main, ["validate", str(out)]).exit_code == 0
 
     def test_fsync_budget_of_one_chain(self, runner, tmp_path, mini_corpus_dir, monkeypatch):
-        """One fsync per batch flush with an open part, per checkpoint, per part
-        close and per manifest."""
-        real_fsync = os.fsync
-        fsyncs = []
-        monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1])
+        """One fsync per batch flush with an open part and per part close, and one
+        per record save: each commit's and each stream's finalized one."""
+        from test_sink import fsyncs_by_kind
+
+        fsyncs = fsyncs_by_kind(monkeypatch)
         result = runner.invoke(main, [
             "extract", "--chain", "ethereum", "--event", "all",
             "--out", str(tmp_path / "out"), "--fixture-dir", mini_corpus_dir,
         ])
         assert result.exit_code == 0, result.stderr
-        assert len(fsyncs) == 207  # 219 with the manifest sidecar
+        # 104 commits and 13 finalized records of the 13 streams
+        assert fsyncs == {"part": 90, "record": 117}
 
     def test_validate_on_extracted_output(self, runner, tmp_path, mini_corpus_dir):
+        from aavescan.sink import Checkpoint, list_stream_parts
+
         out = tmp_path / "out"
         runner.invoke(main, [
             "extract", "--chain", "base", "--event", "all",
@@ -206,6 +237,13 @@ class TestExtract:
         result = runner.invoke(main, ["validate", str(out)])
         assert result.exit_code == 0
         assert "0 violation(s)" in result.stderr
+        for chain, event, directory in iter_streams(str(out)):  # parts and one finalized record
+            record = Checkpoint.load(os.path.join(directory, "checkpoint.json"), chain, event)
+            assert (record.finalized, record.rows_in_current_part) == (True, 0), event
+            assert record.current_part_number == len(record.parts), event
+            parts = list_stream_parts(directory)
+            assert [p.filename for p in record.parts] == parts, event
+            assert sorted(os.listdir(directory)) == sorted(parts + ["checkpoint.json"]), event
 
     def test_json_progress(self, runner, tmp_path, mini_corpus_dir):
         out = tmp_path / "out"
@@ -243,7 +281,7 @@ class TestExtract:
     def test_undecodable_log_exits_3_with_its_checkpoint_unmoved(self, runner, tmp_path,
                                                                  mini_corpus_dir):
         from aavescan.registry import load_registry
-        from aavescan.scanner import Checkpoint, checkpoint_path
+        from aavescan.sink import Checkpoint, checkpoint_path
 
         corpus = tmp_path / "corpus"
         shutil.copytree(os.path.join(mini_corpus_dir, "ethereum"), corpus / "ethereum")
@@ -613,10 +651,10 @@ class TestLiveExtract:
         checkpoint save and one progress line per 10,000 blocks (--batch) a stream."""
         from aavescan.scanner import Checkpoint
 
-        saves = collections.Counter()
+        saves, finalized = collections.Counter(), collections.Counter()
         save = Checkpoint.save
         monkeypatch.setattr(Checkpoint, "save", lambda self, path: (
-            saves.update([self.event]), save(self, path))[1])
+            (finalized if self.finalized else saves).update([self.event]), save(self, path))[1])
         result, rpc = live(max_span=2_000, args=["--json-progress"])
         assert result.exit_code == 0, result.output + result.stderr
         self._assert_parts_match_reference(tmp_path / "out", mini_corpus_dir, registry)
@@ -626,6 +664,7 @@ class TestLiveExtract:
                                        if line.startswith("{"))
         assert saves == progress
         assert saves == {event: 10 for event in registry.event_names()}
+        assert finalized == {event: 1 for event in registry.event_names()}
 
     def test_a_chain_whose_extract_is_gone_stops_before_its_next_query(
             self, live, tmp_path, mini_corpus_dir, registry, monkeypatch):
@@ -635,7 +674,7 @@ class TestLiveExtract:
         uninterrupted run does."""
         import aavescan.cli as cli_module
         from aavescan.gateway import HttpGateway
-        from aavescan.scanner import Checkpoint, checkpoint_path
+        from aavescan.sink import Checkpoint, checkpoint_path
 
         saves = []
         save = Checkpoint.save
@@ -675,7 +714,7 @@ class TestLiveExtract:
 
     def test_log_still_removed_after_the_retries_exits_3_with_its_checkpoint_unmoved(
             self, live, tmp_path, mini_corpus_dir, registry):
-        from aavescan.scanner import Checkpoint, checkpoint_path
+        from aavescan.sink import Checkpoint, checkpoint_path
 
         records, _timestamps = reference.load_chain(mini_corpus_dir, "ethereum")
         borrow = "0x" + registry.event("Borrow").topic0.hex()
@@ -703,10 +742,10 @@ class TestValidateCommand:
             "--out", str(out), "--fixture-dir", mini_corpus_dir,
         ])
         stream = out / "ethereum" / "Supply"
-        (stream / "manifest.ethereum.Supply").unlink()
+        (stream / "checkpoint.json").unlink()
         result = runner.invoke(main, ["validate", str(out)])
         assert result.exit_code == 1
-        assert "manifest" in result.output
+        assert f"manifest\t{stream / 'checkpoint.json'}\t" in result.output
 
     def test_non_ascii_path_reaches_an_ascii_stream(self, tmp_path):
         stream = tmp_path / "ñ" / "ethereum" / "Supply"

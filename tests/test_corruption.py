@@ -13,10 +13,10 @@ Beyond the code:
 - a lenient aggregate whose strict form fails names the file in a warning
   and gives its own output on a copy of the tree with that part removed.
 
-A second sweep corrupts a stream's own records instead, ``checkpoint.json``,
-the manifest of a finalized stream and the open part of an interrupted one,
-and runs ``extract --resume`` on it: each case exits 4 naming the file, and
-a rejected ``checkpoint.json`` or manifest leaves every file as it was.
+A second sweep corrupts a stream's own files instead, the record
+``checkpoint.json`` of a finalized or an interrupted stream and the open part
+of an interrupted one, and runs ``extract --resume`` on it: each case exits 4
+naming the file, and a rejected ``checkpoint.json`` leaves every file as it was.
 """
 
 import csv
@@ -52,8 +52,10 @@ EXPECTED = {
     "missing_part": (1, 4, 4, 4, 4),
     "duplicated_part_number": (1, 4, 4, 4, 4),
     "part_is_directory": (1, 4, 4, 4, 4),
-    "manifest_not_json": (1, 0, 0, 0, 0),
-    "manifest_is_list": (1, 0, 0, 0, 0),  # JSON, but not an object
+    "record_not_json": (1, 0, 0, 0, 0),
+    "record_is_list": (1, 0, 0, 0, 0),  # JSON, but not an object
+    "record_without_finalized": (1, 0, 0, 0, 0),  # as written before the record had it
+    "record_finalized_with_open_part": (1, 0, 0, 0, 0),
     "stale_open_part": (1, 0, 0, 0, 0),
 }
 
@@ -135,10 +137,9 @@ def _corrupt(kind: str, stream: str, victim: str) -> tuple[str, str | None]:
         duplicate = os.path.join(stream, name[:-len("YYYYMMDD_HHMMSS.csv")] + "99991231_235959.csv")
         shutil.copyfile(victim, duplicate)
         return os.path.basename(duplicate), duplicate
-    if kind in ("manifest_not_json", "manifest_is_list"):
-        with open(os.path.join(stream, "manifest.ethereum.Supply"), "w") as fh:
-            fh.write("{not json" if kind == "manifest_not_json" else "[]")
-        return "manifest.ethereum.Supply", None
+    if kind.startswith("record_"):
+        RECORD_EDITS[kind](os.path.join(stream, "checkpoint.json"))
+        return "checkpoint.json", None
     assert kind == "stale_open_part"
     shutil.copyfile(victim, os.path.join(stream, ".part005.open.csv"))
     return ".part005.open.csv", None
@@ -270,8 +271,7 @@ def _interrupted(edit):
 
 def _interrupt(stream: str) -> None:
     """Make finalized ethereum/Supply look killed in part001: its checkpoint keeps 5
-    rows of the open part, and the part is back under its dot-name."""
-    os.remove(os.path.join(stream, "manifest.ethereum.Supply"))
+    rows of the open part, unfinalized, and the part is back under its dot-name."""
     for name in os.listdir(stream):
         if "_part001_" in name:
             os.replace(os.path.join(stream, name), os.path.join(stream, ".part001.open.csv"))
@@ -279,7 +279,17 @@ def _interrupt(stream: str) -> None:
         fifth = fh.read().split("\n")[5].split(",")
     _edit_json(lambda doc: doc.update(
         last_completed_block=int(fifth[2]), rows_emitted_total=5, current_part_number=1,
-        rows_in_current_part=5, parts=[]))(os.path.join(stream, "checkpoint.json"))
+        rows_in_current_part=5, parts=[], finalized=False))(os.path.join(stream, "checkpoint.json"))
+
+
+# corruptions of the record of finalized ethereum/Supply, which lists its four parts
+RECORD_EDITS = {
+    "record_not_json": _write(b"{not json"),
+    "record_is_list": _write(b"[]"),
+    "record_without_finalized": _edit_json(lambda doc: doc.pop("finalized")),
+    "record_finalized_with_open_part": _edit_json(lambda doc: doc.update(
+        current_part_number=5, rows_in_current_part=3)),
+}
 
 
 # corruption per case: (file of ethereum/Supply, edit of that file)
@@ -298,9 +308,12 @@ RESUME_CASES = {
     "checkpoint_not_utf8": ("checkpoint.json", _write(b'{"chain": "\xff"}')),
     "checkpoint_negative_part": ("checkpoint.json", _interrupted(_edit_json(
         lambda doc: doc.update(current_part_number=-2, rows_in_current_part=3)))),
-    "manifest_not_json": ("manifest.ethereum.Supply", _write(b"{not json")),
-    "manifest_is_list": ("manifest.ethereum.Supply", _write(b"[]")),
-    "manifest_empty_object": ("manifest.ethereum.Supply", _write(b"{}")),
+    "checkpoint_without_finalized": (
+        "checkpoint.json", _edit_json(lambda doc: doc.pop("finalized"))),
+    "checkpoint_finalized_not_a_boolean": (
+        "checkpoint.json", _edit_json(lambda doc: doc.update(finalized="true"))),
+    "checkpoint_finalized_with_open_part": (
+        "checkpoint.json", _interrupted(_edit_json(lambda doc: doc.update(finalized=True)))),
     "open_part_not_utf8": (".part001.open.csv", _interrupted(_edit_row(1, _not_utf8))),
     "open_part_not_utf8_in_a_middle_row": (
         ".part001.open.csv", _interrupted(_edit_row(3, _not_utf8))),

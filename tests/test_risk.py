@@ -453,7 +453,7 @@ class TestReplay:
         writer.append(_decoded("ethereum", "Supply", 5, 0, 50,
                                {"reserve": weth, "user": a, "onBehalfOf": a,
                                 "amount": "42", "referralCode": "0"}))
-        writer.finalize()
+        writer.finalize(5)
         events = [event for _key, _path, event in
                   _iter_chain_rows_sorted(str(tmp_path), "ethereum")]
         assert [(e.key, e.block_timestamp, e.fields) for e in events] == [

@@ -19,17 +19,15 @@ from aavescan.scanner import (
     GROWTH_STREAK,
     RATE_LIMIT_PAUSE_S,
     RATE_LIMIT_RETRIES,
-    Checkpoint,
     Outcome,
     ScanPlan,
     SpanLimits,
     StreamScan,
-    checkpoint_path,
     resize,
     scan_event,
     scan_events,
 )
-from aavescan.sink import DecodingSink, ShardWriter
+from aavescan.sink import Checkpoint, DecodingSink, ShardWriter, checkpoint_path
 
 SIG = "MintedToTreasury(address,uint256)"
 SCHEMA = EventSchema(
@@ -61,17 +59,10 @@ class ListSink:
 
     def commit_batch(self, logs):
         self.rows.extend(logs)
-        return len(logs)
 
-    @property
-    def part_number(self):
-        return 1 if self.rows else 0
-
-    @property
-    def rows_in_part(self):
-        return len(self.rows)
-
-    closed_parts = ()
+    def record(self, last_block):
+        return Checkpoint(CHAIN.chain_name, SCHEMA.event_name, last_block, len(self.rows),
+                          1 if self.rows else 0, len(self.rows))
 
 
 def _corpus(blocks, head=10**6):
@@ -405,7 +396,7 @@ class CountingSink(ListSink):
 
     def commit_batch(self, logs):
         self.commits.append(len(logs))
-        return super().commit_batch(logs)
+        super().commit_batch(logs)
 
 
 class TestGroupCommit:
@@ -464,18 +455,15 @@ class TestGroupCommit:
                 writer = ShardWriter(str(out), CHAIN.chain_name, SCHEMA, clock=clock,
                                      row_limit=150)
             else:
-                writer = ShardWriter.resume(
-                    str(out), CHAIN.chain_name, SCHEMA, checkpoint.current_part_number,
-                    checkpoint.rows_in_current_part, checkpoint.parts, clock=clock,
-                    row_limit=150)
+                writer = ShardWriter.resume(str(out), CHAIN.chain_name, SCHEMA, checkpoint,
+                                            clock=clock, row_limit=150)
             gw = _gateway(blocks, fault_script=script)
             scan_event(_plan(cursor, 23_999, 10_000), gw,
                        DecodingSink(writer, SCHEMA, CHAIN.chain_name),
                        checkpoint_file=checkpoint_path(str(out), CHAIN.chain_name,
                                                        SCHEMA.event_name),
-                       rows_emitted_so_far=checkpoint.rows_emitted_total if checkpoint else 0,
                        sleeper=lambda _s: None)
-            writer.finalize()
+            writer.finalize(23_999)
             return gw
 
         def files(out):

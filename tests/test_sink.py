@@ -1,3 +1,4 @@
+import collections
 import csv
 import itertools
 import json
@@ -10,11 +11,13 @@ import pytest
 import aavescan.sink as sink_module
 from aavescan.decoder import DecodedEvent
 from aavescan.sink import (
+    Checkpoint,
+    FileFault,
     IoFailure,
     OrderViolation,
     PartOverflow,
-    ShardManifest,
     ShardWriter,
+    checkpoint_path,
     iter_streams,
     list_stream_parts,
     part_filename,
@@ -48,6 +51,10 @@ def _writer(registry, out_dir, row_limit=10):
                        clock=_fixed_clock, row_limit=row_limit)
 
 
+def _record_file(root):
+    return checkpoint_path(str(root), "ethereum", "MintedToTreasury")
+
+
 def _read_keys(path):
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -78,24 +85,27 @@ class TestRollover:
         writer = _writer(registry, tmp_path, row_limit=10)
         for i in range(25):
             writer.append(_event(registry, 100 + i, 0))
-        manifest = writer.finalize()
-        assert [p.row_count for p in manifest.parts] == [10, 10, 5]
-        assert [p.part_number for p in manifest.parts] == [1, 2, 3]
-        assert manifest.total_rows == 25
+        record = writer.finalize(130)
+        assert [p.row_count for p in record.parts] == [10, 10, 5]
+        assert [p.part_number for p in record.parts] == [1, 2, 3]
+        assert record.rows_emitted_total == 25
+        assert (record.current_part_number, record.rows_in_current_part) == (3, 0)
+        assert (record.last_completed_block, record.finalized) == (130, True)
+        assert Checkpoint.load(_record_file(tmp_path), "ethereum", "MintedToTreasury") == record
 
     def test_exact_limit_single_part(self, registry, tmp_path):
         writer = _writer(registry, tmp_path, row_limit=10)
         for i in range(10):
             writer.append(_event(registry, 100 + i, 0))
-        manifest = writer.finalize()
-        assert [p.row_count for p in manifest.parts] == [10]
+        record = writer.finalize(109)
+        assert [p.row_count for p in record.parts] == [10]
         directory = stream_dir(str(tmp_path), "ethereum", "MintedToTreasury")
         assert len(list_stream_parts(directory)) == 1
 
     def test_empty_stream(self, registry, tmp_path):
         writer = _writer(registry, tmp_path)
-        manifest = writer.finalize()
-        assert manifest.parts == ()
+        record = writer.finalize(99)
+        assert (record.parts, record.current_part_number, record.finalized) == ((), 0, True)
         directory = stream_dir(str(tmp_path), "ethereum", "MintedToTreasury")
         assert list_stream_parts(directory) == []
 
@@ -103,19 +113,19 @@ class TestRollover:
         writer = _writer(registry, tmp_path, row_limit=10)
         for i in range(7):
             writer.append(_event(registry, 100 + i, 0))
-        manifest = writer.finalize()
-        assert [p.row_count for p in manifest.parts] == [7]
+        record = writer.finalize(106)
+        assert [p.row_count for p in record.parts] == [7]
 
     def test_double_finalize_idempotent(self, registry, tmp_path):
         writer = _writer(registry, tmp_path)
         writer.append(_event(registry, 100, 0))
-        first = writer.finalize()
-        assert writer.finalize() == first
+        first = writer.finalize(100)
+        assert writer.finalize(100) == first
 
     def test_append_after_finalize_rejected(self, registry, tmp_path):
         writer = _writer(registry, tmp_path)
         writer.append(_event(registry, 100, 0))
-        writer.finalize()
+        writer.finalize(100)
         with pytest.raises(IoFailure):
             writer.append(_event(registry, 101, 0))
 
@@ -139,14 +149,14 @@ class TestOrdering:
                    (200, 0), (201, 1), (300, 0), (301, 0)]
         for block, index in keys_in:
             writer.append(_event(registry, block, index))
-        manifest = writer.finalize()
+        record = writer.finalize(301)
         directory = stream_dir(str(tmp_path), "ethereum", "MintedToTreasury")
         keys_out = []
         for name in list_stream_parts(directory):
             keys_out.extend(_read_keys(os.path.join(directory, name)))
         assert keys_out == keys_in
-        assert sum(p.row_count for p in manifest.parts) == len(keys_in)
-        for earlier, later in zip(manifest.parts, manifest.parts[1:]):
+        assert sum(p.row_count for p in record.parts) == len(keys_in)
+        for earlier, later in zip(record.parts, record.parts[1:]):
             assert earlier.last_key < later.first_key
 
     def test_csv_roundtrip(self, registry, tmp_path):
@@ -156,7 +166,7 @@ class TestOrdering:
         events = [_event(registry, 100 + i, i, amount=10**i) for i in range(5)]
         for event in events:
             writer.append(event)
-        writer.finalize()
+        writer.finalize(104)
         directory = stream_dir(str(tmp_path), "ethereum", "MintedToTreasury")
         (name,) = list_stream_parts(directory)
         columns = PREFIX_COLUMNS + ("reserve", "amountMinted", "usd_value")
@@ -188,21 +198,22 @@ class TestResume:
         writer = _writer(registry, straight, row_limit=6)
         for i in range(15):
             writer.append(_event(registry, 100 + i, 0))
-        writer.finalize()
+        writer.finalize(114)
 
         writer = _writer(registry, resumed, row_limit=6)
         for i in range(8):
             writer.append(_event(registry, 100 + i, 0))
         writer.flush()
-        state = (writer.part_number, writer.rows_in_part, writer.closed_parts)
+        record = writer.record(107)
+        assert (record.current_part_number, record.rows_in_current_part) == (2, 2)
         del writer
 
         writer = ShardWriter.resume(str(resumed), "ethereum",
                                     registry.event("MintedToTreasury"),
-                                    *state, clock=_fixed_clock, row_limit=6)
+                                    record, clock=_fixed_clock, row_limit=6)
         for i in range(8, 15):
             writer.append(_event(registry, 100 + i, 0))
-        writer.finalize()
+        writer.finalize(114)
 
         def contents(root):
             directory = stream_dir(str(root), "ethereum", "MintedToTreasury")
@@ -212,6 +223,8 @@ class TestResume:
             )
 
         assert contents(straight) == contents(resumed)
+        assert (open(_record_file(straight), "rb").read()
+                == open(_record_file(resumed), "rb").read())
 
     def test_resume_truncates_unchheckpointed_rows(self, registry, tmp_path):
         writer = _writer(registry, tmp_path, row_limit=100)
@@ -219,23 +232,25 @@ class TestResume:
             writer.append(_event(registry, 100 + i, 0))
         writer.flush()
         # checkpoint knew about 3 rows only; the last 2 must be discarded
+        record = Checkpoint("ethereum", "MintedToTreasury", 102, 3, 1, 3)
         writer = ShardWriter.resume(str(tmp_path), "ethereum",
-                                    registry.event("MintedToTreasury"), 1, 3,
+                                    registry.event("MintedToTreasury"), record,
                                     clock=_fixed_clock, row_limit=100)
-        assert writer.rows_in_part == 3
-        assert writer.last_key == (102, 0)
+        assert writer.record(102) == record
+        with pytest.raises(OrderViolation):  # the last kept key is (102, 0)
+            writer.append(_event(registry, 102, 0))
         writer.append(_event(registry, 103, 0))
-        manifest = writer.finalize()
-        assert manifest.parts[0].row_count == 4
+        record = writer.finalize(103)
+        assert record.parts[0].row_count == 4
 
     def test_resume_inconsistent_state_rejected(self, registry, tmp_path):
         writer = _writer(registry, tmp_path, row_limit=100)
         writer.append(_event(registry, 100, 0))
         writer.flush()
-        with pytest.raises(IoFailure):
-            ShardWriter.resume(str(tmp_path), "ethereum",
-                               registry.event("MintedToTreasury"), 3, 1,
-                               clock=_fixed_clock)
+        path = _record_file(tmp_path)
+        Checkpoint("ethereum", "MintedToTreasury", 100, 1, 3, 1).save(path)
+        with pytest.raises(FileFault, match="0 closed parts, but part 3 open"):
+            Checkpoint.load(path, "ethereum", "MintedToTreasury")
 
 
 class Killed(BaseException):
@@ -312,10 +327,10 @@ def _kill_point_run(root, resume=False):
     so a stale part file left by the first run cannot pass for a new one."""
     from test_scanner import CHAIN, SCHEMA, _gateway, _plan
 
-    from aavescan.scanner import Checkpoint, checkpoint_path, scan_event
+    from aavescan.scanner import scan_event
 
     cp_file = checkpoint_path(root, CHAIN.chain_name, SCHEMA.event_name)
-    record = Checkpoint(CHAIN.chain_name, SCHEMA.event_name, -1, 0, 0, 0)
+    record = None
     if os.path.exists(cp_file):
         record = Checkpoint.load(cp_file, CHAIN.chain_name, SCHEMA.event_name)
     ticks = itertools.count()
@@ -325,17 +340,16 @@ def _kill_point_run(root, resume=False):
         return start + timedelta(seconds=next(ticks))
 
     if resume:
-        writer = ShardWriter.resume(root, CHAIN.chain_name, SCHEMA, record.current_part_number,
-                                    record.rows_in_current_part, record.parts, clock=clock,
+        writer = ShardWriter.resume(root, CHAIN.chain_name, SCHEMA, record, clock=clock,
                                     row_limit=10)
     else:
         writer = ShardWriter(root, CHAIN.chain_name, SCHEMA, clock=clock, row_limit=10)
-    if record.last_completed_block < 99:
-        scan_event(_plan(record.last_completed_block + 1, 99, 20), _gateway(KILL_BLOCKS),
+    cursor = 0 if record is None else record.last_completed_block + 1
+    if cursor <= 99:
+        scan_event(_plan(cursor, 99, 20), _gateway(KILL_BLOCKS),
                    sink_module.DecodingSink(writer, SCHEMA, CHAIN.chain_name),
-                   checkpoint_file=cp_file, rows_emitted_so_far=record.rows_emitted_total,
-                   sleeper=lambda _s: None)
-    writer.finalize()
+                   checkpoint_file=cp_file, sleeper=lambda _s: None)
+    writer.finalize(99)
     return stream_dir(root, CHAIN.chain_name, SCHEMA.event_name)
 
 
@@ -355,6 +369,7 @@ def test_kill_at_every_io_call_resumes_byte_identical(tmp_path, monkeypatch):
         straight = _kill_point_run(str(tmp_path / "straight"))
     expected = _normalized_tree(straight)
     assert len(list_stream_parts(straight)) == 4  # three rollovers and a final close
+    assert json.loads(dict(expected)[b"checkpoint.json"])["finalized"] is True
     assert not any(path.endswith(".state") for path in seam.paths)
     total_calls = seam.calls
 
@@ -371,20 +386,36 @@ def test_kill_at_every_io_call_resumes_byte_identical(tmp_path, monkeypatch):
         assert report.ok, (kill_at, report.violations)
 
 
+def fsyncs_by_kind(monkeypatch) -> collections.Counter:
+    """Count each ``os.fsync`` by the file the sink opened under its descriptor:
+    ``record`` for ``checkpoint.json`` (its temporary), ``part`` for a part file."""
+    kinds, counts = {}, collections.Counter()
+    real_open, real_fsync = open, os.fsync
+
+    def seam_open(path, *args, **kwargs):
+        fh = real_open(path, *args, **kwargs)
+        record = os.path.basename(path).startswith("checkpoint.json")
+        kinds[fh.fileno()] = "record" if record else "part"
+        return fh
+
+    monkeypatch.setattr(sink_module, "open", seam_open, raising=False)
+    monkeypatch.setattr(os, "fsync",
+                        lambda fd: (counts.update([kinds.get(fd, "other")]), real_fsync(fd))[1])
+    return counts
+
+
 def test_fsync_budget_of_rollovers(registry, tmp_path, monkeypatch):
-    """One fsync per flush of an open part, per part close and for the manifest."""
-    real_fsync = os.fsync
-    fsyncs = []
-    monkeypatch.setattr(os, "fsync", lambda fd: (fsyncs.append(fd), real_fsync(fd))[1])
+    """One fsync per flush of an open part, per part close and for the finalized record."""
+    fsyncs = fsyncs_by_kind(monkeypatch)
     writer = _writer(registry, tmp_path, row_limit=10)
     for i in range(25):
         writer.append(_event(registry, 100 + i, 0))
         if i % 5 == 4:
             writer.flush()
-    writer.finalize()
-    # flushes after rows 5, 15 and 25 (rows 10 and 20 closed a part), three
-    # part closes and the manifest; 10 with the manifest sidecar
-    assert len(fsyncs) == 7
+    writer.finalize(124)
+    # flushes after rows 5, 15 and 25 (rows 10 and 20 closed a part) and three
+    # part closes, then the finalized record
+    assert fsyncs == {"part": 6, "record": 1}
 
 
 def _build_valid_tree(registry, root):
@@ -392,7 +423,7 @@ def _build_valid_tree(registry, root):
                          clock=_fixed_clock, row_limit=5)
     for i in range(12):
         writer.append(_event(registry, 100 + i, 0))
-    writer.finalize()
+    writer.finalize(111)
     return stream_dir(str(root), "ethereum", "MintedToTreasury")
 
 
@@ -442,20 +473,30 @@ class TestValidate:
                       if v.kind == "ordering"]
         assert violations and violations[0].line == 4
 
-    def test_missing_manifest(self, registry, tmp_path):
-        directory = _build_valid_tree(registry, tmp_path)
-        os.remove(os.path.join(directory, "manifest.ethereum.MintedToTreasury"))
+    def test_missing_record(self, registry, tmp_path):
+        _build_valid_tree(registry, tmp_path)
+        os.remove(_record_file(tmp_path))
         kinds = {v.kind for v in validate_output(str(tmp_path)).violations}
         assert kinds == {"manifest"}
 
-    def test_manifest_row_count_mismatch(self, registry, tmp_path):
-        directory = _build_valid_tree(registry, tmp_path)
-        path = os.path.join(directory, "manifest.ethereum.MintedToTreasury")
+    def test_record_row_count_mismatch(self, registry, tmp_path):
+        _build_valid_tree(registry, tmp_path)
+        path = _record_file(tmp_path)
         doc = json.load(open(path))
         doc["parts"][0]["row_count"] += 1
         json.dump(doc, open(path, "w"))
         kinds = {v.kind for v in validate_output(str(tmp_path)).violations}
         assert kinds == {"manifest"}
+
+    def test_unfinalized_record(self, registry, tmp_path):
+        _build_valid_tree(registry, tmp_path)
+        path = _record_file(tmp_path)
+        doc = json.load(open(path))
+        doc["finalized"] = False
+        json.dump(doc, open(path, "w"))
+        violations = validate_output(str(tmp_path)).violations
+        assert [(v.kind, v.path, v.detail) for v in violations] == [
+            ("manifest", path, "stream not finalized")]
 
     def test_row_limit_violation(self, registry, tmp_path, monkeypatch):
         directory = _build_valid_tree(registry, tmp_path)
@@ -510,10 +551,12 @@ class TestValidate:
         violations = validate_output(str(tmp_path)).violations
         assert [(v.kind, v.path) for v in violations] == [("naming", stale)]
 
-    def test_manifest_roundtrip(self, registry, tmp_path):
+    def test_record_roundtrip(self, registry, tmp_path):
         directory = _build_valid_tree(registry, tmp_path)
-        path = os.path.join(directory, "manifest.ethereum.MintedToTreasury")
-        manifest = ShardManifest.from_doc(json.load(open(path)))
-        assert manifest.chain == "ethereum"
-        again = ShardManifest.from_doc(json.loads(manifest.to_json()))
-        assert manifest.to_json() == again.to_json()
+        path = _record_file(tmp_path)
+        record = Checkpoint.load(path, "ethereum", "MintedToTreasury")
+        assert (record.chain, record.finalized, record.rows_emitted_total) == (
+            "ethereum", True, 12)
+        assert [p.filename for p in record.parts] == list_stream_parts(directory)
+        record.save(str(tmp_path / "again.json"))
+        assert open(tmp_path / "again.json", "rb").read() == open(path, "rb").read()
