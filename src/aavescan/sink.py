@@ -17,7 +17,6 @@ Beside the parts, ``checkpoint.json`` is the stream's one durable record
 
 from __future__ import annotations
 
-import csv
 import json
 import os
 import re
@@ -406,11 +405,13 @@ class ShardWriter:
     def _truncate_open_part(self, path: str, keep_rows: int) -> tuple[tuple[int, int], ...]:
         """Cut an open part to its header and ``keep_rows`` whole rows; return their key range.
 
-        Every kept row must decode and carry an integer key above the key before it.
+        Every kept row must decode, hold no quote, CR or NUL, and carry an integer key
+        above the key before it.
         """
         with open(path, "r+b") as fh:
             line = fh.readline()
-            header = next(csv.reader([line.decode("utf-8")]), None)
+            # split as ``iter_part_rows`` splits it: a quote, CR or NUL leaves a name unequal
+            header = line.decode("utf-8").rstrip("\n").split(",")
             if not line.endswith(b"\n") or header != self._header:
                 raise IoFailure(f"open part {path!r} has an unexpected header")
             size, rows = len(line), 0
@@ -419,7 +420,9 @@ class ShardWriter:
                 if rows == keep_rows or not line.endswith(b"\n"):
                     break
                 size += len(line)
-                cells = line.decode("utf-8").split(",", 6)  # rows are unquoted (see ``append``)
+                row = line.decode("utf-8")
+                _refuse_unwritten(path, row, rows + 2)
+                cells = row.split(",", 6)  # rows are unquoted (see ``append``)
                 key = (int(cells[2]), int(cells[5]))
                 rows += 1
                 if last is not None and key <= last:
@@ -511,17 +514,20 @@ def iter_part_rows(path: str, chain: str, event: str, columns: Sequence[str] = (
                    ) -> Iterator[tuple[str, ...]]:
     """Yield, per row of one part file of stream ``chain``/``event``, the values of ``columns``.
 
-    Each column is resolved once, to its position in the header; no dict is built
-    per row. ``check_header`` returns why a header is unusable, or None. Raises
-    FileFault naming ``path`` on a read error, bytes not UTF-8, an empty file, a header
-    fault, and, with its line, at the first row whose width or ``chain``/``event`` is wrong.
+    Lines are split on commas, as ``ShardWriter.append`` joins them; each column is
+    resolved once to its header position. ``check_header`` returns why a header is
+    unusable, or None. Raises FileFault naming ``path`` on a read error, bytes not UTF-8,
+    an empty file or a header fault, and, with its line, at the first line whose width or
+    ``chain``/``event`` is wrong or that holds a quote, CR or NUL: ``append`` writes none,
+    so such a line is an ``ordering`` fault, not CSV to unquote.
     """
     try:
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None:
+        with open(path, "r", newline="\n", encoding="utf-8") as fh:
+            line = fh.readline()
+            if not line:
                 raise FileFault("header", path, "part file has no header")
+            _refuse_unwritten(path, line, 1)
+            header = line.rstrip("\n").split(",")
             fault = check_header(header) if check_header else None
             if fault:
                 raise FileFault("header", path, fault)
@@ -531,20 +537,32 @@ def iter_part_rows(path: str, chain: str, event: str, columns: Sequence[str] = (
             positions = [header.index(name) for name in columns]
             # itemgetter of one position returns a bare value, of none it fails
             pick = (itemgetter(*positions) if len(positions) > 1
-                    else lambda row: tuple(row[i] for i in positions))
+                    else (lambda row: tuple(row[i] for i in positions)) if positions
+                    else lambda _row: ())
             width = len(header)
-            for row in reader:
+            for line_no, line in enumerate(fh, 2):
+                if '"' in line or "\r" in line or "\0" in line:  # a regex search is slower
+                    _refuse_unwritten(path, line, line_no)
+                row = line.rstrip("\n").split(",")
                 if len(row) != width or row[0] != chain or row[1] != event:
                     if len(row) != width:
                         raise FileFault("ordering", path, "row is not a decodable event row "
-                                        f"of {width} columns", reader.line_num)
+                                        f"of {width} columns", line_no)
                     raise FileFault("naming", path, f"row names {row[0]}/{row[1]}, directory "
-                                    f"is {chain}/{event}", reader.line_num)
+                                    f"is {chain}/{event}", line_no)
                 yield pick(row)
     except OSError as exc:
         raise FileFault("naming", path, f"part file unreadable: {exc.strerror or exc}") from exc
-    except (csv.Error, UnicodeDecodeError) as exc:
+    except UnicodeDecodeError as exc:
         raise FileFault("ordering", path, f"part file not decodable: {exc}") from exc
+
+
+def _refuse_unwritten(path: str, line: str, line_no: int) -> None:
+    """Raise FileFault at a line holding a quote, CR or NUL, which ``append`` never writes."""
+    for char in '"\r\0':
+        if char in line:
+            raise FileFault("ordering", path, f"part file not decodable: line holds {char!r}",
+                            line_no)
 
 
 def _validate_stream(directory: str, chain: str, event: str) -> list[Violation]:

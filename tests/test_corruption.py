@@ -57,7 +57,14 @@ EXPECTED = {
     "record_without_finalized": (1, 0, 0, 0, 0),  # as written before the record had it
     "record_finalized_with_open_part": (1, 0, 0, 0, 0),
     "stale_open_part": (1, 0, 0, 0, 0),
+    # bytes no part is written with, in Supply part002's fourth row (line 5)
+    "quoted_value": (1, 4, 4, 4, 4),  # its transaction_hash wrapped in quotes
+    "crlf_line_ending": (1, 4, 4, 4, 4),
+    "nul_byte": (1, 4, 4, 4, 4),
 }
+
+# the line ``validate`` must name, per class it reports at a line of its own
+LINES = {"quoted_value": 5, "crlf_line_ending": 5, "nul_byte": 5}
 
 
 def _edit_rows(path, edit):
@@ -109,6 +116,9 @@ def _corrupt(kind: str, stream: str, victim: str) -> tuple[str, str | None]:
     name = os.path.basename(victim)
     if kind in edits:
         _edit_rows(victim, edits[kind])
+        return name, victim
+    if kind in ROW_BYTE_EDITS:  # as raw bytes: ``_edit_rows`` would write the row plain
+        _edit_row(4, ROW_BYTE_EDITS[kind])(victim)
         return name, victim
     if kind == "truncated_last_line":
         with open(victim, "rb") as fh:
@@ -207,6 +217,8 @@ def test_every_reader_on_every_corruption(kind, intact, tmp_path, price_table_pa
             assert output == intact_outputs[reader], reader
         else:
             assert needle in text, (reader, text)
+        if reader == "validate" and kind in LINES:
+            assert f"{needle}:{LINES[kind]}\t" in text, text
 
     without = str(tmp_path / "without")
     shutil.copytree(corrupt, without)
@@ -259,6 +271,19 @@ def _set_log_index(row: bytes) -> bytes:
     cells = row.split(b",")
     cells[5] = b"x"
     return b",".join(cells)
+
+
+def _quote_transaction_hash(row: bytes) -> bytes:
+    cells = row.split(b",")
+    cells[4] = b'"' + cells[4] + b'"'
+    return b",".join(cells)
+
+
+ROW_BYTE_EDITS = {
+    "quoted_value": _quote_transaction_hash,
+    "crlf_line_ending": lambda row: row + b"\r",
+    "nul_byte": lambda row: row.replace(b",0x", b",0x\0", 1),
+}
 
 
 def _interrupted(edit):
@@ -320,6 +345,10 @@ RESUME_CASES = {
     "open_part_non_integer_key": (".part001.open.csv", _interrupted(_edit_row(1, _set_log_index))),
     "open_part_non_integer_key_in_a_middle_row": (
         ".part001.open.csv", _interrupted(_edit_row(3, _set_log_index))),
+    "open_part_quoted_header": (".part001.open.csv", _interrupted(_edit_row(
+        0, lambda header: header.replace(b"amount", b'"amount"')))),
+    "open_part_quoted_value": (".part001.open.csv", _interrupted(_edit_row(
+        3, _quote_transaction_hash))),
     "open_part_keys_out_of_order": (
         ".part001.open.csv", _interrupted(partial(_edit_rows, edit=_swap_rows))),
 }

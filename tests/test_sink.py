@@ -18,6 +18,7 @@ from aavescan.sink import (
     PartOverflow,
     ShardWriter,
     checkpoint_path,
+    iter_part_rows,
     iter_streams,
     list_stream_parts,
     part_filename,
@@ -560,3 +561,50 @@ class TestValidate:
         assert [p.filename for p in record.parts] == list_stream_parts(directory)
         record.save(str(tmp_path / "again.json"))
         assert open(tmp_path / "again.json", "rb").read() == open(path, "rb").read()
+
+
+class TestIterPartRows:
+    """The reader splits lines on commas; ``csv.reader`` is the oracle it is held to."""
+
+    def test_yields_the_rows_csv_reader_yields(self, tmp_path, mini_corpus_dir, monkeypatch):
+        from functools import partial
+
+        from click.testing import CliRunner
+
+        from aavescan import cli
+
+        out = str(tmp_path / "out")
+        monkeypatch.setattr(cli, "ShardWriter", partial(ShardWriter, row_limit=10))
+        for chain in ("ethereum", "base"):  # the mini corpus's chains
+            result = CliRunner().invoke(cli.main, [
+                "extract", "--chain", chain, "--event", "all", "--out", out,
+                "--fixture-dir", mini_corpus_dir])
+            assert result.exit_code == 0, result.output
+        parts = rows_read = 0
+        for chain, event, directory in iter_streams(out):
+            for name in list_stream_parts(directory):
+                path = os.path.join(directory, name)
+                with open(path, newline="", encoding="utf-8") as fh:
+                    header, *rows = csv.reader(fh)
+                assert list(iter_part_rows(path, chain, event, header)) == list(map(tuple, rows))
+                assert list(iter_part_rows(path, chain, event)) == [()] * len(rows)
+                parts += 1
+                rows_read += len(rows)
+        assert parts >= 40 and rows_read >= 300, (parts, rows_read)
+
+    @pytest.mark.parametrize("line", [1, 4])
+    @pytest.mark.parametrize("char", ['"', "\r", "\0"])
+    def test_a_line_holding_a_quote_cr_or_nul_is_refused_at_that_line(
+            self, registry, tmp_path, char, line):
+        directory = _build_valid_tree(registry, tmp_path)
+        path = os.path.join(directory, list_stream_parts(directory)[0])
+        with open(path, newline="", encoding="utf-8") as fh:
+            lines = fh.read().split("\n")
+        lines[line - 1] = lines[line - 1].replace(",", f",{char}", 1)
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write("\n".join(lines))
+        with pytest.raises(FileFault) as caught:
+            list(iter_part_rows(path, "ethereum", "MintedToTreasury", ("block_number",)))
+        assert caught.value.violation == (
+            sink_module.Violation("ordering", path, f"part file not decodable: line holds "
+                                  f"{char!r}", line))
