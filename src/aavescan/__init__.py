@@ -22,7 +22,7 @@ from .risk import (
     liquidation_quote,
     replay,
 )
-from .scanner import ScanPlan, ScanSummary, resize, scan_event
+from .scanner import ScanPlan, ScanSummary, resize, scan_events
 from .sink import Checkpoint, ShardWriter, part_filename, validate_output
 
 __version__ = "0.1.0"
@@ -63,7 +63,7 @@ __all__ = [
     "ray_mul",
     "replay",
     "resize",
-    "scan_event",
+    "scan_events",
     "topic0_of",
     "update_state",
     "validate_output",

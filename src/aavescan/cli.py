@@ -44,7 +44,6 @@ from .scanner import (
     DEFAULT_BATCH_SIZE,
     ScanPlan,
     ScanSummary,
-    SpanLimits,
     StreamScan,
     scan_events,
 )
@@ -93,7 +92,7 @@ def _load_registry_or_fail(path: str | None) -> Registry:
 def _resolve_selector(selector: str, known: list[str], what: str) -> list[str]:
     if selector == "all":
         return list(known)
-    names = [s.strip() for s in selector.split(",") if s.strip()]
+    names = list(dict.fromkeys(s.strip() for s in selector.split(",") if s.strip()))
     for name in names:
         if name not in known:
             raise click.UsageError(f"unknown {what} {name!r} (known: {', '.join(known)})")
@@ -132,9 +131,9 @@ def _enter_chain_process(parent_pid: int) -> None:
 def _stop_if_orphaned() -> None:
     """End a chain process whose extract process is gone (killed, not unwound).
 
-    Called before each round (``_OrphanCheckedGateway``) and after each
-    commit, so after the kill at most the round in flight is answered and the
-    commits it completes written; answers held for later commits are
+    Called before each query (``_OrphanCheckedGateway``) and after each
+    commit, so after the kill at most the query in flight is answered and the
+    commit it completes written; answers held for later commits are
     dropped, and ``--resume`` asks for them again. ``_exit``: a raised error
     would leave the process blocked on the pool's queues, which nothing reads
     any more.
@@ -144,14 +143,14 @@ def _stop_if_orphaned() -> None:
 
 
 class _OrphanCheckedGateway:
-    """A chain's gateway, checked for a gone extract process before each round."""
+    """A chain's gateway, checked for a gone extract process before each query."""
 
     def __init__(self, gateway):
         self._gateway = gateway
 
-    def get_logs_many(self, queries):
+    def get_logs(self, query):
         _stop_if_orphaned()
-        return self._gateway.get_logs_many(queries)
+        return self._gateway.get_logs(query)
 
 
 @contextmanager
@@ -193,7 +192,7 @@ def _progress_printer(json_mode: bool):
 
 def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
                    event_names: list[str]) -> list[ScanSummary]:
-    """Scan every unfinished stream of a chain in lockstep, then finalize them,
+    """Scan every unfinished stream of a chain with one cursor, then finalize them,
     holding the chain's output directory locked throughout. Every stream's record
     is read, and refused, before any stream's files change."""
     with _chain_lock(os.path.join(config.out_dir, chain_name)):
@@ -238,7 +237,6 @@ def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
         summaries: dict[str, ScanSummary] = {}
         scans: list[StreamScan] = []
         writers: list[ShardWriter] = []
-        limits = SpanLimits()  # shared by the chain's streams
         for event_name, record in zip(event_names, records):
             schema = registry.event(event_name)
             cursor = start_block
@@ -258,7 +256,7 @@ def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
                 continue
 
             plan = ScanPlan(chain=chain, event=schema, cursor=cursor, end_block=end_block,
-                            batch_size=config.batch, batch_max=config.batch_max, limits=limits)
+                            batch_size=config.batch, batch_max=config.batch_max)
             sink = DecodingSink(writer, schema, chain_name, strict=not config.lenient)
             cp_file = checkpoint_path(config.out_dir, chain_name, event_name)
             scans.append(StreamScan(plan, sink, cp_file, progress))
@@ -283,7 +281,7 @@ def run_extract(config: RunConfig) -> list[ScanSummary]:
 
     Several chains run in one forked process each; chains share no state, so
     they use every core. Once this process is gone, a chain process stops
-    before its next round, after at most the round in flight and the commits
+    before its next query, after at most the query in flight and the commit
     it completes. Each chain locks its output directory for the whole
     extract, so a second extract of that chain, a resume started while an
     orphan still runs included, exits 4. A chain's error is re-raised here

@@ -10,16 +10,18 @@ RATE_LIMITED, RESPONSE_TOO_LARGE, TRANSIENT or TERMINAL. The first two are
 surfaced immediately because they drive the scanner's batch resizing;
 TRANSIENT failures are retried in-gateway before surfacing.
 
-A chain scans its event streams in rounds (see ``scanner``), and
-``get_logs_many`` answers one round: one JSON-RPC 2.0 batch
-(https://www.jsonrpc.org/specification, section 6) of every stream's next
-``eth_getLogs``, then one timestamp lookup over every block the answers hold,
-in batches of uncached ``eth_getBlockByNumber`` requests. Each entry gets its
-logs or its own classified error; ``get_logs`` is the one-query case. A
-server that refuses a batch as too large halves the gateway's batch limit
-(at first ``TIMESTAMP_BATCH_MAX``) for the rest of the run, and the refused
-requests go again at once in smaller POSTs, so no answer is lost and no range
-narrowed. A server that refuses a batch of one is not supported.
+A chain scans all its event streams with one cursor (see ``scanner``), so a
+``LogQuery`` asks one block range of the Pool for several topic0s, and
+``get_logs`` answers it whole: its logs of every topic0 asked, in key order,
+each with its block timestamp, or the query's one classified error.
+``HttpGateway`` sends one JSON-RPC 2.0 batch
+(https://www.jsonrpc.org/specification, section 6) of an ``eth_getLogs`` per
+topic0, then one timestamp lookup over every block the answer holds, in
+batches of uncached ``eth_getBlockByNumber`` requests. A server that refuses
+a batch as too large halves the gateway's batch limit (at first
+``TIMESTAMP_BATCH_MAX``) for the rest of the run, and the refused requests go
+again at once in smaller POSTs, so no answer is lost and no range narrowed. A
+server that refuses a batch of one is not supported.
 
 Only building an ``HttpGateway`` imports the HTTP client (``requests``), so
 only ``extract --live`` loads it: the offline commands neither pay its import
@@ -73,7 +75,7 @@ class LogQuery:
     from_block: int
     to_block: int
     address: str
-    topic0: bytes
+    topics: tuple[bytes, ...]  # the topic0s asked; a log matches any of them
 
     def validate(self) -> None:
         if self.from_block > self.to_block:
@@ -82,8 +84,8 @@ class LogQuery:
             raise ValueError("negative from_block")
         if not self.address:
             raise ValueError("empty address")
-        if len(self.topic0) != 32:
-            raise ValueError("topic0 must be 32 bytes")
+        if not self.topics or any(len(topic0) != 32 for topic0 in self.topics):
+            raise ValueError("a query asks one or more topic0s of 32 bytes")
 
 
 @dataclass(slots=True)
@@ -217,9 +219,8 @@ def classify_error(
 
 
 class _GatewayBase:
-    """Block-timestamp cache, and ``get_logs`` as the one-query case of
-    ``get_logs_many``. One upstream fetch per distinct block: the uncached
-    blocks of a round's answers are fetched in ascending chunks of at most
+    """Block-timestamp cache. One upstream fetch per distinct block: the
+    uncached blocks of an answer are fetched in ascending chunks of at most
     ``batch_limit``, each cached as soon as it arrives, so a chunk that fails
     costs none of the chunks before it.
 
@@ -232,17 +233,10 @@ class _GatewayBase:
     def __init__(self) -> None:
         self._ts_cache: dict[int, int] = {}
 
-    def get_logs_many(self, queries: list[LogQuery]) -> list[list[RawLog] | GatewayError]:
-        """Per query, in order: its logs in key order, each with its block
-        timestamp, or its own classified error. An error of the whole round (a
-        batch refused, or a timestamp lookup that failed) is raised."""
-        raise NotImplementedError
-
     def get_logs(self, query: LogQuery) -> list[RawLog]:
-        (logs,) = self.get_logs_many([query])
-        if isinstance(logs, GatewayError):
-            raise logs
-        return logs
+        """The logs of every topic0 ``query`` asks, in key order, each with its
+        block timestamp; or the query's classified error."""
+        raise NotImplementedError
 
     def _cached_timestamps(self, blocks: set[int]) -> dict[int, int]:
         """The cache, after fetching the blocks of ``blocks`` it lacks."""
@@ -260,14 +254,12 @@ class _GatewayBase:
         ``batch_limit``), all of them or an error."""
         raise NotImplementedError
 
-    def _enrich(self, answers: list) -> list:
-        """``answers``, each log of them given its block timestamp by one lookup."""
-        logs = [log for answer in answers if not isinstance(answer, GatewayError)
-                for log in answer]
+    def _enrich(self, logs: list[RawLog]) -> list[RawLog]:
+        """``logs``, each given its block timestamp by one lookup."""
         timestamps = self._cached_timestamps({log.block_number for log in logs})
         for log in logs:
             log.block_timestamp = timestamps[log.block_number]
-        return answers
+        return logs
 
 
 class HttpGateway(_GatewayBase):
@@ -296,16 +288,19 @@ class HttpGateway(_GatewayBase):
 
     def _post(self, body: dict | list, read: Callable[[object], object],
               pauses: Iterator[float] | None = None):
-        """POST ``body`` and return ``read`` of the decoded reply: one retried unit.
+        """POST ``body`` and return ``read`` of the decoded reply, ``read``'s
+        shape checks included in the retried unit."""
+        return self._retried(lambda: read(self._post_once(body)), pauses)
 
-        A TRANSIENT failure anywhere in it, ``read``'s shape checks included, is
+    def _retried(self, attempt: Callable[[], object], pauses: Iterator[float] | None = None):
+        """``attempt()``, one retried unit: a TRANSIENT failure anywhere in it is
         retried after each pause of ``pauses`` (by default a fresh
         TRANSIENT_BACKOFF_S); other kinds surface at once.
         """
         pauses = iter(TRANSIENT_BACKOFF_S) if pauses is None else pauses
         while True:
             try:
-                return read(self._post_once(body))
+                return attempt()
             except GatewayError as exc:
                 if exc.kind is not ErrorKind.TRANSIENT or (pause := next(pauses, None)) is None:
                     raise
@@ -357,38 +352,23 @@ class HttpGateway(_GatewayBase):
 
         return self._post(self._request(method, params), read_reply)
 
-    def get_logs_many(self, queries: list[LogQuery]) -> list[list[RawLog] | GatewayError]:
-        """One batch of ``eth_getLogs``. Entries whose answer is TRANSIENT (a log
-        removed by a reorg, say) go again after a pause; the answered ones are
-        not asked again. These pauses and those of a failed POST draw on one
-        TRANSIENT_BACKOFF_S, so a round makes at most three TRANSIENT retries."""
-        for query in queries:
-            query.validate()
+    def get_logs(self, query: LogQuery) -> list[RawLog]:
+        """One batch of an ``eth_getLogs`` per topic0 over the query's range;
+        any entry's error is the query's. A TRANSIENT entry (a log removed by a
+        reorg, say) asks the whole batch again after a pause. These pauses and
+        those of a failed POST draw on one TRANSIENT_BACKOFF_S, so a query
+        makes at most three TRANSIENT retries. Only a refusal of the batch
+        itself halves ``batch_limit``, never an entry's refusal of its span."""
+        query.validate()
         batch = [self._request("eth_getLogs", [{
             "fromBlock": hex(query.from_block),
             "toBlock": hex(query.to_block),
             "address": query.address,
-            "topics": ["0x" + query.topic0.hex()],
-        }]) for query in queries]
-        answers: list = [None] * len(queries)
-        todo = range(len(queries))
+            "topics": ["0x" + topic0.hex()],
+        }]) for topic0 in query.topics]
         pauses = iter(TRANSIENT_BACKOFF_S)
-        while True:
-            retry = []
-            for i, entry in zip(todo, self._post_batch([batch[i] for i in todo], _match_batch,
-                                                       pauses)):
-                try:
-                    answers[i] = _read_logs(queries[i].address.lower(), entry)
-                except GatewayError as exc:
-                    # a new error: a traceback would hold this frame, and so the reply
-                    answers[i] = GatewayError(exc.kind, exc.detail)
-                    if exc.kind is ErrorKind.TRANSIENT:
-                        retry.append(i)
-            if not retry or (pause := next(pauses, None)) is None:
-                break
-            self._sleeper(pause)
-            todo = retry
-        return self._enrich(answers)
+        return self._enrich(self._retried(
+            lambda: _read_logs(query, self._post_batch(batch, _match_batch, pauses)), pauses))
 
     def _fetch_block_timestamps(self, blocks: list[int]) -> dict[int, int]:
         batch = [self._request("eth_getBlockByNumber", [hex(block), False]) for block in blocks]
@@ -456,16 +436,22 @@ def _match_batch(chunk: list[dict], reply) -> list[dict]:
     return entries
 
 
-def _read_logs(address: str, entry: dict) -> list[RawLog]:
-    """The logs of one ``eth_getLogs`` answer for ``address``, in key order."""
-    _raise_rpc_error(entry)
-    result = entry.get("result")
-    if not isinstance(result, list):
-        raise GatewayError(ErrorKind.TERMINAL, f"eth_getLogs: result {result!r:.80} is not a list")
-    logs = [parse_log(log) for log in result]
+def _read_logs(query: LogQuery, entries: list[dict]) -> list[RawLog]:
+    """The logs of the ``eth_getLogs`` answers ``entries`` to ``query``, in key order."""
+    logs: list[RawLog] = []
+    for entry in entries:
+        _raise_rpc_error(entry)
+        result = entry.get("result")
+        if not isinstance(result, list):
+            raise GatewayError(ErrorKind.TERMINAL,
+                               f"eth_getLogs: result {result!r:.80} is not a list")
+        logs += map(parse_log, result)
+    address = query.address.lower()
     for log in logs:
         if log.address != address:
             raise GatewayError(ErrorKind.TERMINAL, f"log {log.key} of foreign {log.address}")
+        if not log.topics or log.topics[0] not in query.topics:
+            raise GatewayError(ErrorKind.TERMINAL, f"log {log.key} of a topic0 not asked")
     return sorted(logs, key=lambda log: log.key)
 
 
@@ -484,7 +470,7 @@ def _read_timestamps(chunk: list[dict], reply) -> list[int]:
 
 
 # A fault script inspects (call_index, query) before each query is answered
-# and may return an ErrorKind to inject; None lets the query through.
+# and may return an ErrorKind to inject for the whole query; None lets it through.
 FaultScript = Callable[[int, LogQuery], Optional[ErrorKind]]
 
 
@@ -493,10 +479,9 @@ class FixtureGateway(_GatewayBase):
 
     The corpus is a per-chain set of raw logs sorted by (block_number,
     log_index) plus a block-to-timestamp table. ``calls`` records every query
-    of every round in order (faulted or not; the fault script sees them in
-    the same order, and a fault lands on its query alone) and
-    ``block_fetches`` counts upstream timestamp lookups, so tests can observe
-    batching and cache behaviour.
+    in order, faulted or not (the fault script sees them in the same order,
+    and a fault fails its whole query), and ``block_fetches`` counts upstream
+    timestamp lookups, so tests can observe batching and cache behaviour.
     """
 
     def __init__(
@@ -527,26 +512,21 @@ class FixtureGateway(_GatewayBase):
         timestamps = {int(k): int(v) for k, v in table["timestamps"].items()}
         return cls(logs, timestamps, head_block=int(table["head"]), fault_script=fault_script)
 
-    def get_logs_many(self, queries: list[LogQuery]) -> list[list[RawLog] | GatewayError]:
-        for query in queries:
-            query.validate()
-        answers: list = []
-        for query in queries:
-            call_index = len(self.calls)
-            self.calls.append(query)
-            kind = self._fault_script(call_index, query) if self._fault_script else None
-            if kind is not None:
-                answers.append(GatewayError(kind, f"injected fault on call {call_index}"))
-                continue
-            lo = bisect.bisect_left(self._block_keys, query.from_block)
-            hi = bisect.bisect_right(self._block_keys, query.to_block)
-            address = query.address.lower()
-            answers.append([RawLog(log.address, log.topics, log.data, log.block_number,
-                                   log.transaction_hash, log.log_index)
-                            for log in self._logs[lo:hi]
-                            if log.address == address and log.topics
-                            and log.topics[0] == query.topic0])
-        return self._enrich(answers)
+    def get_logs(self, query: LogQuery) -> list[RawLog]:
+        query.validate()
+        call_index = len(self.calls)
+        self.calls.append(query)
+        kind = self._fault_script(call_index, query) if self._fault_script else None
+        if kind is not None:
+            raise GatewayError(kind, f"injected fault on call {call_index}")
+        lo = bisect.bisect_left(self._block_keys, query.from_block)
+        hi = bisect.bisect_right(self._block_keys, query.to_block)
+        address, topics = query.address.lower(), frozenset(query.topics)
+        return self._enrich([RawLog(log.address, log.topics, log.data, log.block_number,
+                                    log.transaction_hash, log.log_index)
+                             for log in self._logs[lo:hi]
+                             if log.address == address and log.topics
+                             and log.topics[0] in topics])
 
     def _fetch_block_timestamps(self, blocks: list[int]) -> dict[int, int]:
         timestamps = {}

@@ -518,12 +518,13 @@ def iter_part_rows(path: str, chain: str, event: str, columns: Sequence[str] = (
     resolved once to its header position. ``check_header`` returns why a header is
     unusable, or None. Raises FileFault naming ``path`` on a read error, bytes not UTF-8,
     an empty file or a header fault, and, with its line, at the first line whose width or
-    ``chain``/``event`` is wrong or that holds a quote, CR or NUL: ``append`` writes none,
-    so such a line is an ``ordering`` fault, not CSV to unquote.
+    ``chain``/``event`` is wrong or that holds a quote, CR or NUL, and after a last line
+    that lacks its final newline: ``append`` writes none of these, so such a line is an
+    ``ordering`` fault, not CSV to unquote, and a row cut short at its end is no whole row.
     """
     try:
         with open(path, "r", newline="\n", encoding="utf-8") as fh:
-            line = fh.readline()
+            line_no, line = 1, fh.readline()
             if not line:
                 raise FileFault("header", path, "part file has no header")
             _refuse_unwritten(path, line, 1)
@@ -551,6 +552,8 @@ def iter_part_rows(path: str, chain: str, event: str, columns: Sequence[str] = (
                     raise FileFault("naming", path, f"row names {row[0]}/{row[1]}, directory "
                                     f"is {chain}/{event}", line_no)
                 yield pick(row)
+            if not line.endswith("\n"):  # only the last line can lack it
+                raise FileFault("ordering", path, "line lacks its final newline", line_no)
     except OSError as exc:
         raise FileFault("naming", path, f"part file unreadable: {exc.strerror or exc}") from exc
     except UnicodeDecodeError as exc:

@@ -28,7 +28,7 @@ from oracles import (
     o_reserve_step,
 )
 from test_risk import LEDGER_EXPECT, _ledger_events
-from test_scanner import ListSink, committed_ranges
+from test_scanner import ListSink, committed_ranges, scan_one
 
 from aavescan.cli import DecodingSink, main
 from aavescan.decoder import DecodedEvent, decode, encode
@@ -45,7 +45,7 @@ from aavescan.raymath import RAY, SECONDS_PER_YEAR, compounded_interest, linear_
 from aavescan.registry import ChainConfig
 from aavescan.reserve import ReserveState, update_state
 from aavescan.risk import AssetParams, Position, health_factor, liquidation_quote, replay
-from aavescan.scanner import ScanPlan, scan_event
+from aavescan.scanner import ScanPlan
 from aavescan.sink import (Checkpoint, ShardWriter, checkpoint_path, list_stream_parts,
                            stream_dir, validate_output)
 
@@ -268,7 +268,7 @@ def test_criterion_06_scanner_coverage_and_resume(report, registry, tmp_path):
         plan = ScanPlan(chain=SMOKE_CHAIN, event=schema, cursor=start, end_block=end,
                         batch_size=rng.choice([1, 4, 16, 64]), batch_max=128)
         sink = ListSink()
-        summary = scan_event(plan, gateway, sink, sleeper=lambda _s: None)
+        summary = scan_one(plan, gateway, sink, sleeper=lambda _s: None)
         covered = [b for lo, hi in committed_ranges(gateway, fault_script)
                    for b in range(lo, hi + 1)]
         assert covered == list(range(start, end + 1)), f"seed {seed}"
@@ -285,8 +285,8 @@ def test_criterion_06_scanner_coverage_and_resume(report, registry, tmp_path):
         writer = ShardWriter(root, SMOKE_CHAIN.chain_name, schema)
         plan = ScanPlan(chain=SMOKE_CHAIN, event=schema, cursor=0, end_block=499,
                         batch_size=50, batch_max=100)
-        scan_event(plan, gateway, DecodingSink(writer, schema, SMOKE_CHAIN.chain_name),
-                   sleeper=lambda _s: None)
+        scan_one(plan, gateway, DecodingSink(writer, schema, SMOKE_CHAIN.chain_name),
+                 sleeper=lambda _s: None)
         writer.finalize(499)
         return _stream_bytes(root, SMOKE_CHAIN.chain_name, schema.event_name)
 
@@ -299,8 +299,8 @@ def test_criterion_06_scanner_coverage_and_resume(report, registry, tmp_path):
         plan = ScanPlan(chain=SMOKE_CHAIN, event=schema, cursor=0, end_block=499,
                         batch_size=50, batch_max=100)
         with pytest.raises(GatewayError):
-            scan_event(plan, gateway, DecodingSink(writer, schema, SMOKE_CHAIN.chain_name),
-                       checkpoint_file=cp_file, sleeper=lambda _s: None)
+            scan_one(plan, gateway, DecodingSink(writer, schema, SMOKE_CHAIN.chain_name),
+                     checkpoint_file=cp_file, sleeper=lambda _s: None)
         writer.flush()
         checkpoint = Checkpoint.load(cp_file, SMOKE_CHAIN.chain_name, schema.event_name)
         gateway, _ = _synthetic_gateway(registry, blocks)
@@ -308,8 +308,8 @@ def test_criterion_06_scanner_coverage_and_resume(report, registry, tmp_path):
         plan = ScanPlan(chain=SMOKE_CHAIN, event=schema,
                         cursor=checkpoint.last_completed_block + 1, end_block=499,
                         batch_size=50, batch_max=100)
-        scan_event(plan, gateway, DecodingSink(writer, schema, SMOKE_CHAIN.chain_name),
-                   checkpoint_file=cp_file, sleeper=lambda _s: None)
+        scan_one(plan, gateway, DecodingSink(writer, schema, SMOKE_CHAIN.chain_name),
+                 checkpoint_file=cp_file, sleeper=lambda _s: None)
         writer.finalize(499)
         return _stream_bytes(root, SMOKE_CHAIN.chain_name, schema.event_name)
 
@@ -491,7 +491,7 @@ def test_criterion_10_live_smoke(report, registry):
     gateway = HttpGateway(os.environ[LIVE_ENV])
     logs = gateway.get_logs(LogQuery(
         from_block=16_291_127, to_block=16_292_126,
-        address=chain.pool_address, topic0=schema.topic0,
+        address=chain.pool_address, topics=(schema.topic0,),
     ))
     keys = [log.key for log in logs]
     assert keys == sorted(set(keys))

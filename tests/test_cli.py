@@ -114,6 +114,16 @@ class TestExtract:
         expected = reference.stream_csv_bytes(mini_corpus_dir, "ethereum", "Supply")
         assert produced == expected
 
+    def test_an_event_named_twice_is_extracted_once(self, runner, tmp_path, mini_corpus_dir):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "extract", "--chain", "ethereum", "--event", "Supply,Supply",
+            "--out", str(out), "--fixture-dir", mini_corpus_dir,
+        ])
+        assert result.exit_code == 0, result.output + result.stderr
+        assert result.stderr.count("ethereum/Supply: rows=34 ") == 1
+        assert runner.invoke(main, ["validate", str(out)]).exit_code == 0
+
     def test_resume_noop_when_complete(self, runner, tmp_path, mini_corpus_dir):
         out = tmp_path / "out"
         args = ["extract", "--chain", "ethereum", "--event", "Supply",
@@ -153,6 +163,47 @@ class TestExtract:
         assert (stream / name).read_bytes() == reference.stream_csv_bytes(
             mini_corpus_dir, "ethereum", "Supply")
 
+    def test_an_interrupted_stream_joins_a_resumed_extract_at_its_checkpoint(
+            self, runner, tmp_path, mini_corpus_dir, monkeypatch, registry):
+        """``--event Supply`` fails at its third record save; ``--event all --resume``
+        then asks the other streams from the start and Supply from its checkpoint on,
+        each block once, and every stream ends as the reference."""
+        from aavescan.gateway import FixtureGateway
+        from aavescan.sink import Checkpoint
+
+        out = tmp_path / "out"
+        args = ["extract", "--chain", "ethereum", "--out", str(out),
+                "--fixture-dir", mini_corpus_dir]
+        queries = []
+        get_logs = FixtureGateway.get_logs
+        monkeypatch.setattr(FixtureGateway, "get_logs", lambda gateway, query: (
+            queries.append(query), get_logs(gateway, query))[1])
+        saves = []
+        save = Checkpoint.save
+
+        def failing_save(record, path):
+            saves.append(record)
+            if len(saves) == 3:
+                raise OSError("disk full")
+            return save(record, path)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Checkpoint, "save", failing_save)
+            assert runner.invoke(main, args + ["--event", "Supply"]).exit_code == 4
+        first_run = len(queries)
+        resumed = runner.invoke(main, args + ["--event", "all", "--resume"])
+        assert resumed.exit_code == 0, resumed.stderr
+
+        supply = registry.event("Supply").topic0
+        asked = [block for query in queries[first_run:] if supply in query.topics
+                 for block in range(query.from_block, query.to_block + 1)]
+        end = queries[-1].to_block
+        assert asked == list(range(saves[1].last_completed_block + 1, end + 1))  # each once
+        assert len(queries[first_run].topics) == len(registry.event_names()) - 1
+        assert {len(query.topics) for query in queries[first_run:]} == {
+            len(registry.event_names()) - 1, len(registry.event_names())}
+        TestLiveExtract._assert_parts_match_reference(out, mini_corpus_dir, registry)
+
     def test_resuming_a_finalized_stream_past_its_end_exits_4_before_any_query(
             self, runner, tmp_path, mini_corpus_dir, monkeypatch):
         """A stream finalized below the end block is not extended: the resume exits 4
@@ -166,9 +217,9 @@ class TestExtract:
         assert done.exit_code == 0, done.stderr
         before, state = _tree_bytes(out), _tree_state(out)
         queries = []
-        get_logs_many = FixtureGateway.get_logs_many
-        monkeypatch.setattr(FixtureGateway, "get_logs_many", lambda gateway, batch: (
-            queries.extend(batch), get_logs_many(gateway, batch))[1])
+        get_logs = FixtureGateway.get_logs
+        monkeypatch.setattr(FixtureGateway, "get_logs", lambda gateway, query: (
+            queries.append(query), get_logs(gateway, query))[1])
         for event in ("RebalanceStableBorrowRate", "IsolationModeTotalDebtUpdated", "all"):
             result = runner.invoke(main, args + ["--event", event, "--resume"])
             assert result.exit_code == 4, result.output + result.stderr
@@ -459,18 +510,18 @@ class TestChainProcesses:
                 assert [(stream / part).read_bytes() for part in parts] == [expected]
 
 
-# extract with every fixture round of queries slowed, recording the pid of each
+# extract with every fixture query slowed, recording the pid of each
 # process that scans; argv[1] is the pid directory, the rest the CLI arguments
 _SLOW_EXTRACT = """
 import os, sys, time
 from aavescan.gateway import FixtureGateway
 pid_dir = sys.argv.pop(1)
-get_logs_many = FixtureGateway.get_logs_many
-def slow_get_logs_many(self, queries):
+get_logs = FixtureGateway.get_logs
+def slow_get_logs(self, query):
     open(os.path.join(pid_dir, str(os.getpid())), "a").close()
     time.sleep(0.02)
-    return get_logs_many(self, queries)
-FixtureGateway.get_logs_many = slow_get_logs_many
+    return get_logs(self, query)
+FixtureGateway.get_logs = slow_get_logs
 from aavescan.cli import main
 main(prog_name="aavescan")
 """
@@ -618,12 +669,12 @@ class TestLiveExtract:
         assert rpc.blocks_asked == collections.Counter(
             {record["blockNumber"]: 1 for record in rpc.records})
         singles = [body["method"] for body in rpc.bodies if isinstance(body, dict)]
-        assert singles == ["eth_blockNumber"]  # every eth_getLogs goes in a round's batch
+        assert singles == ["eth_blockNumber"]  # every eth_getLogs goes in a query's batch
         methods = [{request["method"] for request in body}
                    for body in rpc.bodies if isinstance(body, list)]
-        rounds, lookups = methods.count({"eth_getLogs"}), methods.count({"eth_getBlockByNumber"})
-        assert rounds + lookups == len(methods)
-        assert 0 < lookups <= rounds  # at most one timestamp batch per round here
+        queries, lookups = methods.count({"eth_getLogs"}), methods.count({"eth_getBlockByNumber"})
+        assert queries + lookups == len(methods)
+        assert 0 < lookups <= queries  # at most one timestamp batch per query here
         assert max(len(body) for body in rpc.bodies if isinstance(body, list)
                    and body[0]["method"] == "eth_getLogs") == len(registry.event_names())
 
@@ -636,7 +687,7 @@ class TestLiveExtract:
         result, rpc = live(batch_limit=2)
         assert result.exit_code == 0, result.output + result.stderr
         self._assert_parts_match_reference(tmp_path / "out", mini_corpus_dir, registry)
-        assert 0 < rpc.batches_refused <= 7  # 100 halved to 1 at most, not once a round
+        assert 0 < rpc.batches_refused <= 7  # 100 halved to 1 at most, not once a query
         assert rpc.blocks_asked == collections.Counter(
             {record["blockNumber"]: 1 for record in rpc.records})
         assert (rpc.logs_answered, rpc.logs_refused) == (unlimited_rpc.logs_answered,
@@ -668,8 +719,8 @@ class TestLiveExtract:
 
     def test_a_chain_whose_extract_is_gone_stops_before_its_next_query(
             self, live, tmp_path, mini_corpus_dir, registry, monkeypatch):
-        """The extract process dies while the second round after the first commits is
-        in flight, a round that completes no commit: no round is sent and nothing
+        """The extract process dies while the second query after the first commit is
+        in flight, a query that completes no commit: no query is sent and nothing
         committed after it, and a resume completes every stream as an
         uninterrupted run does."""
         import aavescan.cli as cli_module
@@ -686,28 +737,28 @@ class TestLiveExtract:
 
         monkeypatch.setattr(os, "_exit", exit_)
         monkeypatch.setattr(cli_module, "_extract_pid", os.getppid())
-        rounds = []  # per round sent, the commits made before it
-        send_round = HttpGateway.get_logs_many
+        queries = []  # per query sent, the commits made before it
+        send_query = HttpGateway.get_logs
 
-        def kill_in_the_second_round_after_a_commit(gateway, queries):
-            rounds.append(len(saves))
-            if sum(1 for count in rounds if count) == 2:
+        def kill_in_the_second_query_after_a_commit(gateway, query):
+            queries.append(len(saves))
+            if sum(1 for count in queries if count) == 2:
                 monkeypatch.setattr(cli_module, "_extract_pid", -1)
-            return send_round(gateway, queries)
+            return send_query(gateway, query)
 
-        monkeypatch.setattr(HttpGateway, "get_logs_many", kill_in_the_second_round_after_a_commit)
+        monkeypatch.setattr(HttpGateway, "get_logs", kill_in_the_second_query_after_a_commit)
         result, _rpc = live(max_span=2_000)
         assert result.exit_code == 4, result.output + result.stderr
-        killed = [i for i, count in enumerate(rounds) if count][1]
-        assert len(rounds) == killed + 1  # no round after the one in flight
-        assert len(saves) == rounds[killed]  # no commit after the kill
+        killed = [i for i, count in enumerate(queries) if count][1]
+        assert len(queries) == killed + 1  # no query after the one in flight
+        assert len(saves) == queries[killed]  # no commit after the kill
         for event in {cp.event for cp in saves}:
             cp_file = checkpoint_path(str(tmp_path / "out"), "ethereum", event)
             assert Checkpoint.load(cp_file, "ethereum", event) == [
                 cp for cp in saves if cp.event == event][-1]
 
         monkeypatch.setattr(cli_module, "_extract_pid", None)
-        monkeypatch.setattr(HttpGateway, "get_logs_many", send_round)
+        monkeypatch.setattr(HttpGateway, "get_logs", send_query)
         result, _rpc = live(max_span=2_000, args=["--resume"])
         assert result.exit_code == 0, result.output + result.stderr
         self._assert_parts_match_reference(tmp_path / "out", mini_corpus_dir, registry)

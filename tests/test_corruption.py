@@ -48,6 +48,7 @@ EXPECTED = {
     "relabelled_chain": (1, 4, 4, 4, 4),  # an ethereum row labelled base
     "non_utf8_byte": (1, 4, 4, 4, 4),
     "truncated_last_line": (1, 4, 4, 4, 4),
+    "lost_final_newline": (1, 4, 4, 4, 4),  # a whole last row, but for its "\n"
     "empty_part": (1, 4, 4, 4, 4),
     "missing_part": (1, 4, 4, 4, 4),
     "duplicated_part_number": (1, 4, 4, 4, 4),
@@ -64,7 +65,7 @@ EXPECTED = {
 }
 
 # the line ``validate`` must name, per class it reports at a line of its own
-LINES = {"quoted_value": 5, "crlf_line_ending": 5, "nul_byte": 5}
+LINES = {"quoted_value": 5, "crlf_line_ending": 5, "nul_byte": 5, "lost_final_newline": 11}
 
 
 def _edit_rows(path, edit):
@@ -126,6 +127,10 @@ def _corrupt(kind: str, stream: str, victim: str) -> tuple[str, str | None]:
         last = data.rstrip(b"\n").rsplit(b"\n", 1)[1]
         with open(victim, "wb") as fh:
             fh.write(data[:len(data) - len(last) // 2 - 1])
+        return name, victim
+    if kind == "lost_final_newline":
+        with open(victim, "rb+") as fh:
+            fh.truncate(os.path.getsize(victim) - 1)
         return name, victim
     if kind == "non_utf8_byte":
         with open(victim, "rb") as fh:

@@ -232,7 +232,7 @@ def test_every_registry_event_decodes_a_corpus_instance(registry, corpus_dir):
                 continue
             logs = gw.get_logs(LogQuery(
                 chain.start_block, gw.latest_block(),
-                chain.pool_address, schema.topic0))
+                chain.pool_address, (schema.topic0,)))
             if logs:
                 event = decode(logs[0], schema, chain.chain_name)
                 assert event.event_name == schema.event_name

@@ -105,40 +105,40 @@ class TestClassification:
 class TestFixtureGateway:
     def test_range_query_returns_sorted_matches(self):
         gw = _gateway()
-        logs = gw.get_logs(LogQuery(100, 200, POOL, TOPIC))
+        logs = gw.get_logs(LogQuery(100, 200, POOL, (TOPIC,)))
         assert [(l.block_number, l.log_index) for l in logs] == [(100, 0), (150, 0), (200, 2)]
         assert all(l.block_timestamp > 0 for l in logs)
 
     def test_empty_range(self):
         gw = _gateway()
-        assert gw.get_logs(LogQuery(5, 5, POOL, TOPIC)) == []
+        assert gw.get_logs(LogQuery(5, 5, POOL, (TOPIC,))) == []
 
     def test_address_and_topic_filters(self):
         gw = _gateway()
-        logs = gw.get_logs(LogQuery(0, 1_000, POOL, TOPIC))
+        logs = gw.get_logs(LogQuery(0, 1_000, POOL, (TOPIC,)))
         assert len(logs) == 4  # other address and other topic excluded
 
     def test_strictly_sorted_no_duplicates(self):
         gw = _gateway()
-        logs = gw.get_logs(LogQuery(0, 1_000, POOL, TOPIC))
+        logs = gw.get_logs(LogQuery(0, 1_000, POOL, (TOPIC,)))
         keys = [l.key for l in logs]
         assert keys == sorted(set(keys))
 
     def test_scripted_rate_limit_then_success(self):
         gw = _gateway(fault_script=scripted_faults([ErrorKind.RATE_LIMITED]))
         with pytest.raises(GatewayError) as excinfo:
-            gw.get_logs(LogQuery(100, 200, POOL, TOPIC))
+            gw.get_logs(LogQuery(100, 200, POOL, (TOPIC,)))
         assert excinfo.value.kind is ErrorKind.RATE_LIMITED
-        logs = gw.get_logs(LogQuery(100, 200, POOL, TOPIC))
+        logs = gw.get_logs(LogQuery(100, 200, POOL, (TOPIC,)))
         assert len(logs) == 3
         assert len(gw.calls) == 2
 
     def test_max_span_fault(self):
         gw = _gateway(fault_script=max_span_fault(50))
         with pytest.raises(GatewayError) as excinfo:
-            gw.get_logs(LogQuery(0, 100, POOL, TOPIC))
+            gw.get_logs(LogQuery(0, 100, POOL, (TOPIC,)))
         assert excinfo.value.kind is ErrorKind.RESPONSE_TOO_LARGE
-        assert gw.get_logs(LogQuery(100, 149, POOL, TOPIC))
+        assert gw.get_logs(LogQuery(100, 149, POOL, (TOPIC,)))
 
     def test_timestamp_cache_single_upstream_fetch(self):
         gw = _gateway()
@@ -157,7 +157,7 @@ class TestFixtureGateway:
 
     def test_deterministic_across_instances(self):
         def snapshot(gw):
-            logs = gw.get_logs(LogQuery(0, 1_000, POOL, TOPIC))
+            logs = gw.get_logs(LogQuery(0, 1_000, POOL, (TOPIC,)))
             return [(l.key, l.topics, l.data, l.block_timestamp, l.transaction_hash)
                     for l in logs]
 
@@ -165,14 +165,14 @@ class TestFixtureGateway:
 
     def test_enrichment_does_not_refetch_known_blocks(self):
         gw = _gateway()
-        gw.get_logs(LogQuery(0, 1_000, POOL, TOPIC))
-        gw.get_logs(LogQuery(0, 1_000, POOL, TOPIC))
+        gw.get_logs(LogQuery(0, 1_000, POOL, (TOPIC,)))
+        gw.get_logs(LogQuery(0, 1_000, POOL, (TOPIC,)))
         assert all(count == 1 for count in gw.block_fetches.values())
 
     def test_invalid_query_rejected(self):
         gw = _gateway()
         with pytest.raises(ValueError):
-            gw.get_logs(LogQuery(10, 5, POOL, TOPIC))
+            gw.get_logs(LogQuery(10, 5, POOL, (TOPIC,)))
 
     def test_corpus_roundtrip(self, tmp_path):
         chain_dir = tmp_path / "testchain"
@@ -191,7 +191,7 @@ class TestFixtureGateway:
             json.dumps({"head": 100, "timestamps": {"42": 1_700_000_042}})
         )
         gw = FixtureGateway.from_dir(str(chain_dir))
-        logs = gw.get_logs(LogQuery(0, 100, POOL, TOPIC))
+        logs = gw.get_logs(LogQuery(0, 100, POOL, (TOPIC,)))
         assert len(logs) == 1
         assert logs[0].block_timestamp == 1_700_000_042
         assert logs[0].data == b"\x00" * 32
@@ -281,7 +281,7 @@ class TestHttpGateway:
             _blocks_reply({99: "0x5f5e100", 100: "0x5f5e101"}),
         ])
         gw = HttpGateway("http://unit.test", session=session, sleeper=lambda _s: None)
-        logs = gw.get_logs(LogQuery(99, 100, POOL, TOPIC))
+        logs = gw.get_logs(LogQuery(99, 100, POOL, (TOPIC,)))
         assert [l.block_number for l in logs] == [99, 100]
         assert logs[0].address == POOL
         assert logs[0].block_timestamp == 0x5F5E100
@@ -342,7 +342,7 @@ class TestHttpGateway:
         ])
         gw = HttpGateway("http://unit.test", session=session, sleeper=lambda _s: None)
         with pytest.raises(GatewayError) as excinfo:
-            gw.get_logs(LogQuery(0, 10, POOL, TOPIC))
+            gw.get_logs(LogQuery(0, 10, POOL, (TOPIC,)))
         assert excinfo.value.kind is ErrorKind.RESPONSE_TOO_LARGE
 
     def test_missing_block_terminal(self):
@@ -369,7 +369,7 @@ def _rpc_log(**changes):
     return {key: value for key, value in entry.items() if value is not None}
 
 
-def _http_get_logs(entries, query=LogQuery(0, 200, POOL, TOPIC)):
+def _http_get_logs(entries, query=LogQuery(0, 200, POOL, (TOPIC,))):
     session = _FakeSession([_logs_reply(entries), _blocks_reply({100: "0x10"})])
     return HttpGateway("http://unit.test", session=session, sleeper=lambda _s: None).get_logs(query)
 
@@ -381,7 +381,7 @@ def _fixture_get_logs(tmp_path, entries):
                for key, value in entry.items()} for entry in entries]  # plain integers
     (chain_dir / "logs.jsonl").write_text("".join(json.dumps(e) + "\n" for e in corpus))
     (chain_dir / "blocks.json").write_text(json.dumps({"head": 200, "timestamps": {"100": 16}}))
-    return FixtureGateway.from_dir(str(chain_dir)).get_logs(LogQuery(0, 200, POOL, TOPIC))
+    return FixtureGateway.from_dir(str(chain_dir)).get_logs(LogQuery(0, 200, POOL, (TOPIC,)))
 
 
 # a value written to a shard unquoted must never need quoting, so the one log
@@ -446,7 +446,7 @@ class TestTimestampBatches:
     def test_one_batch_per_answer_in_ascending_block_order(self):
         gw, session = _http([_logs_reply(_logs_in_blocks([102, 100, 101, 100])),
                              _blocks_reply({100: "0x10", 101: "0x11", 102: "0x12"})])
-        logs = gw.get_logs(LogQuery(0, 200, POOL, TOPIC))
+        logs = gw.get_logs(LogQuery(0, 200, POOL, (TOPIC,)))
         assert [l.block_timestamp for l in logs] == [0x10, 0x10, 0x11, 0x12]
         batch = session.requests[1]
         assert [request["params"] for request in batch] == [
@@ -459,7 +459,7 @@ class TestTimestampBatches:
         timestamps = {block: hex(block * 12) for block in blocks}
         gw, session = _http([_logs_reply(_logs_in_blocks(blocks))]
                             + [_blocks_reply(timestamps)] * 3)
-        logs = gw.get_logs(LogQuery(0, 5_000, POOL, TOPIC))
+        logs = gw.get_logs(LogQuery(0, 5_000, POOL, (TOPIC,)))
         assert [l.block_timestamp for l in logs] == [block * 12 for block in blocks]
         batches = session.requests[1:]
         assert [len(batch) for batch in batches] == [TIMESTAMP_BATCH_MAX, TIMESTAMP_BATCH_MAX, 50]
@@ -474,10 +474,10 @@ class TestTimestampBatches:
                              _blocks_reply({99: "0x0f"}),
                              _logs_reply(_logs_in_blocks([99, 100]))])
         assert gw.get_block_timestamp(100) == 0x10
-        assert [l.block_timestamp for l in gw.get_logs(LogQuery(0, 200, POOL, TOPIC))] == [
+        assert [l.block_timestamp for l in gw.get_logs(LogQuery(0, 200, POOL, (TOPIC,)))] == [
             0x0F, 0x10]
         assert [request["params"][0] for request in session.requests[2]] == [hex(99)]
-        gw.get_logs(LogQuery(0, 200, POOL, TOPIC))  # every block cached: no batch at all
+        gw.get_logs(LogQuery(0, 200, POOL, (TOPIC,)))  # every block cached: no batch at all
         assert len(session.requests) == 4
 
     def test_chunks_before_a_throttled_chunk_stay_cached(self):
@@ -490,9 +490,9 @@ class TestTimestampBatches:
                              _logs_reply(_logs_in_blocks(blocks)),
                              _blocks_reply(timestamps), _blocks_reply(timestamps)])
         with pytest.raises(GatewayError) as excinfo:
-            gw.get_logs(LogQuery(0, 5_000, POOL, TOPIC))
+            gw.get_logs(LogQuery(0, 5_000, POOL, (TOPIC,)))
         assert excinfo.value.kind is ErrorKind.RATE_LIMITED
-        logs = gw.get_logs(LogQuery(0, 5_000, POOL, TOPIC))  # the scanner's retry
+        logs = gw.get_logs(LogQuery(0, 5_000, POOL, (TOPIC,)))  # the scanner's retry
         assert [l.block_timestamp for l in logs] == [block * 12 for block in blocks]
         asked = [[int(request["params"][0], 16) for request in session.requests[i]]
                  for i in (1, 2, 4, 5)]
@@ -517,7 +517,7 @@ class TestTimestampBatches:
 
         gw, session = _http([_logs_reply(_logs_in_blocks([100, 101, 102])), throttled])
         with pytest.raises(GatewayError) as excinfo:
-            gw.get_logs(LogQuery(0, 200, POOL, TOPIC))
+            gw.get_logs(LogQuery(0, 200, POOL, (TOPIC,)))
         assert excinfo.value.kind is ErrorKind.RATE_LIMITED
         assert len(session.requests) == 2  # surfaced at once, for the scanner to pause
 
@@ -560,7 +560,7 @@ class TestTimestampBatches:
 
         gw, _session = _http([_logs_reply(_logs_in_blocks([100, 101])), reply])
         with pytest.raises(GatewayError) as excinfo:
-            gw.get_logs(LogQuery(0, 200, POOL, TOPIC))
+            gw.get_logs(LogQuery(0, 200, POOL, (TOPIC,)))
         assert excinfo.value.kind is ErrorKind.TERMINAL
         named = {"unknown_id": "10000", "missing_id": "None", "repeated_id": "block 100",
                  "unanswered": "block 101"}[mangle]
@@ -571,8 +571,8 @@ class TestTimestampBatches:
         calls = []
         fetch = gw._fetch_block_timestamps
         gw._fetch_block_timestamps = lambda blocks: (calls.append(list(blocks)), fetch(blocks))[1]
-        gw.get_logs(LogQuery(0, 1_000, POOL, TOPIC))
-        gw.get_logs(LogQuery(0, 1_000, POOL, TOPIC))
+        gw.get_logs(LogQuery(0, 1_000, POOL, (TOPIC,)))
+        gw.get_logs(LogQuery(0, 1_000, POOL, (TOPIC,)))
         assert calls == [[100, 150, 200, 250]]
         assert gw.block_fetches == {100: 1, 150: 1, 200: 1, 250: 1}
 
@@ -584,7 +584,7 @@ class TestResponseShapes:
     def test_get_logs_result_not_a_list(self, result):
         gw, session = _http([_logs_reply(result)])
         with pytest.raises(GatewayError) as excinfo:
-            gw.get_logs(LogQuery(0, 200, POOL, TOPIC))
+            gw.get_logs(LogQuery(0, 200, POOL, (TOPIC,)))
         assert excinfo.value.kind is ErrorKind.TERMINAL
         assert "eth_getLogs" in excinfo.value.detail
         assert len(session.requests) == 1
@@ -631,7 +631,7 @@ class TestReorgedLogs:
         gw, session = _http([_logs_reply([_rpc_log(removed=True)]),
                              _logs_reply([_rpc_log(removed=False)]),
                              _blocks_reply({100: "0x10"})], sleeper=sleeps.append)
-        logs = gw.get_logs(LogQuery(0, 200, POOL, TOPIC))
+        logs = gw.get_logs(LogQuery(0, 200, POOL, (TOPIC,)))
         assert [(l.key, l.block_timestamp) for l in logs] == [((100, 0), 0x10)]
         assert sleeps == [1.0]
         assert session.requests[0] == session.requests[1]
@@ -641,7 +641,7 @@ class TestReorgedLogs:
         gw, session = _http([_logs_reply([_rpc_log(), _rpc_log(logIndex="0x1", removed=True)])]
                             * 4, sleeper=sleeps.append)
         with pytest.raises(GatewayError) as excinfo:
-            gw.get_logs(LogQuery(0, 200, POOL, TOPIC))
+            gw.get_logs(LogQuery(0, 200, POOL, (TOPIC,)))
         assert excinfo.value.kind is ErrorKind.TRANSIENT
         assert "(100, 1)" in excinfo.value.detail
         assert sleeps == [1.0, 2.0, 4.0]
@@ -653,22 +653,25 @@ class TestReorgedLogs:
         gw, session = _http([removed, requests.ConnectionError("reset"), removed,
                              requests.Timeout("slow"), removed], sleeper=sleeps.append)
         with pytest.raises(GatewayError) as excinfo:
-            gw.get_logs(LogQuery(0, 200, POOL, TOPIC))
+            gw.get_logs(LogQuery(0, 200, POOL, (TOPIC,)))
         assert excinfo.value.kind is ErrorKind.TRANSIENT
         assert isinstance(excinfo.value.__cause__, requests.Timeout)
         assert sleeps == [1.0, 2.0, 4.0]
         assert len(session.requests) == 4
 
 
-def _round_reply(answers):
-    """The reply to a round's batch of eth_getLogs requests, in reverse order:
-    ``answers`` maps each request's fromBlock to its result list, or to an
-    error object (a dict)."""
+TOPICS = (TOPIC, OTHER_TOPIC, bytes.fromhex("33" * 32))
+
+
+def _topic_reply(answers):
+    """The reply to a query's batch of eth_getLogs requests, in reverse order:
+    ``answers`` maps each request's topic0 to its result list, or to an error
+    object (a dict)."""
 
     def reply(batch):
         entries = []
         for request in batch:
-            answer = answers[int(request["params"][0]["fromBlock"], 16)]
+            answer = answers[bytes.fromhex(request["params"][0]["topics"][0][2:])]
             entries.append({"jsonrpc": "2.0", "id": request["id"],
                             "error" if isinstance(answer, dict) else "result": answer})
         return _FakeResponse(payload=entries[::-1])
@@ -676,23 +679,29 @@ def _round_reply(answers):
     return reply
 
 
-ROUND = [LogQuery(0, 99, POOL, TOPIC), LogQuery(100, 199, POOL, TOPIC),
-         LogQuery(200, 299, POOL, TOPIC)]
+def _topic_logs(topic, blocks, log_index=0):
+    return [_rpc_log(topics=["0x" + topic.hex()], blockNumber=hex(block),
+                     transactionHash=f"0x{block:064x}", logIndex=hex(log_index))
+            for block in blocks]
+
+
+QUERY = LogQuery(0, 299, POOL, TOPICS)
 TOO_LARGE = {"code": -32005, "message": "query returned more than 10000 results"}
 
 
 class _BatchLimitedRpc:
-    """Answers an eth_getLogs query with one log in each of its first
-    ``logs_per_query`` blocks and every block's timestamp, and refuses any batch
-    of more than ``limit`` requests: as go-ethereum does (an array of one error
-    entry bearing the first request's id), or as one bare error object."""
+    """Answers an eth_getLogs request with one log of its topic0 in each of its
+    first ``logs_per_query`` blocks (the topic0's first byte as log index) and
+    every block's timestamp, and refuses any batch of more than ``limit``
+    requests: as go-ethereum does (an array of one error entry bearing the first
+    request's id), or as one bare error object."""
 
     def __init__(self, limit, geth_refusal=True, logs_per_query=1):
         self.limit = limit
         self.geth_refusal = geth_refusal
         self.logs_per_query = logs_per_query
         self.sizes = []  # requests per POST
-        self.answered = []  # fromBlock of each eth_getLogs answered
+        self.answered = []  # (fromBlock, topic0) of each eth_getLogs answered
         self.blocks_asked = []  # block of each eth_getBlockByNumber answered
 
     def post(self, url, json=None, timeout=None):
@@ -703,46 +712,54 @@ class _BatchLimitedRpc:
             return _FakeResponse(payload=[error] if self.geth_refusal else error)
         entries = []
         for request in json:
-            block = request["params"][0]
+            params = request["params"][0]
             if request["method"] == "eth_getLogs":
-                block = int(block["fromBlock"], 16)
-                self.answered.append(block)
-                result = _logs_in_blocks(range(block, block + self.logs_per_query))
+                block, topic = int(params["fromBlock"], 16), bytes.fromhex(params["topics"][0][2:])
+                self.answered.append((block, topic))
+                result = _topic_logs(topic, range(block, block + self.logs_per_query), topic[0])
             else:
-                self.blocks_asked.append(int(block, 16))
-                result = {"timestamp": hex(int(block, 16) * 12)}
+                self.blocks_asked.append(int(params, 16))
+                result = {"timestamp": hex(int(params, 16) * 12)}
             entries.append({"jsonrpc": "2.0", "id": request["id"], "result": result})
         return _FakeResponse(payload=entries)
 
 
-class TestGetLogsMany:
-    """A round of queries is one batch POST, then one timestamp lookup."""
+class TestSeveralTopics:
+    """A query of several topic0s is one batch POST, then one timestamp lookup."""
 
-    def test_one_post_and_one_lookup_per_round_answered_in_any_order(self):
-        gw, session = _http([_round_reply({0: _logs_in_blocks([50]), 100: [],
-                                           200: _logs_in_blocks([250])}),
+    def test_one_post_and_one_lookup_per_query_answered_in_any_order(self):
+        gw, session = _http([_topic_reply({TOPIC: _topic_logs(TOPIC, [50, 250]),
+                                           OTHER_TOPIC: [], TOPICS[2]: _topic_logs(
+                                               TOPICS[2], [50], log_index=1)}),
                              _blocks_reply({50: "0x5", 250: "0x19"})])
-        answers = gw.get_logs_many(ROUND)
-        assert [[(l.block_number, l.block_timestamp) for l in logs] for logs in answers] == [
-            [(50, 5)], [], [(250, 25)]]
+        logs = gw.get_logs(QUERY)
+        assert [(l.key, l.topics[0], l.block_timestamp) for l in logs] == [
+            ((50, 0), TOPIC, 5), ((50, 1), TOPICS[2], 5), ((250, 0), TOPIC, 25)]
         logs_batch, blocks_batch = session.requests
-        assert [request["params"][0]["fromBlock"] for request in logs_batch] == [
-            hex(0), hex(100), hex(200)]
+        assert [request["params"][0]["topics"] for request in logs_batch] == [
+            ["0x" + topic.hex()] for topic in TOPICS]
+        assert {(request["params"][0]["fromBlock"], request["params"][0]["toBlock"])
+                for request in logs_batch} == {(hex(0), hex(299))}
         assert [request["params"][0] for request in blocks_batch] == [hex(50), hex(250)]
 
-    def test_a_too_large_error_lands_on_its_own_entry_only(self):
-        gw, session = _http([_round_reply({0: _logs_in_blocks([50]), 100: TOO_LARGE, 200: []}),
-                             _blocks_reply({50: "0x5"})])
-        first, refused, last = gw.get_logs_many(ROUND)
-        assert [l.block_timestamp for l in first] == [5] and last == []
-        assert isinstance(refused, GatewayError)
-        assert refused.kind is ErrorKind.RESPONSE_TOO_LARGE
-        # nothing of the round's reply is held by the error
-        assert refused.__traceback__ is None and refused.__context__ is None
-        assert len(session.requests) == 2
+    def test_one_entry_refusing_its_span_refuses_the_query_and_keeps_the_batch_limit(self):
+        gw, session = _http([_topic_reply({TOPIC: _topic_logs(TOPIC, [50]),
+                                           OTHER_TOPIC: TOO_LARGE, TOPICS[2]: []})])
+        with pytest.raises(GatewayError) as excinfo:
+            gw.get_logs(QUERY)
+        assert excinfo.value.kind is ErrorKind.RESPONSE_TOO_LARGE
+        assert gw.batch_limit == TIMESTAMP_BATCH_MAX == 100  # a span refusal, not the batch's
+        assert len(session.requests) == 1
+
+    def test_a_log_of_a_topic0_not_asked_is_terminal(self):
+        with pytest.raises(GatewayError) as excinfo:
+            _http_get_logs([_rpc_log(), _rpc_log(topics=["0x" + OTHER_TOPIC.hex()],
+                                                 logIndex="0x1")])
+        assert excinfo.value.kind is ErrorKind.TERMINAL
+        assert "(100, 1)" in excinfo.value.detail
 
     @pytest.mark.parametrize("mangle", ["unknown_id", "repeated_id"])
-    def test_an_unknown_or_repeated_id_is_terminal_for_the_round(self, mangle):
+    def test_an_unknown_or_repeated_id_is_terminal_for_the_query(self, mangle):
         def reply(batch):
             entries = [{"jsonrpc": "2.0", "id": request["id"], "result": []}
                        for request in batch]
@@ -751,53 +768,52 @@ class TestGetLogsMany:
 
         gw, _session = _http([reply])
         with pytest.raises(GatewayError) as excinfo:
-            gw.get_logs_many(ROUND)
+            gw.get_logs(QUERY)
         assert excinfo.value.kind is ErrorKind.TERMINAL
         assert excinfo.value.detail.startswith("eth_getLogs: ")
-        assert ("10000" if mangle == "unknown_id" else "blocks [0, 99] answered twice") in \
+        assert ("10000" if mangle == "unknown_id" else "blocks [0, 299] answered twice") in \
             excinfo.value.detail
 
-    def test_a_whole_reply_error_is_raised_for_the_round(self):
+    def test_a_whole_reply_error_is_raised_for_the_query(self):
         gw, session = _http([_FakeResponse(payload={
             "jsonrpc": "2.0", "id": None,
             "error": {"code": -32005, "message": "rate limit exceeded"}})])
         with pytest.raises(GatewayError) as excinfo:
-            gw.get_logs_many(ROUND)
+            gw.get_logs(QUERY)
         assert excinfo.value.kind is ErrorKind.RATE_LIMITED
         assert len(session.requests) == 1
 
-    def test_only_transient_entries_are_asked_again(self):
+    def test_a_transient_entry_asks_the_whole_batch_again(self):
         sleeps = []
-        gw, session = _http([_round_reply({0: [_rpc_log(blockNumber=hex(50), removed=True)],
-                                           100: _logs_in_blocks([150]), 200: []}),
-                             _round_reply({0: _logs_in_blocks([50])}),
+        answers = {TOPIC: [_rpc_log(blockNumber=hex(50), removed=True)],
+                   OTHER_TOPIC: _topic_logs(OTHER_TOPIC, [150]), TOPICS[2]: []}
+        gw, session = _http([_topic_reply(answers),
+                             _topic_reply({**answers, TOPIC: _topic_logs(TOPIC, [50])}),
                              _blocks_reply({50: "0x5", 150: "0xf"})], sleeper=sleeps.append)
-        answers = gw.get_logs_many(ROUND)
-        assert [[l.block_timestamp for l in logs] for logs in answers] == [[5], [15], []]
+        assert [l.block_timestamp for l in gw.get_logs(QUERY)] == [5, 15]
         assert sleeps == [1.0]
-        assert session.requests[1] == session.requests[0][:1]
+        assert session.requests[1] == session.requests[0]
 
     @pytest.mark.parametrize("geth_refusal", [True, False], ids=["geth_array", "error_object"])
     def test_a_batch_refused_as_too_large_halves_the_limit_and_loses_no_answer(
             self, geth_refusal):
         rpc = _BatchLimitedRpc(limit=2, geth_refusal=geth_refusal)
         gw = HttpGateway("http://unit.test", session=rpc, sleeper=lambda _s: None)
-        queries = [LogQuery(block, block + 9, POOL, TOPIC) for block in range(0, 50, 10)]
-        answers = gw.get_logs_many(queries)
-        assert [[(l.block_number, l.block_timestamp) for l in logs] for logs in answers] == [
-            [(block, block * 12)] for block in range(0, 50, 10)]
+        topics = tuple(bytes([n]) * 32 for n in range(1, 6))
+        logs = gw.get_logs(LogQuery(0, 9, POOL, topics))
+        assert [(l.key, l.block_timestamp) for l in logs] == [((0, n), 0) for n in range(1, 6)]
         assert gw.batch_limit == 2
-        # logs: 5 refused, then 2 + 2 + 1; timestamps of the 5 blocks: 2 + 2 + 1
-        assert rpc.sizes == [5, 2, 2, 1, 2, 2, 1]
-        assert rpc.answered == list(range(0, 50, 10))  # each query answered once
-        gw.get_logs_many([LogQuery(block, block + 9, POOL, TOPIC) for block in range(50, 90, 10)])
-        assert rpc.sizes[7:] == [2, 2, 2, 2]  # the limit holds for the rest of the run
+        # logs: 5 refused, then 2 + 2 + 1; the one block's timestamp: 1
+        assert rpc.sizes == [5, 2, 2, 1, 1]
+        assert rpc.answered == [(0, topic) for topic in topics]  # each entry answered once
+        gw.get_logs(LogQuery(10, 19, POOL, topics[:4]))
+        assert rpc.sizes[5:] == [2, 2, 1]  # the limit holds for the rest of the run
 
     @pytest.mark.parametrize("geth_refusal", [True, False], ids=["geth_array", "error_object"])
     def test_a_timestamp_batch_refused_as_too_large_halves_the_limit(self, geth_refusal):
         rpc = _BatchLimitedRpc(limit=2, geth_refusal=geth_refusal, logs_per_query=5)
         gw = HttpGateway("http://unit.test", session=rpc, sleeper=lambda _s: None)
-        (logs,) = gw.get_logs_many([LogQuery(100, 199, POOL, TOPIC)])
+        logs = gw.get_logs(LogQuery(100, 199, POOL, (TOPIC,)))
         assert [(l.block_number, l.block_timestamp) for l in logs] == [
             (block, block * 12) for block in range(100, 105)]
         assert gw.batch_limit == 2
@@ -805,24 +821,16 @@ class TestGetLogsMany:
         assert rpc.sizes == [1, 5, 2, 2, 1]
         assert rpc.blocks_asked == list(range(100, 105))  # each block answered once
 
-    def test_fixture_get_logs_many_equals_get_logs_per_query(self):
-        queries = [LogQuery(0, 120, POOL, TOPIC), LogQuery(121, 400, POOL, TOPIC),
-                   LogQuery(121, 199, POOL, TOPIC), LogQuery(200, 280, POOL, TOPIC)]
-
-        def outcome(answer):
-            if isinstance(answer, GatewayError):
-                return answer.kind
-            return [(l.key, l.block_timestamp) for l in answer]
-
-        many = _gateway(fault_script=max_span_fault(100))
-        one = _gateway(fault_script=max_span_fault(100))
-        per_query = []
-        for query in queries:
-            try:
-                per_query.append(outcome(one.get_logs(query)))
-            except GatewayError as exc:
-                per_query.append(exc.kind)
-        assert [outcome(answer) for answer in many.get_logs_many(queries)] == per_query
-        assert per_query[1] is ErrorKind.RESPONSE_TOO_LARGE and per_query[3] == [
-            ((200, 2), 1_700_001_200), ((250, 0), 1_700_001_800)]
-        assert many.calls == one.calls == queries
+    def test_fixture_gateway_filters_one_range_by_a_set_of_topic0s(self):
+        script = scripted_faults([None, None, ErrorKind.RATE_LIMITED])
+        gw = _gateway(fault_script=script)
+        logs = gw.get_logs(LogQuery(0, 1_000, POOL, (TOPIC, OTHER_TOPIC)))
+        assert [(l.key, l.topics[0]) for l in logs] == [
+            ((100, 0), TOPIC), ((150, 0), TOPIC), ((150, 1), OTHER_TOPIC), ((200, 2), TOPIC),
+            ((250, 0), TOPIC)]
+        assert [l.key for l in gw.get_logs(LogQuery(0, 1_000, POOL, (OTHER_TOPIC,)))] == [
+            (150, 1)]
+        with pytest.raises(GatewayError) as excinfo:  # a scripted fault fails the whole query
+            gw.get_logs(LogQuery(0, 1_000, POOL, (TOPIC, OTHER_TOPIC)))
+        assert excinfo.value.kind is ErrorKind.RATE_LIMITED
+        assert len(gw.calls) == 3

@@ -21,10 +21,8 @@ from aavescan.scanner import (
     RATE_LIMIT_RETRIES,
     Outcome,
     ScanPlan,
-    SpanLimits,
     StreamScan,
     resize,
-    scan_event,
     scan_events,
 )
 from aavescan.sink import Checkpoint, DecodingSink, ShardWriter, checkpoint_path
@@ -88,10 +86,17 @@ def _gateway(blocks, fault_script=None, head=10**6):
     return FixtureGateway(logs, timestamps, head_block=head, fault_script=fault_script)
 
 
-def _plan(cursor, end, batch, batch_max=100_000, limits=None, event=SCHEMA):
-    """A plan; ``limits``, an earlier scan's, start it from what that scan learned."""
+def _plan(cursor, end, batch, batch_max=100_000, event=SCHEMA):
     return ScanPlan(chain=CHAIN, event=event, cursor=cursor, end_block=end, batch_size=batch,
-                    batch_max=batch_max, limits=limits or SpanLimits())
+                    batch_max=batch_max)
+
+
+def scan_one(plan, gateway, sink, checkpoint_file=None, sleeper=lambda _s: None,
+               on_progress=None):
+    """The one-stream scan: ``scan_events`` of one StreamScan, its summary."""
+    (summary,) = scan_events([StreamScan(plan, sink, checkpoint_file, on_progress)], gateway,
+                             sleeper)
+    return summary
 
 
 def committed_ranges(gateway, fault_script=None):
@@ -125,7 +130,7 @@ class TestCoverage:
     def test_clean_partition(self):
         gw = _gateway([5, 42, 77])
         sink = ListSink()
-        summary = scan_event(_plan(0, 99, 40), gw, sink, sleeper=lambda _s: None)
+        summary = scan_one(_plan(0, 99, 40), gw, sink, sleeper=lambda _s: None)
         assert committed_ranges(gw) == [(0, 39), (40, 79), (80, 99)]
         assert summary.rows_emitted == 3
         assert summary.batches_issued == 3
@@ -134,7 +139,7 @@ class TestCoverage:
         script = max_span_fault(25)
         gw = _gateway([10, 55, 90], fault_script=script)
         sink = ListSink()
-        summary = scan_event(_plan(0, 99, 40), gw, sink, sleeper=lambda _s: None)
+        summary = scan_one(_plan(0, 99, 40), gw, sink, sleeper=lambda _s: None)
         assert committed_ranges(gw, script) == [(0, 19), (20, 39), (40, 59), (60, 79), (80, 99)]
         assert summary.rows_emitted == 3
         assert summary.resize_events >= 1
@@ -144,7 +149,7 @@ class TestCoverage:
         script = scripted_faults([ErrorKind.RATE_LIMITED])
         gw = _gateway([7], fault_script=script)
         sink = ListSink()
-        summary = scan_event(_plan(0, 9, 10), gw, sink, sleeper=sleeps.append)
+        summary = scan_one(_plan(0, 9, 10), gw, sink, sleeper=sleeps.append)
         # halved to 5 after the fault, so two ranges cover the span
         assert committed_ranges(gw, script) == [(0, 4), (5, 9)]
         assert sleeps == [2.0]
@@ -155,7 +160,7 @@ class TestCoverage:
         faults = [ErrorKind.RATE_LIMITED] * 7
         gw = _gateway([3], fault_script=scripted_faults(faults))
         sink = ListSink()
-        scan_event(_plan(0, 9, 10), gw, sink, sleeper=sleeps.append)
+        scan_one(_plan(0, 9, 10), gw, sink, sleeper=sleeps.append)
         assert sleeps == [2.0, 4.0, 8.0, 16.0, 32.0, 60.0, 60.0]
 
     def test_endless_rate_limit_is_terminal_after_its_budget(self, tmp_path):
@@ -169,7 +174,7 @@ class TestCoverage:
         gw = _gateway([3, 7], fault_script=script)
         cp_file = str(tmp_path / "checkpoint.json")
         with pytest.raises(GatewayError) as excinfo:
-            scan_event(_plan(0, 9, 5), gw, ListSink(), checkpoint_file=cp_file,
+            scan_one(_plan(0, 9, 5), gw, ListSink(), checkpoint_file=cp_file,
                        sleeper=sleeps.append)
         assert excinfo.value.kind is ErrorKind.TERMINAL
         assert "[5, " in excinfo.value.detail
@@ -182,211 +187,190 @@ class TestCoverage:
         sleeps = []
         faults = ([ErrorKind.RATE_LIMITED] * RATE_LIMIT_RETRIES + [None]) * 2
         gw = _gateway([3, 7], fault_script=scripted_faults(faults))
-        summary = scan_event(_plan(0, 9, 8), gw, ListSink(), sleeper=sleeps.append)
+        summary = scan_one(_plan(0, 9, 8), gw, ListSink(), sleeper=sleeps.append)
         assert summary.rows_emitted == 2
         assert len(sleeps) == 2 * RATE_LIMIT_RETRIES
 
     def test_too_large_at_single_block_is_terminal(self):
         gw = _gateway([3], fault_script=max_span_fault(0))
         with pytest.raises(GatewayError) as excinfo:
-            scan_event(_plan(0, 9, 1), gw, ListSink(), sleeper=lambda _s: None)
+            scan_one(_plan(0, 9, 1), gw, ListSink(), sleeper=lambda _s: None)
         assert excinfo.value.kind is ErrorKind.TERMINAL
 
     def test_terminal_error_aborts(self):
         gw = _gateway([3], fault_script=scripted_faults([None, ErrorKind.TERMINAL]))
         sink = ListSink()
         with pytest.raises(GatewayError):
-            scan_event(_plan(0, 9, 5), gw, sink, sleeper=lambda _s: None)
+            scan_one(_plan(0, 9, 5), gw, sink, sleeper=lambda _s: None)
         assert len(sink.rows) == 1  # first batch committed before the abort
 
     def test_growth_after_streak(self):
         gw = _gateway([])
         sink = ListSink()
-        scan_event(_plan(0, 99, 10, batch_max=40), gw, sink, sleeper=lambda _s: None)
+        scan_one(_plan(0, 99, 10, batch_max=40), gw, sink, sleeper=lambda _s: None)
         widths = [hi - lo + 1 for lo, hi in committed_ranges(gw)]
         # five clean batches of 10 trigger a doubling to 20
         assert widths == [10, 10, 10, 10, 10, 20, 20, 10]
 
     def test_empty_plan_is_noop(self):
         gw = _gateway([1])
-        summary = scan_event(_plan(10, 9, 5), gw, ListSink(), sleeper=lambda _s: None)
+        summary = scan_one(_plan(10, 9, 5), gw, ListSink(), sleeper=lambda _s: None)
         assert summary.batches_issued == 0
         assert committed_ranges(gw) == []
 
 
 def test_randomized_fault_scripts_partition_exactly():
+    """Two streams, the second resumed further on, under random faults: each
+    stream's topic0 is answered over its range exactly once, and its sink gets
+    its own rows in key order."""
     for seed in range(60):
         rng = random.Random(seed)
-        limits = SpanLimits()
-        for plan_index in range(2):  # the second plan starts from what the first learned
-            start = rng.randrange(0, 50)
-            end = start + rng.randrange(0, 400)
-            blocks = sorted(rng.randrange(start, end + 1) for _ in range(rng.randrange(0, 60)))
-            faults = [
-                rng.choice([None, None, None, ErrorKind.RATE_LIMITED,
-                            ErrorKind.RESPONSE_TOO_LARGE])
-                for _ in range(rng.randrange(0, 30))
-            ]
-            script = scripted_faults(faults)
-            gw = _gateway(blocks, fault_script=script)
-            sink = ListSink()
-            plan = _plan(start, end, rng.choice([1, 3, 8, 32]), batch_max=64, limits=limits)
-            try:
-                summary = scan_event(plan, gw, sink, sleeper=lambda _s: None)
-            except GatewayError as exc:
-                # only the shrink-below-one-block dead end may abort
-                assert "oversized" in exc.detail
-                break
-            where = f"seed {seed}, plan {plan_index}"
-            covered = []
-            for lo, hi in committed_ranges(gw, script):
-                covered.extend(range(lo, hi + 1))
-            assert covered == list(range(start, end + 1)), where
+        start = rng.randrange(0, 50)
+        end = start + rng.randrange(0, 400)
+        joins = rng.randrange(start, end + 2)  # the second stream's cursor
+        blocks = [sorted(rng.randrange(start, end + 1) for _ in range(rng.randrange(0, 60)))
+                  for _schema in (SCHEMA, SCHEMA2)]
+        faults = [
+            rng.choice([None, None, None, ErrorKind.RATE_LIMITED,
+                        ErrorKind.RESPONSE_TOO_LARGE])
+            for _ in range(rng.randrange(0, 30))
+        ]
+        script = scripted_faults(faults)
+        gw = _events_gateway(zip((SCHEMA, SCHEMA2), blocks), fault_script=script)
+        batch = rng.choice([1, 3, 8, 32])
+        plans = [_plan(start, end, batch, batch_max=64),
+                 _plan(joins, end, batch, batch_max=64, event=SCHEMA2)]
+        sinks = [ListSink(), ListSink()]
+        try:
+            summaries = scan_events([StreamScan(plan, sink) for plan, sink in zip(plans, sinks)],
+                                    gw, sleeper=lambda _s: None)
+        except GatewayError as exc:
+            # only the shrink-below-one-block dead end may abort
+            assert "oversized" in exc.detail
+            continue
+        for plan, sink, summary, stream_blocks in zip(plans, sinks, summaries, blocks):
+            where = f"seed {seed}, {plan.event.event_name}"
+            assert _covered(gw, plan.event, script) == list(range(plan.cursor, end + 1)), where
+            assert [log.block_number for log in sink.rows] == [
+                b for b in stream_blocks if b >= plan.cursor], where
             keys = [log.key for log in sink.rows]
             assert keys == sorted(set(keys)), where
-            assert summary.rows_emitted == len(blocks), where
-            limits = summary.limits
+            assert summary.rows_emitted == len(sink.rows), where
 
 
-def _refusals(gateway, summary):
-    return len(gateway.calls) - summary.batches_issued
+def _covered(gateway, event, fault_script=None):
+    """Every block of each answered query that asked ``event``, in call order."""
+    return [b for i, q in enumerate(gateway.calls) if event.topic0 in q.topics
+            and (fault_script is None or fault_script(i, q) is None)
+            for b in range(q.from_block, q.to_block + 1)]
+
+
+def _refused(gateway, fault_script):
+    """The queries ``fault_script`` refused as too large."""
+    return [q for i, q in enumerate(gateway.calls)
+            if fault_script(i, q) is ErrorKind.RESPONSE_TOO_LARGE]
+
+
+def _spans(queries):
+    return [q.to_block - q.from_block + 1 for q in queries]
 
 
 class TestLearnedSpans:
-    def test_the_next_event_starts_at_the_learned_span(self):
-        script = max_span_fault(25)
-        first_gw = _gateway(range(0, 300, 7), fault_script=script)
-        first = scan_event(_plan(0, 299, 100), first_gw, ListSink(), sleeper=lambda _s: None)
-        assert (first.limits.accepted, first.limits.refused) == (25, 26)
-        assert _refusals(first_gw, first) > 0
-
-        second_gw = _gateway(range(0, 300, 7), fault_script=script)  # as dense as the first
-        second = scan_event(_plan(0, 299, 100, limits=first.limits), second_gw, ListSink(),
-                            sleeper=lambda _s: None)
-        assert _refusals(second_gw, second) == 0
-        assert committed_ranges(second_gw) == [(lo, lo + 24) for lo in range(0, 300, 25)]
-        assert (second.limits.accepted, second.limits.refused) == (25, 26)
-
-    def test_refusals_per_scan_stay_within_the_halving_budget(self):
-        """The live-stub shape: a 2,000-block limit, --batch 10,000, 13 scans of a
-        24,000-block window. Halving alone costs ceil(log2(batch / limit)) refusals."""
+    def test_refusals_stay_within_the_halving_budget(self):
+        """The live-stub shape: a 2,000-block limit, --batch 10,000, 13 streams of a
+        24,000-block window in one scan. Halving alone costs ceil(log2(batch / limit))
+        refusals, and every stream is asked in every query."""
         batch, limit = 10_000, 2_000
         budget = math.ceil(math.log2(batch / limit)) + 2
-        limits = SpanLimits()
-        per_scan = []
-        for _ in range(13):
-            gw = _gateway([], fault_script=max_span_fault(limit))
-            summary = scan_event(_plan(1_000, 24_999, batch, limits=limits), gw, ListSink(),
-                                 sleeper=lambda _s: None)
-            per_scan.append(_refusals(gw, summary))
-            limits = summary.limits
-        assert max(per_scan) <= budget, per_scan
-        assert (limits.accepted, limits.refused) == (limit, limit + 1)
+        events = [EventSchema(f"Event{n}", f"Event{n}(uint256)",
+                              keccak256(f"Event{n}(uint256)".encode()), SCHEMA.fields)
+                  for n in range(13)]
+        script = max_span_fault(limit)
+        gw = _events_gateway([(event, range(1_000 + n, 25_000, 97))
+                              for n, event in enumerate(events)], fault_script=script)
+        scans = [StreamScan(_plan(1_000, 24_999, batch, event=event), ListSink())
+                 for event in events]
+        summaries = scan_events(scans, gw, sleeper=lambda _s: None)
+        assert len(_refused(gw, script)) <= budget
+        assert {len(q.topics) for q in gw.calls} == {13}
+        assert all(len(scan.sink.rows) == len(range(1_000 + n, 25_000, 97))
+                   for n, scan in enumerate(scans))
+        assert len({summary.batches_issued for summary in summaries}) == 1
 
     @pytest.mark.parametrize("batch, limit", [(10_000, 2_000), (10_000, 7), (100, 25), (64, 5)])
     def test_each_refusal_halves_the_gap(self, batch, limit):
         """Every query wider than the accepted span goes at most halfway to the refused
-        span, so a chain of scans is refused at most 1 + floor(log2(batch)) times."""
-        limits = SpanLimits()
-        refusals = 0
-        for _ in range(6):
-            gw = _gateway([], fault_script=max_span_fault(limit))
-            summary = scan_event(_plan(0, 49 * limit, batch, limits=limits), gw, ListSink(),
-                                 sleeper=lambda _s: None)
-            refusals += _refusals(gw, summary)
-            limits = summary.limits
-        assert refusals <= 1 + math.floor(math.log2(batch)), refusals
-        assert (limits.accepted, limits.refused) == (limit, limit + 1)
+        span, so a scan is refused at most 1 + floor(log2(batch)) times."""
+        script = max_span_fault(limit)
+        gw = _gateway([], fault_script=script)
+        scan_one(_plan(0, 6 * 49 * limit, batch), gw, ListSink())
+        assert len(_refused(gw, script)) <= 1 + math.floor(math.log2(batch))
+        assert min(_spans(_refused(gw, script))) == limit + 1
 
     def test_a_result_count_limit_lets_a_sparse_range_grow_again(self):
         """A provider that refuses answers of more than 50 logs refuses narrow spans over
         a dense range only; the sparse range beyond it grows past the refused span."""
         blocks = list(range(1_000)) + list(range(1_000, 100_000, 1_000))
-        gw = _gateway(blocks, fault_script=max_logs_fault(blocks, 50))
+        script = max_logs_fault(blocks, 50)
+        gw = _gateway(blocks, fault_script=script)
         sink = ListSink()
-        summary = scan_event(_plan(0, 99_999, 10_000), gw, sink, sleeper=lambda _s: None)
+        summary = scan_one(_plan(0, 99_999, 10_000), gw, sink)
         assert summary.rows_emitted == len(blocks)
-        assert summary.limits.refused is None  # a sparse span answered what a dense one refused
+        # a sparse span answered what a dense one refused
+        assert max(_spans(gw.calls[-5:])) > min(_spans(_refused(gw, script)))
         assert summary.batches_issued < 100  # spans held under 51 blocks would take 2,000
 
-    def test_a_dense_event_does_not_hold_a_sparse_one_to_its_span(self):
-        """Under a limit of 500 logs an answer, a dense event learns a 500-block span.
-        The sparse event after it grows past that span after one streak, and so takes
-        at most GROWTH_STREAK batches more than a scan that starts at --batch."""
-        dense, sparse = list(range(24_000)), list(range(0, 24_000, 1_000))
-        first_gw = _gateway(dense, fault_script=max_logs_fault(dense, 500))
-        first = scan_event(_plan(0, 23_999, 10_000), first_gw, ListSink(),
-                           sleeper=lambda _s: None)
-        assert (first.limits.accepted, first.limits.refused) == (500, 501)
-
-        fresh = scan_event(_plan(0, 23_999, 10_000),
-                           _gateway(sparse, fault_script=max_logs_fault(sparse, 500)),
-                           ListSink(), sleeper=lambda _s: None)
-        second_gw = _gateway(sparse, fault_script=max_logs_fault(sparse, 500))
-        second = scan_event(_plan(0, 23_999, 10_000, limits=first.limits),
-                            second_gw, ListSink(), sleeper=lambda _s: None)
-        assert _refusals(second_gw, second) == 0
-        assert second.limits.refused is None
-        assert second.batches_issued <= fresh.batches_issued + GROWTH_STREAK, (
-            second.batches_issued, fresh.batches_issued)
+    @staticmethod
+    def _refusals_per_section(dense):
+        """Refused queries per 300-block section of one scan of two streams under a
+        25-block span limit: a dense stream has a log in every block of the sections
+        ``dense`` marks, a sparse one in every 7th block of the others."""
+        script = max_span_fault(25)
+        sections = range(len(dense))
+        gw = _events_gateway(
+            [(SCHEMA, [b for n in sections if dense[n] for b in range(300 * n, 300 * n + 300)]),
+             (SCHEMA2, [b for n in sections if not dense[n]
+                        for b in range(300 * n, 300 * n + 300, 7)])], fault_script=script)
+        end = 300 * len(dense) - 1
+        scan_events([StreamScan(_plan(0, end, 100), ListSink()),
+                     StreamScan(_plan(0, end, 100, event=SCHEMA2), ListSink())],
+                    gw, sleeper=lambda _s: None)
+        refused = [q.from_block // 300 for q in _refused(gw, script)]
+        return [refused.count(n) for n in sections]
 
     def test_a_refused_probe_is_not_repeated_at_the_same_density(self):
-        """A span limit refuses the probe a sparse event makes; the refusal lowers the
-        logs a later probe must undercut, so an event as sparse probes no more."""
-        script = max_span_fault(25)
-        limits = SpanLimits()
-        refusals = []
-        for blocks in (range(300), range(0, 300, 7), range(0, 300, 7)):
-            gw = _gateway(blocks, fault_script=script)
-            summary = scan_event(_plan(0, 299, 100, limits=limits), gw, ListSink(),
-                                 sleeper=lambda _s: None)
-            refusals.append(_refusals(gw, summary))
-            limits = summary.limits
-        assert refusals[1:] == [1, 0]
-        assert (limits.accepted, limits.refused) == (25, 26)
+        """A dense stream teaches the span; the sparse stream after it probes past it
+        once, and that refusal lowers the logs a later probe must undercut, so the
+        sparse range after it probes no more. A probe counts the rows of every topic0
+        an answer holds."""
+        assert self._refusals_per_section([True, False, False])[1:] == [1, 0]
 
     def test_a_refused_probe_holds_later_sparse_events_to_the_span(self):
-        """Once a probe past the refused span is refused, a denser event in between
-        does not raise the logs a probe must undercut, so the next sparse event
-        sends no refused query."""
-        script = max_span_fault(25)
-        limits = SpanLimits()
-        refusals = []
-        for blocks in (range(300), range(0, 300, 7), range(300), range(0, 300, 7)):
-            gw = _gateway(blocks, fault_script=script)
-            summary = scan_event(_plan(0, 299, 100, limits=limits), gw, ListSink(),
-                                 sleeper=lambda _s: None)
-            refusals.append(_refusals(gw, summary))
-            limits = summary.limits
-        assert refusals[1:] == [1, 0, 0]
-        assert limits.probe_refused
+        """Once a probe past the refused span is refused, a dense range in between
+        does not raise the logs a probe must undercut, so the next sparse range sends
+        no refused query."""
+        assert self._refusals_per_section([True, False, True, False])[1:] == [1, 0, 0]
 
     def test_a_span_once_refused_and_then_answered_forgets_the_refused_probe(self):
-        """Answering past the refused span shows a limit on results, not span, so
-        answers raise the logs a probe must undercut again."""
-        limits = SpanLimits(accepted=25, refused=26, probe_rows=4, probe_refused=True)
-        summary = scan_event(_plan(0, 299, 100, limits=limits), _gateway(range(0, 300, 50)),
-                             ListSink(), sleeper=lambda _s: None)
-        assert summary.limits.refused is None
-        assert not summary.limits.probe_refused
+        """Under a limit of 20 logs an answer, a dense range teaches a 20-block span,
+        and a probe from a range of 4 logs a query into the next dense range is
+        refused. A far sparser range then answers a probe past the refused span: a
+        limit on results, not span, so answers raise the logs a probe must undercut
+        again. After a dense range, the last sparse range probes 20 times its span."""
+        blocks = (list(range(1_000)) + list(range(1_000, 1_100, 5)) + list(range(1_100, 2_000))
+                  + list(range(2_000, 50_000, 100)) + list(range(50_000, 51_000))
+                  + list(range(51_000, 400_000, 10_000)))
+        gw = _gateway(blocks, fault_script=max_logs_fault(blocks, 20))
+        scan_one(_plan(0, 399_999, 20), gw, ListSink())
+        # a streak at the dense range's 20-block span, then a probe 20 times as wide
+        assert _spans(q for q in gw.calls if q.from_block >= 51_000)[:9] == [20] * 8 + [400]
 
     def test_a_rate_limit_teaches_no_span(self):
         script = scripted_faults([ErrorKind.RATE_LIMITED])
         gw = _gateway([7], fault_script=script)
-        summary = scan_event(_plan(0, 99, 40), gw, ListSink(), sleeper=lambda _s: None)
-        assert summary.limits.refused is None
-        assert summary.limits.accepted == 20  # the halved batch, answered
-
-        gw = _gateway([7])
-        scan_event(_plan(0, 99, 40, limits=summary.limits), gw, ListSink(),
-                   sleeper=lambda _s: None)
-        assert committed_ranges(gw)[0] == (0, 39)  # the next scan starts at --batch again
-
-    def test_learned_spans_must_bracket_an_answered_span(self):
-        for accepted, refused in [(0, 10), (10, 10), (11, 10)]:
-            plan = _plan(0, 99, 5, limits=SpanLimits(accepted, refused))
-            with pytest.raises(ValueError):
-                plan.validate()
+        scan_one(_plan(0, 399, 40), gw, ListSink())
+        # halved to 20, then doubled after a streak, as no refusal bounds it
+        assert _spans(gw.calls) == [40] + [20] * 5 + [40] * 5 + [80, 20]
 
 
 class CountingSink(ListSink):
@@ -411,7 +395,7 @@ class TestGroupCommit:
         script = max_span_fault(2_000)
         gw = _gateway(range(0, 24_000, 50), fault_script=script)
         sink = CountingSink()
-        summary = scan_event(_plan(0, 23_999, 10_000), gw, sink,
+        summary = scan_one(_plan(0, 23_999, 10_000), gw, sink,
                              checkpoint_file=str(tmp_path / "checkpoint.json"),
                              sleeper=lambda _s: None)
         # the queries of a scan that committed each answer
@@ -434,7 +418,7 @@ class TestGroupCommit:
                                           for _ in range(rng.randrange(0, 40)))
             span = max_span_fault(rng.randrange(1, 2 * batch_max))
             ends = []
-            scan_event(_plan(0, end, batch, batch_max=batch_max),
+            scan_one(_plan(0, end, batch, batch_max=batch_max),
                        _gateway(sorted(rng.randrange(0, end + 1) for _ in range(50)),
                                 fault_script=lambda i, q: rate_limits(i, q) or span(i, q)),
                        ListSink(), sleeper=lambda _s: None,
@@ -458,7 +442,7 @@ class TestGroupCommit:
                 writer = ShardWriter.resume(str(out), CHAIN.chain_name, SCHEMA, checkpoint,
                                             clock=clock, row_limit=150)
             gw = _gateway(blocks, fault_script=script)
-            scan_event(_plan(cursor, 23_999, 10_000), gw,
+            scan_one(_plan(cursor, 23_999, 10_000), gw,
                        DecodingSink(writer, SCHEMA, CHAIN.chain_name),
                        checkpoint_file=checkpoint_path(str(out), CHAIN.chain_name,
                                                        SCHEMA.event_name),
@@ -494,25 +478,6 @@ class TestGroupCommit:
         assert files(out) == files(tmp_path / "whole")
 
 
-class RoundLog:
-    """A gateway that records each round as (query, answer) pairs; a round whose
-    number (from 1) is in ``fail`` raises that ErrorKind for the whole round."""
-
-    def __init__(self, gateway, fail=None):
-        self.gateway = gateway
-        self.fail = fail or {}
-        self.rounds = []
-
-    def get_logs_many(self, queries):
-        kind = self.fail.get(len(self.rounds) + 1)
-        answers = ([GatewayError(kind, "round refused")] * len(queries) if kind
-                   else self.gateway.get_logs_many(queries))
-        self.rounds.append(list(zip(queries, answers)))
-        if kind:
-            raise answers[0]
-        return answers
-
-
 def _events_gateway(blocks_by_event, fault_script=None):
     """A FixtureGateway with one log of each (schema, blocks) pair's event per block."""
     logs, timestamps = [], {}
@@ -524,52 +489,112 @@ def _events_gateway(blocks_by_event, fault_script=None):
     return FixtureGateway(logs, timestamps, head_block=10**6, fault_script=fault_script)
 
 
-class TestLockstep:
-    """A chain's streams scan together, one round of queries at a time."""
+class TestOneCursor:
+    """A chain's streams share one cursor: each query asks every joined stream's topic0."""
 
-    def test_streams_cover_their_ranges_once_with_one_untried_span_a_round(self):
+    def test_streams_resumed_at_different_cursors_each_join_at_their_own(self):
         dense, medium, sparse = range(0, 30_000, 7), range(3, 30_000, 40), range(11, 30_000, 900)
-        gw = RoundLog(_events_gateway([(SCHEMA, dense), (SCHEMA2, medium), (SCHEMA3, sparse)],
-                                      fault_script=max_span_fault(700)))
+        gw = _events_gateway([(SCHEMA, dense), (SCHEMA2, medium), (SCHEMA3, sparse)],
+                             fault_script=max_span_fault(700))
         plans = [_plan(0, 29_999, 4_000),
                  _plan(12_345, 29_999, 4_000, event=SCHEMA2),  # resumed further on
-                 _plan(0, 29_999, 4_000, event=SCHEMA3)]
+                 _plan(20_000, 29_999, 4_000, event=SCHEMA3)]
         sinks = [ListSink() for _ in plans]
         summaries = scan_events([StreamScan(plan, sink) for plan, sink in zip(plans, sinks)],
                                 gw, sleeper=lambda _s: None)
+        script = max_span_fault(700)
         for plan, sink, blocks in zip(plans, sinks, (dense, medium, sparse)):
-            answered = [(q.from_block, q.to_block) for queries in gw.rounds for q, answer in queries
-                        if q.topic0 == plan.event.topic0 and not isinstance(answer, GatewayError)]
-            covered = [b for lo, hi in answered for b in range(lo, hi + 1)]
-            assert covered == list(range(plan.cursor, plan.end_block + 1)), plan.event
+            # each topic0 is asked over its range exactly once
+            assert _covered(gw, plan.event, script) == list(range(plan.cursor, 30_000))
             assert [log.block_number for log in sink.rows] == [b for b in blocks
                                                                if b >= plan.cursor]
-        widest = 0  # the widest span answered before the round
-        for queries in gw.rounds:
-            assert sum(q.to_block - q.from_block + 1 > widest for q, _answer in queries) <= 1
-            widest = max([widest] + [q.to_block - q.from_block + 1 for q, answer in queries
-                                     if not isinstance(answer, GatewayError)])
-        assert max(len(queries) for queries in gw.rounds) == 3
-        assert len(gw.rounds) < sum(summary.batches_issued for summary in summaries)
-        assert all(summary.limits is summaries[0].limits for summary in summaries)
+        assert [len(q.topics) for q in gw.calls][0] == 1
+        assert {q.to_block for q in gw.calls if len(q.topics) == 1} >= {12_344}
+        assert {q.to_block for q in gw.calls if len(q.topics) == 2} >= {19_999}
+        assert summaries[0].batches_issued > summaries[1].batches_issued > \
+            summaries[2].batches_issued > 0
 
-    @pytest.mark.parametrize("whole_round", [False, True])
-    def test_a_rate_limited_round_pauses_once(self, whole_round):
-        # the first round asks one query; each of the second round's three is rate limited
-        script = scripted_faults([None] + [ErrorKind.RATE_LIMITED] * 3 * (not whole_round))
-        gw = RoundLog(_events_gateway([(SCHEMA, range(0, 100, 3)), (SCHEMA2, range(1, 100, 5)),
-                                       (SCHEMA3, range(2, 100, 7))], fault_script=script),
-                      fail={2: ErrorKind.RATE_LIMITED} if whole_round else None)
+    def test_a_rate_limited_query_pauses_once_and_halves_the_chain_span(self):
+        script = scripted_faults([None, ErrorKind.RATE_LIMITED])
+        gw = _events_gateway([(SCHEMA, range(0, 100, 3)), (SCHEMA2, range(1, 100, 5)),
+                              (SCHEMA3, range(2, 100, 7))], fault_script=script)
         sleeps = []
         plans = [_plan(0, 99, 20, event=event) for event in (SCHEMA, SCHEMA2, SCHEMA3)]
         sinks = [ListSink() for _ in plans]
-        scan_events([StreamScan(plan, sink) for plan, sink in zip(plans, sinks)], gw,
-                    sleeper=sleeps.append)
-        assert [len(queries) for queries in gw.rounds[:3]] == [1, 3, 3]
-        assert [(q.from_block, q.to_block) for q, _answer in gw.rounds[2]] == [
-            (20, 29), (0, 9), (0, 9)]  # each stream halved its query
+        summaries = scan_events([StreamScan(plan, sink) for plan, sink in zip(plans, sinks)],
+                                gw, sleeper=sleeps.append)
+        assert [(q.from_block, q.to_block) for q in gw.calls[:3]] == [(0, 19), (20, 39), (20, 29)]
         assert sleeps == [RATE_LIMIT_PAUSE_S]
         assert [len(sink.rows) for sink in sinks] == [34, 20, 14]
+        assert {summary.resize_events for summary in summaries} == {2}  # halved, then grown
+
+    def test_a_kill_between_two_streams_record_saves_resumes_to_the_same_bytes(
+            self, tmp_path, monkeypatch):
+        """A commit flushes both streams, then saves their records one by one. A kill
+        at any record save leaves the two streams at different cursors (or the same);
+        the resumed scan asks each topic0 from its own record on, and ends with the
+        files of a scan never interrupted."""
+        clock = lambda: datetime(2026, 1, 1, tzinfo=timezone.utc)  # noqa: E731
+        blocks = [(SCHEMA, range(0, 2_000, 3)), (SCHEMA2, range(1, 2_000, 5))]
+        script = max_span_fault(150)
+
+        class Killed(Exception):
+            pass
+
+        def extract(out, resume=False):
+            scans, writers = [], []
+            for schema, _blocks in blocks:
+                cp_file = checkpoint_path(str(out), CHAIN.chain_name, schema.event_name)
+                record = (Checkpoint.load(cp_file, CHAIN.chain_name, schema.event_name)
+                          if os.path.exists(cp_file) else None)
+                writer = (ShardWriter.resume(str(out), CHAIN.chain_name, schema, record,
+                                             clock=clock, row_limit=100) if resume else
+                          ShardWriter(str(out), CHAIN.chain_name, schema, clock=clock,
+                                      row_limit=100))
+                cursor = 0 if record is None else record.last_completed_block + 1
+                scans.append(StreamScan(_plan(cursor, 1_999, 300, event=schema),
+                                        DecodingSink(writer, schema, CHAIN.chain_name), cp_file))
+                writers.append(writer)
+            gw = _events_gateway(blocks, fault_script=script)
+            scan_events(scans, gw, sleeper=lambda _s: None)
+            for writer in writers:
+                writer.finalize(1_999)
+            return gw, [scan.plan.cursor for scan in scans]
+
+        def files(out):
+            return {(event, name): (out / CHAIN.chain_name / event / name).read_bytes()
+                    for event in (SCHEMA.event_name, SCHEMA2.event_name)
+                    for name in os.listdir(out / CHAIN.chain_name / event)}
+
+        saves = []
+        save = Checkpoint.save
+        with monkeypatch.context() as patch:
+            patch.setattr(Checkpoint, "save", lambda self, path: (saves.append(1),
+                                                                  save(self, path))[1])
+            extract(tmp_path / "whole")
+        whole = files(tmp_path / "whole")
+        commits = (len(saves) - 2) // 2  # two finalized records
+        assert commits >= 3
+
+        for kill_at in range(1, 2 * commits + 1):
+            out = tmp_path / f"kill{kill_at}"
+            count = iter(range(1, kill_at + 1))
+
+            def killing_save(record, path):
+                if next(count, kill_at) == kill_at:
+                    raise Killed()
+                return save(record, path)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(Checkpoint, "save", killing_save)
+                with pytest.raises(Killed):
+                    extract(out)
+            gw, cursors = extract(out, resume=True)
+            if kill_at % 2 == 0 and kill_at > 2:  # between the saves of one commit
+                assert cursors[0] > cursors[1], kill_at
+            for (schema, _blocks), cursor in zip(blocks, cursors):
+                assert _covered(gw, schema, script) == list(range(cursor, 2_000)), kill_at
+            assert files(out) == whole, kill_at
 
 
 def test_checkpoint_persisted_per_batch(tmp_path):
@@ -582,7 +607,7 @@ def test_checkpoint_persisted_per_batch(tmp_path):
         checkpoint = Checkpoint.load(cp_file, CHAIN.chain_name, SCHEMA.event_name)
         seen.append(checkpoint.last_completed_block)
 
-    scan_event(_plan(0, 99, 40), gw, sink, checkpoint_file=cp_file,
+    scan_one(_plan(0, 99, 40), gw, sink, checkpoint_file=cp_file,
                sleeper=lambda _s: None, on_progress=watch)
     assert seen == [39, 79, 99]
     assert seen == sorted(seen)  # never decreases
@@ -592,21 +617,15 @@ def test_checkpoint_persisted_per_batch(tmp_path):
     assert final.chain == "testchain"
 
 
-def test_sequential_event_discipline():
-    gw = _gateway([10, 20, 30])
-    scan_event(_plan(0, 99, 25), gw, ListSink(), sleeper=lambda _s: None)
-    scan_event(ScanPlan(chain=CHAIN, event=SCHEMA2, cursor=0, end_block=99,
-                        batch_size=25), gw, ListSink(), sleeper=lambda _s: None)
-    topics = [q.topic0 for q in gw.calls]
-    flip_points = sum(
-        1 for i in range(1, len(topics)) if topics[i] != topics[i - 1]
-    )
-    assert flip_points == 1  # all queries for event one strictly precede event two
-
-
 def test_plan_validation():
     with pytest.raises(ValueError):
         _plan(0, 99, 0).validate()
     with pytest.raises(ValueError):
         ScanPlan(chain=CHAIN, event=SCHEMA, cursor=CHAIN.start_block - 1,
                  end_block=99).validate()
+    with pytest.raises(ValueError):  # the streams of a scan share the chain's settings
+        scan_events([StreamScan(_plan(0, 99, 5), ListSink()),
+                     StreamScan(_plan(0, 99, 10, event=SCHEMA2), ListSink())], _gateway([]))
+    with pytest.raises(ValueError):  # an answer is split by topic0, one stream each
+        scan_events([StreamScan(_plan(0, 99, 5), ListSink()),
+                     StreamScan(_plan(50, 99, 5), ListSink())], _gateway([]))

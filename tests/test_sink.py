@@ -326,9 +326,7 @@ def _kill_point_run(root, resume=False):
     finalize; with ``resume`` and no checkpoint, as ``extract --resume`` does.
     Part close times tick by a second from a year of their own per ``resume``,
     so a stale part file left by the first run cannot pass for a new one."""
-    from test_scanner import CHAIN, SCHEMA, _gateway, _plan
-
-    from aavescan.scanner import scan_event
+    from test_scanner import CHAIN, SCHEMA, _gateway, _plan, scan_one
 
     cp_file = checkpoint_path(root, CHAIN.chain_name, SCHEMA.event_name)
     record = None
@@ -347,9 +345,9 @@ def _kill_point_run(root, resume=False):
         writer = ShardWriter(root, CHAIN.chain_name, SCHEMA, clock=clock, row_limit=10)
     cursor = 0 if record is None else record.last_completed_block + 1
     if cursor <= 99:
-        scan_event(_plan(cursor, 99, 20), _gateway(KILL_BLOCKS),
-                   sink_module.DecodingSink(writer, SCHEMA, CHAIN.chain_name),
-                   checkpoint_file=cp_file, sleeper=lambda _s: None)
+        scan_one(_plan(cursor, 99, 20), _gateway(KILL_BLOCKS),
+                 sink_module.DecodingSink(writer, SCHEMA, CHAIN.chain_name),
+                 checkpoint_file=cp_file)
     writer.finalize(99)
     return stream_dir(root, CHAIN.chain_name, SCHEMA.event_name)
 

@@ -31,3 +31,22 @@ def test_every_tracer_hook_but_the_known_one_resolves():
     assert os.fsync is real_fsync
     assert cli.FixtureGateway is gateway.FixtureGateway
     assert "open" not in vars(sink)
+
+
+def test_the_gateway_hook_counts_every_row_an_extract_asks(tmp_path, mini_corpus_dir):
+    """extract asks each chain's rows through the gateway's ``get_logs``, which the
+    tracer wraps per gateway: its row count is the rows extracted."""
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    restore, _missing = tracing.install(tracer)
+    try:
+        summaries = cli.run_extract(cli.RunConfig(
+            registry_path=None, out_dir=str(tmp_path / "out"), chains=["ethereum"],
+            events=["all"], from_block=None, to_block=None, batch=10_000, batch_max=100_000,
+            fixture_dir=mini_corpus_dir, live=False, resume=False, lenient=False,
+            json_progress=False))
+    finally:
+        restore()
+    rows = sum(summary.rows_emitted for summary in summaries)
+    assert rows > 0
+    assert tracer.values["gateway.rows"] == rows
