@@ -19,6 +19,7 @@ from .risk import (
     LiquidationQuote,
     Position,
     health_factor,
+    ledger_rows,
     liquidation_quote,
     replay,
 )
@@ -54,6 +55,7 @@ __all__ = [
     "decode",
     "encode",
     "health_factor",
+    "ledger_rows",
     "linear_interest",
     "liquidation_quote",
     "load_registry",

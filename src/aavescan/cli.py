@@ -19,15 +19,13 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from heapq import merge
-from operator import itemgetter
 
 import click
 
 from . import analytics
-from .decoder import DecodedEvent
 from .gateway import FixtureGateway, GatewayError, HttpGateway
 from .numstr import fraction_to_decimal, parse_decimal
-from .registry import PREFIX_COLUMNS, Registry, RegistryError, load_registry, load_yaml
+from .registry import Registry, RegistryError, load_registry, load_yaml
 from .risk import (
     REPLAY_FIELDS,
     AssetParams,
@@ -35,6 +33,7 @@ from .risk import (
     OrderViolation,
     Position,
     RiskError,
+    UnknownAsset,
     health_factor,
     liquidation_quote,
     replay,
@@ -401,21 +400,39 @@ def validate(directory) -> None:
         sys.exit(1)
 
 
+class _ConfigFault(click.ClickException):
+    """A malformed params or position file: one line naming it, exit 2."""
+
+    exit_code = EXIT_CONFIG
+
+
+@contextmanager
+def _config_entry(path: str, where: str):
+    """Turn a missing key or a bad value in entry ``where`` of ``path`` into a _ConfigFault."""
+    try:
+        yield
+    except KeyError as exc:
+        raise _ConfigFault(f"{path}: {where}: missing key {exc}") from None
+    except (ValueError, TypeError, AttributeError) as exc:
+        raise _ConfigFault(f"{path}: {where}: {exc}") from None
+
+
 def _load_asset_params(path: str) -> dict[str, AssetParams]:
     with open(path, "r", encoding="utf-8") as fh:
         doc = load_yaml(fh) or {}
     params: dict[str, AssetParams] = {}
     for asset_id, entry in (doc.get("assets") or {}).items():
-        p = AssetParams(
-            symbol=str(entry.get("symbol", asset_id)),
-            decimals=int(entry.get("decimals", 0)),
-            price=parse_decimal(str(entry["price"])),
-            liquidation_threshold=parse_decimal(str(entry["liquidation_threshold"])),
-            ltv=parse_decimal(str(entry.get("ltv", entry["liquidation_threshold"]))),
-            liquidation_bonus_bps=int(entry.get("liquidation_bonus_bps", 10000)),
-            protocol_fee_share=parse_decimal(str(entry.get("protocol_fee_share", "0.2"))),
-        )
-        p.validate()
+        with _config_entry(path, f"asset {asset_id}"):
+            p = AssetParams(
+                symbol=str(entry.get("symbol", asset_id)),
+                decimals=int(entry.get("decimals", 0)),
+                price=parse_decimal(str(entry["price"])),
+                liquidation_threshold=parse_decimal(str(entry["liquidation_threshold"])),
+                ltv=parse_decimal(str(entry.get("ltv", entry["liquidation_threshold"]))),
+                liquidation_bonus_bps=int(entry.get("liquidation_bonus_bps", 10000)),
+                protocol_fee_share=parse_decimal(str(entry.get("protocol_fee_share", "0.2"))),
+            )
+            p.validate()
         params[str(asset_id)] = p
     if not params:
         raise click.UsageError(f"{path}: no assets defined")
@@ -426,12 +443,14 @@ def _load_position(path: str) -> Position:
     with open(path, "r", encoding="utf-8") as fh:
         doc = load_yaml(fh) or {}
     position = Position(user=str(doc.get("user", "user")))
-    for entry in doc.get("collateral") or []:
-        asset = str(entry["asset"])
-        position.collateral[asset] = parse_decimal(str(entry["amount"]))
-        position.collateral_enabled[asset] = bool(entry.get("enabled", True))
-    for entry in doc.get("debt") or []:
-        position.debt[str(entry["asset"])] = parse_decimal(str(entry["amount"]))
+    for n, entry in enumerate(doc.get("collateral") or [], 1):
+        with _config_entry(path, f"collateral entry {n}"):
+            asset = str(entry["asset"])
+            position.collateral[asset] = parse_decimal(str(entry["amount"]))
+            position.collateral_enabled[asset] = bool(entry.get("enabled", True))
+    for n, entry in enumerate(doc.get("debt") or [], 1):
+        with _config_entry(path, f"debt entry {n}"):
+            position.debt[str(entry["asset"])] = parse_decimal(str(entry["amount"]))
     return position
 
 
@@ -472,31 +491,37 @@ def liquidate_quote_cmd(params_path, position_path, debt_asset, collateral_asset
 
 
 def _stream_events(directory: str, chain: str, event: str):
-    """(key, part path, event) per row of one stream, in file order.
-
-    An event carries the fields ``replay`` reads of its kind; IoFailure names a faulty part.
-    """
-    names = REPLAY_FIELDS.get(event, ())
+    """(key, timestamp, event, values, part path) per row of one stream, in file order;
+    ``values`` are the fields ``replay`` books, the only ones read. IoFailure names a faulty part."""
+    columns = ("block_number", "block_timestamp", "log_index") + REPLAY_FIELDS.get(event, ())
     paths, breaks = stream_parts(directory)
     if breaks:
         raise IoFailure(f"{breaks[0].path}: {breaks[0].detail}")
     for path in paths:
-        for row in iter_part_rows(path, chain, event, PREFIX_COLUMNS + names):
+        for row in iter_part_rows(path, chain, event, columns):
             try:
-                ev = DecodedEvent(row[0], row[1], int(row[2]), int(row[3]), row[4],
-                                  int(row[5]), row[6], list(zip(names, row[7:])))
+                block, ts, index = int(row[0]), int(row[1]), int(row[2])
             except ValueError as exc:
                 raise IoFailure(f"{path}: row key or timestamp: {exc}") from None
-            yield ev.key, path, ev
+            yield (block, index), ts, event, row[3:], path
 
 
 def _iter_chain_rows_sorted(root: str, chain: str):
-    """Merge all event streams of one chain into one key-ordered (key, path, event) stream."""
+    """Merge one chain's event streams into key order, holding one row of each at a time
+    (a key two streams share goes on to ``replay``, which refuses it)."""
     streams = [_stream_events(directory, chain, event)
                for name, event, directory in iter_streams(root) if name == chain]
     if not streams:
         raise click.UsageError(f"no shard directory for chain {chain!r} under {root}")
-    return merge(*streams, key=itemgetter(0))
+    return merge(*streams)
+
+
+def _write_csv(path: str, header: str, rows: list[list[str]]) -> None:
+    """Write ``rows`` under ``header``, joined by commas: no value holds a comma, quote or
+    line break (part values cannot), so this is the CSV ``csv.writer`` would write."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(row) + "\n" for row in rows)
 
 
 @main.command("replay")
@@ -505,49 +530,54 @@ def _iter_chain_rows_sorted(root: str, chain: str):
 @click.option("--mode", type=click.Choice(["nominal", "indexed"]), default="nominal",
               show_default=True)
 @click.option("--out", "out_path", type=click.Path(), default=None)
+@click.option("--anomalies", "anomalies_path", type=click.Path(), default=None,
+              help="Write the clamped-balance anomalies to this CSV, in key order.")
 @click.option("--params", "params_path", type=click.Path(exists=True), default=None,
               help="Asset params; adds a health report per user to stdout.")
-def replay_cmd(root, chain_name, mode, out_path, params_path) -> None:
+def replay_cmd(root, chain_name, mode, out_path, anomalies_path, params_path) -> None:
     """Rebuild user positions from extracted shards for one chain."""
-    import csv as _csv
-
     merged = _iter_chain_rows_sorted(root, chain_name)
-    source = [root]  # the part file of the event replay is at
+    source = [root]  # the part file of the row replay is at
 
-    def events():
-        for _key, path, event in merged:
+    def rows():
+        for key, ts, event, values, path in merged:
             source[0] = path
-            yield event
+            yield key, ts, event, values
 
     try:
-        result = replay(events(), mode=mode)
+        result = replay(rows(), mode=mode)
     except (IoFailure, ValueError, OrderViolation) as exc:
         where = "" if isinstance(exc, IoFailure) else f"{source[0]}: "  # IoFailure names it
         _echo(f"replay aborted: {where}{exc}", err=True)
         sys.exit(EXIT_IO)
-    rows = []
+    positions = []
     for user in sorted(result.positions):
         position = result.positions[user]
         for asset in sorted(position.collateral):
-            rows.append([user, "collateral", asset, str(position.collateral[asset]),
-                         "true" if position.is_collateral_enabled(asset) else "false"])
+            positions.append([user, "collateral", asset, str(position.collateral[asset]),
+                              "true" if position.is_collateral_enabled(asset) else "false"])
         for asset in sorted(position.debt):
-            rows.append([user, "debt", asset, str(position.debt[asset]), ""])
+            positions.append([user, "debt", asset, str(position.debt[asset]), ""])
     if out_path:
-        with open(out_path, "w", newline="", encoding="utf-8") as fh:
-            writer = _csv.writer(fh, lineterminator="\n")
-            writer.writerow(["user", "side", "asset", "amount", "enabled"])
-            writer.writerows(rows)
+        _write_csv(out_path, "user,side,asset,amount,enabled", positions)
     else:
-        for row in rows:
+        for row in positions:
             _echo("\t".join(row))
+    if anomalies_path:
+        _write_csv(anomalies_path, "block_number,log_index,user,asset,detail",
+                   [[str(a.key[0]), str(a.key[1]), a.user, a.asset, a.detail]
+                    for a in result.anomalies])
     if result.anomalies:
         _echo(f"{len(result.anomalies)} anomalies (clamped balances)", err=True)
 
     if params_path:
         params = _load_asset_params(params_path)
-        for user in sorted(result.positions):
-            report = health_factor(result.positions[user], params)
+        try:
+            reports = [(user, health_factor(result.positions[user], params))
+                       for user in sorted(result.positions)]
+        except UnknownAsset as exc:
+            raise _ConfigFault(f"{params_path}: {exc}") from None
+        for user, report in reports:
             h_text = "inf" if report.infinite else fraction_to_decimal(report.health_factor)
             _echo(f"{user}\thealth_factor={h_text}\t"
                   f"liquidatable={'true' if report.liquidatable else 'false'}\t"

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .decoder import DecodedEvent, OrderViolation
 from .raymath import ray_div, ray_mul
@@ -263,124 +263,122 @@ REPLAY_FIELDS: dict[str, tuple[str, ...]] = {
                         "liquidatedCollateralAmount"),
 }
 
+# Supply, Withdraw, Borrow and Repay: the Position side each books, and whether it adds
+_FLOWS = {"Supply": ("collateral", True), "Withdraw": ("collateral", False),
+          "Borrow": ("debt", True), "Repay": ("debt", False)}
 
-def _field_values(ev: DecodedEvent, names: tuple[str, ...]) -> list[str]:
-    """The values of the fields ``names`` of ``ev``, in that order; ValueError if one is absent."""
-    values = [value for name in names for field_name, value in ev.fields if field_name == name]
-    if len(values) != len(names):
-        raise ValueError(f"{ev.event_name} event lacks one of the fields {', '.join(names)}")
-    return values
+LedgerRow = tuple[tuple[int, int], int, str, Sequence[str]]
 
 
-class _Book:
-    """Mutable per-user balance ledger with clamp-at-zero semantics."""
-
-    def __init__(self):
-        self.positions: dict[str, Position] = {}
-        self.anomalies: list[Anomaly] = []
-
-    def position(self, user: str) -> Position:
-        if user not in self.positions:
-            self.positions[user] = Position(user=user)
-        return self.positions[user]
-
-    def add(self, side: str, user: str, asset: str, amount: int) -> None:
-        book = getattr(self.position(user), side)
-        book[asset] = book.get(asset, 0) + amount
-
-    def sub(self, side: str, user: str, asset: str, amount: int, key) -> None:
-        book = getattr(self.position(user), side)
-        balance = book.get(asset, 0) - amount
-        if balance < 0:
-            self.anomalies.append(Anomaly(
-                key=key, user=user, asset=asset,
-                detail=f"{side} balance went {balance} on {asset}; clamped to 0",
-            ))
-            balance = 0
-        book[asset] = balance
+def ledger_rows(events: Iterable[DecodedEvent]) -> Iterator[LedgerRow]:
+    """``replay``'s rows of decoded events; ValueError at a second chain or a field missing."""
+    chain_seen = None
+    for ev in events:
+        if chain_seen is None:
+            chain_seen = ev.chain_name
+        elif ev.chain_name != chain_seen:
+            raise ValueError(f"replay requires a single chain stream "
+                             f"(saw {chain_seen!r} and {ev.chain_name!r})")
+        names = REPLAY_FIELDS.get(ev.event_name, ())
+        fields = dict(ev.fields)
+        if not fields.keys() >= set(names):
+            raise ValueError(f"{ev.event_name} event lacks one of the fields {', '.join(names)}")
+        yield ev.key, ev.block_timestamp, ev.event_name, tuple(fields[name] for name in names)
 
 
-def replay(
-    events: Iterable[DecodedEvent],
-    mode: str = "nominal",
-) -> ReplayResult:
-    """Reconstruct per-user positions from a chronologically ordered stream.
+def _built(state: ReserveState | tuple[int, ...]) -> ReserveState:
+    """``state``, or the ReserveState of a ReserveDataUpdated's (indices, rates, timestamp)."""
+    return (ReserveState(*state[:5], last_update_timestamp=state[5])
+            if type(state) is tuple else state)
 
-    ``nominal`` books raw event amounts; ``indexed`` stores scaled balances
-    and advances per-reserve indices from ReserveDataUpdated events, so the
-    returned balances include accrued interest.
+
+def replay(rows: Iterable[LedgerRow], mode: str = "nominal") -> ReplayResult:
+    """Reconstruct per-user positions from one chain's ledger rows in key order.
+
+    A row is ``((block_number, log_index), block_timestamp, event_name, values)``,
+    ``values`` being only the event's ``REPLAY_FIELDS``, as strings in that order
+    (``ledger_rows`` makes rows of DecodedEvents). ``nominal`` books raw amounts;
+    ``indexed`` stores scaled balances and advances per-reserve indices from
+    ReserveDataUpdated events, so the returned balances include accrued interest.
+    A balance that would go below zero is clamped at zero with an Anomaly.
+    OrderViolation at a key not above the one before; ValueError at a non-integer.
     """
     if mode not in ("nominal", "indexed"):
         raise ValueError(f"unknown replay mode {mode!r}")
     indexed = mode == "indexed"
-    book = _Book()
-    reserves: dict[str, ReserveState] = {}
-    chain_seen: str | None = None
-    last_key: tuple[int, int] | None = None
+    positions: dict[str, Position] = {}
+    anomalies: list[Anomaly] = []
+    # a ReserveDataUpdated's integers stay a tuple until a state is read (``_built``)
+    reserves: dict[str, ReserveState | tuple[int, ...]] = {}
+    last_key: tuple = ()  # below every key
     last_ts = 0
 
+    def new_position(user: str) -> Position:
+        position = positions[user] = Position(user=user)
+        return position
+
     def reserve_at(asset: str, ts: int) -> ReserveState:
-        state = reserves.get(asset, ReserveState(last_update_timestamp=ts))
+        state = _built(reserves.get(asset) or ReserveState(last_update_timestamp=ts))
         if state.last_update_timestamp < ts:
             state = update_state(state, ts)
         reserves[asset] = state
         return state
 
-    for ev in events:
-        chain, name, key, ts = ev.chain_name, ev.event_name, ev.key, ev.block_timestamp
-        if chain_seen is None:
-            chain_seen = chain
-        elif chain != chain_seen:
-            raise ValueError(
-                f"replay requires a single chain stream (saw {chain_seen!r} and {chain!r})"
-            )
-        if last_key is not None and key <= last_key:
+    def sub(book: dict, side: str, user: str, asset: str, amount: int, key) -> None:
+        balance = book.get(asset, 0) - amount
+        if balance < 0:
+            anomalies.append(Anomaly(key=key, user=user, asset=asset, detail=(
+                f"{side} balance went {balance} on {asset}; clamped to 0")))
+            balance = 0
+        book[asset] = balance
+
+    for key, ts, name, values in rows:
+        if key <= last_key:
             raise OrderViolation(f"event key {key} not above {last_key}")
         last_key = key
-        last_ts = max(last_ts, ts)
-
-        names = REPLAY_FIELDS.get(name)
-        if names is None:
-            continue  # FlashLoan, MintedToTreasury, mode/rebalance events
-        values = _field_values(ev, names)
-        if name == "ReserveDataUpdated":
-            asset, *indices_and_rates = values
-            reserves[asset] = ReserveState(*map(int, indices_and_rates), last_update_timestamp=ts)
-        elif name.startswith("ReserveUsedAsCollateral"):
-            user, asset = values
-            book.position(user).collateral_enabled[asset] = name.endswith("Enabled")
-        elif name == "LiquidationCall":
-            user, debt_asset, coll_asset, debt_amount, coll_amount = values
-            debt_amount, coll_amount = int(debt_amount), int(coll_amount)
-            if indexed:
-                debt_state = reserve_at(debt_asset, ts)
-                coll_state = reserve_at(coll_asset, ts)
-                debt_amount = ray_div(debt_amount, debt_state.variable_borrow_index)
-                coll_amount = ray_div(coll_amount, coll_state.liquidity_index)
-            book.sub("debt", user, debt_asset, debt_amount, key)
-            book.sub("collateral", user, coll_asset, coll_amount, key)
-        else:  # Supply, Withdraw, Borrow, Repay
+        if ts > last_ts:
+            last_ts = ts
+        flow = _FLOWS.get(name)
+        if flow is not None:
             user, asset, amount = values
-            side = "collateral" if name in ("Supply", "Withdraw") else "debt"
+            side, adds = flow
             amount = int(amount)
             if indexed:
                 state = reserve_at(asset, ts)
                 amount = ray_div(amount, state.liquidity_index if side == "collateral"
                                  else state.variable_borrow_index)
-            if name in ("Supply", "Borrow"):
-                book.add(side, user, asset, amount)
+            position = positions.get(user) or new_position(user)
+            book = position.collateral if side == "collateral" else position.debt
+            if adds:
+                book[asset] = book.get(asset, 0) + amount
             else:
-                book.sub(side, user, asset, amount, key)
+                sub(book, side, user, asset, amount, key)
+        elif name == "ReserveDataUpdated":
+            asset, liquidity_index, borrow_index, liquidity_rate, borrow_rate, stable_rate = values
+            reserves[asset] = (int(liquidity_index), int(borrow_index), int(liquidity_rate),
+                               int(borrow_rate), int(stable_rate), ts)
+        elif name == "LiquidationCall":
+            user, debt_asset, coll_asset, debt_amount, coll_amount = values
+            debt_amount, coll_amount = int(debt_amount), int(coll_amount)
+            if indexed:
+                debt_amount = ray_div(debt_amount, reserve_at(debt_asset, ts).variable_borrow_index)
+                coll_amount = ray_div(coll_amount, reserve_at(coll_asset, ts).liquidity_index)
+            position = positions.get(user) or new_position(user)
+            sub(position.debt, "debt", user, debt_asset, debt_amount, key)
+            sub(position.collateral, "collateral", user, coll_asset, coll_amount, key)
+        elif name in ("ReserveUsedAsCollateralEnabled", "ReserveUsedAsCollateralDisabled"):
+            user, asset = values
+            position = positions.get(user) or new_position(user)
+            position.collateral_enabled[asset] = name.endswith("Enabled")
 
     if indexed:  # every booked asset went through ``reserve_at``
         for asset in list(reserves):
             reserve_at(asset, last_ts)
-        for position in book.positions.values():
+        for position in positions.values():
             for asset, scaled in position.collateral.items():
                 position.collateral[asset] = ray_mul(int(scaled), reserves[asset].liquidity_index)
             for asset, scaled in position.debt.items():
                 position.debt[asset] = ray_mul(int(scaled), reserves[asset].variable_borrow_index)
 
-    return ReplayResult(
-        positions=book.positions, anomalies=book.anomalies, reserves=reserves
-    )
+    return ReplayResult(positions=positions, anomalies=anomalies,
+                        reserves={asset: _built(state) for asset, state in reserves.items()})

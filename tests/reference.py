@@ -15,6 +15,7 @@ from datetime import datetime, timezone
 from fractions import Fraction
 
 from corpusgen import ASSETS, LAYOUTS
+from oracles import RAY, o_ray_div, o_ray_mul, o_reserve_step
 
 PREFIX = [
     "chain", "event", "block_number", "block_timestamp",
@@ -180,3 +181,97 @@ def aggregate_deposit_volume(corpus_dir: str, chains: list[str]) -> bytes:
             volumes[chain] = volumes.get(chain, Fraction(0)) + Fraction(amount) * price / 10**decimals
     rows = [[chain, _decimal_string(volumes[chain])] for chain in sorted(volumes)]
     return csv_bytes([["chain", "deposit_volume_usd"]] + rows)
+
+
+def chain_ledger(corpus_dir: str, chain: str) -> list[tuple]:
+    """(block, log index, timestamp, event name, field dict) of every log on ``chain``,
+    in key order."""
+    records, timestamps = load_chain(corpus_dir, chain)
+    by_topic = {layout["topic0"]: name for name, layout in LAYOUTS.items()}
+    ledger = []
+    for record in records:
+        name = by_topic[record["topics"][0]]
+        names = [f[0] for f in LAYOUTS[name]["fields"]]
+        ledger.append((record["blockNumber"], record["logIndex"],
+                       timestamps[record["blockNumber"]], name,
+                       dict(zip(names, _decode_values(record, name)))))
+    ledger.sort(key=lambda e: (e[0], e[1]))
+    return ledger
+
+
+def replay_csvs(corpus_dir: str, chain: str, mode: str = "nominal") -> tuple[bytes, bytes]:
+    """The expected ``replay --out`` and ``--anomalies`` bytes of one chain.
+
+    Balances start at zero and a withdrawal, repayment or liquidation that would
+    take one below zero leaves it at zero, recording an anomaly. ``nominal``
+    books raw amounts. ``indexed`` books each amount divided by its reserve's
+    index (supplier index for collateral, variable debt index for debt), the
+    reserve stepped to the event's time from its last ReserveDataUpdated (or
+    from indices of one and zero rates at its first use), and multiplies every
+    balance by its reserve's index stepped to the chain's last event.
+    """
+    indexed = mode == "indexed"
+    balances: dict[tuple[str, str, str], int] = {}  # (user, side, asset) -> balance
+    enabled: dict[tuple[str, str], bool] = {}
+    reserves: dict[str, dict] = {}
+    anomalies = [["block_number", "log_index", "user", "asset", "detail"]]
+
+    def reserve(asset, ts):
+        state = reserves.get(asset) or {
+            "liquidity_index": RAY, "variable_borrow_index": RAY, "current_liquidity_rate": 0,
+            "current_variable_borrow_rate": 0, "reserve_factor": 0,
+            "scaled_variable_debt_total": 0, "accrued_to_treasury": 0,
+            "last_update_timestamp": ts}
+        if state["last_update_timestamp"] < ts:
+            state = o_reserve_step(state, ts)
+        reserves[asset] = state
+        return state
+
+    def book(block, index, ts, user, side, asset, amount, sign):
+        if indexed:
+            state = reserve(asset, ts)
+            amount = o_ray_div(amount, state["liquidity_index" if side == "collateral"
+                                             else "variable_borrow_index"])
+        balance = balances.get((user, side, asset), 0) + sign * amount
+        if balance < 0:
+            anomalies.append([str(block), str(index), user, asset,
+                              f"{side} balance went {balance} on {asset}; clamped to 0"])
+            balance = 0
+        balances[(user, side, asset)] = balance
+
+    ledger = chain_ledger(corpus_dir, chain)
+    for block, index, ts, name, f in ledger:
+        if name == "Supply":
+            book(block, index, ts, f["onBehalfOf"], "collateral", f["reserve"], int(f["amount"]), 1)
+        elif name == "Withdraw":
+            book(block, index, ts, f["user"], "collateral", f["reserve"], int(f["amount"]), -1)
+        elif name == "Borrow":
+            book(block, index, ts, f["onBehalfOf"], "debt", f["reserve"], int(f["amount"]), 1)
+        elif name == "Repay":
+            book(block, index, ts, f["user"], "debt", f["reserve"], int(f["amount"]), -1)
+        elif name == "LiquidationCall":
+            book(block, index, ts, f["user"], "debt", f["debtAsset"], int(f["debtToCover"]), -1)
+            book(block, index, ts, f["user"], "collateral", f["collateralAsset"],
+                 int(f["liquidatedCollateralAmount"]), -1)
+        elif name in ("ReserveUsedAsCollateralEnabled", "ReserveUsedAsCollateralDisabled"):
+            enabled[(f["user"], f["reserve"])] = name.endswith("Enabled")
+        elif name == "ReserveDataUpdated":
+            reserves[f["reserve"]] = {
+                "liquidity_index": int(f["liquidityIndex"]),
+                "variable_borrow_index": int(f["variableBorrowIndex"]),
+                "current_liquidity_rate": int(f["liquidityRate"]),
+                "current_variable_borrow_rate": int(f["variableBorrowRate"]),
+                "reserve_factor": 0, "scaled_variable_debt_total": 0,
+                "accrued_to_treasury": 0, "last_update_timestamp": ts}
+
+    if indexed:
+        end = max(ts for _block, _index, ts, _name, _f in ledger)
+        for (user, side, asset), scaled in balances.items():
+            state = reserve(asset, end)
+            balances[(user, side, asset)] = o_ray_mul(scaled, state[
+                "liquidity_index" if side == "collateral" else "variable_borrow_index"])
+    rows = [["user", "side", "asset", "amount", "enabled"]]
+    for (user, side, asset), amount in sorted(balances.items()):
+        flag = ("true" if enabled.get((user, asset), False) else "false") if side == "collateral" else ""
+        rows.append([user, side, asset, str(amount), flag])
+    return csv_bytes(rows), csv_bytes(anomalies)

@@ -44,7 +44,8 @@ from aavescan.keccak import keccak256_hex
 from aavescan.raymath import RAY, SECONDS_PER_YEAR, compounded_interest, linear_interest
 from aavescan.registry import ChainConfig
 from aavescan.reserve import ReserveState, update_state
-from aavescan.risk import AssetParams, Position, health_factor, liquidation_quote, replay
+from aavescan.risk import (AssetParams, Position, health_factor, ledger_rows,
+                          liquidation_quote, replay)
 from aavescan.scanner import ScanPlan
 from aavescan.sink import (Checkpoint, ShardWriter, checkpoint_path, list_stream_parts,
                            stream_dir, validate_output)
@@ -440,7 +441,7 @@ def test_criterion_08_end_to_end_golden(report, registry, corpus_dir,
 
 def test_criterion_09_replay_ledger(report):
     started = time.monotonic()
-    result = replay(_ledger_events())
+    result = replay(ledger_rows(_ledger_events()))
     for user, expected in LEDGER_EXPECT.items():
         position = result.positions[user]
         for asset, amount in expected["collateral"].items():

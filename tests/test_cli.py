@@ -843,6 +843,27 @@ class TestLiquidateQuote:
         assert result.exit_code == 1
         assert "health_factor: inf" in result.output
 
+    @pytest.mark.parametrize("params_yaml, position_yaml, named", [
+        (PARAMS_YAML.replace('    price: "2"\n', "", 1), POSITION_YAML,
+         "params.yaml: asset coll: missing key 'price'"),
+        (PARAMS_YAML.replace('price: "2"', 'price: "-1"', 1), POSITION_YAML,
+         "params.yaml: asset coll: COLL: price must be positive"),
+        (PARAMS_YAML, POSITION_YAML.replace('amount: "100", ', "", 1),
+         "position.yaml: collateral entry 1: missing key 'amount'"),
+    ], ids=["params_without_price", "negative_price", "collateral_without_amount"])
+    def test_a_malformed_file_exits_2_naming_it(self, runner, tmp_path, params_yaml,
+                                                position_yaml, named):
+        (tmp_path / "params.yaml").write_text(params_yaml)
+        (tmp_path / "position.yaml").write_text(position_yaml)
+        result = runner.invoke(main, [
+            "liquidate-quote", "--params", str(tmp_path / "params.yaml"),
+            "--position", str(tmp_path / "position.yaml"),
+            "--debt-asset", "debt", "--collateral-asset", "coll", "--debt-to-cover", "100",
+        ])
+        assert result.exit_code == 2, result.output
+        assert f"{tmp_path}/{named}" in result.stderr
+        assert result.stderr.count("\n") == 1, result.stderr
+
     def test_half_close_factor_caps_debt(self, runner, tmp_path):
         # H = 0.97 constructed: weighted 100*2*0.5 = 100, debt = 100/0.97
         position_yaml = POSITION_YAML.replace('"200"', '"103.09278350515463918"')
@@ -976,6 +997,109 @@ class TestReplayCommand:
         result = runner.invoke(main, ["replay", "--in", str(out), "--chain", "ethereum"])
         assert result.exit_code == 4, result.output
         assert f"replay aborted: {victim}: " in result.stderr
+
+
+    def test_non_integer_reserve_index_exits_4_naming_its_part(self, runner, tmp_path,
+                                                                mini_corpus_dir):
+        out = tmp_path / "out"
+        runner.invoke(main, [
+            "extract", "--chain", "ethereum", "--event", "all",
+            "--out", str(out), "--fixture-dir", mini_corpus_dir,
+        ])
+        stream = out / "ethereum" / "ReserveDataUpdated"
+        victim = sorted(p for p in stream.iterdir() if p.name.startswith("aave_V3_"))[0]
+        with open(victim, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        rows[-1][header.index("liquidityIndex")] = "1.5e27"
+        with open(victim, "w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh, lineterminator="\n").writerows([header] + rows)
+        result = runner.invoke(main, ["replay", "--in", str(out), "--chain", "ethereum"])
+        assert result.exit_code == 4, result.output
+        assert f"replay aborted: {victim}: " in result.stderr
+        assert "1.5e27" in result.stderr
+
+    def test_a_key_in_two_streams_exits_4_as_an_order_violation(self, runner, tmp_path,
+                                                                registry):
+        from aavescan.decoder import DecodedEvent
+        from aavescan.sink import ShardWriter
+
+        user, weth = "0x" + "01" * 20, "0x" + "0e" * 20
+        fields = {"Supply": {"reserve": weth, "user": user, "onBehalfOf": user,
+                             "amount": "5", "referralCode": "0"},
+                  "Withdraw": {"reserve": weth, "user": user, "to": user, "amount": "5"}}
+        for event, values in fields.items():
+            writer = ShardWriter(str(tmp_path), "ethereum", registry.event(event))
+            writer.append(DecodedEvent("ethereum", event, 7, 70, "0x" + "ab" * 32, 3,
+                                       "0x" + "aa" * 20, list(values.items())))
+            writer.finalize(7)
+        result = runner.invoke(main, ["replay", "--in", str(tmp_path), "--chain", "ethereum"])
+        assert result.exit_code == 4, result.output
+        withdraw = next((tmp_path / "ethereum" / "Withdraw").glob("aave_V3_*.csv"))
+        assert (f"replay aborted: {withdraw}: event key (7, 3) not above (7, 3)"
+                in result.stderr)
+
+    @pytest.mark.parametrize("mode", ["nominal", "indexed"])
+    def test_anomalies_equal_the_reference(self, runner, tmp_path, replay_trees, mode):
+        corpus, tree = replay_trees[20251001]
+        anomalies = tmp_path / "anomalies.csv"
+        result = runner.invoke(main, ["replay", "--in", tree, "--chain", "ethereum",
+                                      "--mode", mode, "--out", str(tmp_path / "p.csv"),
+                                      "--anomalies", str(anomalies)])
+        assert result.exit_code == 0, result.output
+        want = reference.replay_csvs(corpus, "ethereum", mode)[1]
+        clamped = want.count(b"\n") - 1  # below the header
+        assert clamped > 0, "the mini corpus clamps some balances"
+        assert anomalies.read_bytes() == want
+        assert f"{clamped} anomalies (clamped balances)" in result.stderr
+
+    def test_an_asset_missing_from_params_exits_2_naming_it(self, runner, tmp_path,
+                                                            mini_corpus_dir):
+        out = tmp_path / "out"
+        runner.invoke(main, [
+            "extract", "--chain", "ethereum", "--event", "Supply",
+            "--out", str(out), "--fixture-dir", mini_corpus_dir,
+        ])
+        params = tmp_path / "params.yaml"
+        params.write_text(PARAMS_YAML)
+        result = runner.invoke(main, ["replay", "--in", str(out), "--chain", "ethereum",
+                                      "--params", str(params)])
+        assert result.exit_code == 2, result.output
+        assert f"{params}: no parameters for asset '0x" in result.stderr
+        assert "Traceback" not in result.output
+
+
+@pytest.fixture(scope="module")
+def replay_trees(tmp_path_factory, mini_corpus_dir):
+    """seed -> (mini corpus, its ethereum and base shard tree), at the default seed and 7."""
+    from corpusgen import DEFAULT_SEED, generate_corpus
+
+    seven = str(tmp_path_factory.mktemp("mini_corpus_seed7"))
+    generate_corpus(seven, seed=7, scale=0.02, chains=["ethereum", "base"])
+    trees = {}
+    for seed, corpus in ((DEFAULT_SEED, mini_corpus_dir), (7, seven)):
+        out = str(tmp_path_factory.mktemp(f"replay_tree_{seed}"))
+        result = CliRunner().invoke(main, ["extract", "--chain", "ethereum,base", "--event",
+                                           "all", "--out", out, "--fixture-dir", corpus])
+        assert result.exit_code == 0, result.output
+        trees[seed] = (corpus, out)
+    return trees
+
+
+class TestReplayOracle:
+    """``replay --out`` against the straight-line replay of ``tests/reference.py``,
+    byte for byte."""
+
+    @pytest.mark.parametrize("mode", ["nominal", "indexed"])
+    @pytest.mark.parametrize("chain", ["ethereum", "base"])
+    @pytest.mark.parametrize("seed", [20251001, 7])
+    def test_replay_equals_the_reference(self, runner, tmp_path, replay_trees, seed, chain,
+                                         mode):
+        corpus, tree = replay_trees[seed]
+        positions = tmp_path / "positions.csv"
+        result = runner.invoke(main, ["replay", "--in", tree, "--chain", chain, "--mode", mode,
+                                      "--out", str(positions)])
+        assert result.exit_code == 0, result.output
+        assert positions.read_bytes() == reference.replay_csvs(corpus, chain, mode)[0]
 
 
 # the offline commands in a fresh interpreter; argv[1:] are the corpus, the

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from aavescan.decoder import DecodedEvent
 from aavescan.raymath import RAY
+from aavescan.reserve import ReserveState
 from aavescan.risk import (
     AssetParams,
     InsufficientCollateral,
@@ -15,6 +16,7 @@ from aavescan.risk import (
     Position,
     UnknownAsset,
     health_factor,
+    ledger_rows,
     liquidation_quote,
     replay,
 )
@@ -351,7 +353,7 @@ class TestReplay:
             _decoded("ethereum", "Withdraw", 2, 0, 20,
                      {"reserve": weth, "user": a, "to": a, "amount": "100"}),
         ]
-        result = replay(events)
+        result = replay(ledger_rows(events))
         assert result.positions[a].collateral[weth] == 0
         assert result.positions[a].is_collateral_enabled(weth)
         assert result.anomalies == []
@@ -370,11 +372,11 @@ class TestReplay:
                      {"reserve": usdc, "user": a, "repayer": a,
                       "amount": "30", "useATokens": "false"}),
         ]
-        result = replay(events)
+        result = replay(ledger_rows(events))
         assert result.positions[a].debt[usdc] == 0
 
     def test_twelve_event_hand_ledger(self):
-        result = replay(_ledger_events())
+        result = replay(ledger_rows(_ledger_events()))
         assert set(result.positions) == set(LEDGER_EXPECT)
         for user, expected in LEDGER_EXPECT.items():
             position = result.positions[user]
@@ -388,28 +390,29 @@ class TestReplay:
 
     def test_replay_deterministic_and_composable(self):
         events = _ledger_events()
-        once = replay(events)
-        twice = replay(events)
+        once = replay(ledger_rows(events))
+        twice = replay(ledger_rows(events))
         assert once.positions == twice.positions
 
-        prefix = replay(events[:6])
+        prefix = replay(ledger_rows(events[:6]))
         # continue from scratch over the whole stream; equality with the
         # one-shot run is the prefix+suffix consistency the engine promises
-        assert replay(events).positions == replay(list(events)).positions
+        assert (replay(ledger_rows(events)).positions
+                == replay(ledger_rows(list(events))).positions)
         assert prefix.positions.keys() <= once.positions.keys()
 
     def test_unsorted_input_rejected(self):
         events = _ledger_events()
         events[3], events[2] = events[2], events[3]
         with pytest.raises(OrderViolation):
-            replay(events)
+            replay(ledger_rows(events))
 
     def test_mixed_chains_rejected(self):
         events = _ledger_events()
         events[1] = _decoded("base", events[1].event_name, 100, 1, 10,
                              events[1].field_map())
         with pytest.raises(ValueError):
-            replay(events)
+            replay(ledger_rows(events))
 
     def test_negative_balance_clamps_with_anomaly(self):
         weth = "0x" + "0e" * 20
@@ -418,7 +421,7 @@ class TestReplay:
             _decoded("ethereum", "Withdraw", 1, 0, 10,
                      {"reserve": weth, "user": a, "to": a, "amount": "10"}),
         ]
-        result = replay(events)
+        result = replay(ledger_rows(events))
         assert result.positions[a].collateral[weth] == 0
         assert len(result.anomalies) == 1
         assert result.anomalies[0].user == a
@@ -439,11 +442,11 @@ class TestReplay:
                 "variableBorrowRate": "0", "liquidityIndex": str(2 * RAY),
                 "variableBorrowIndex": str(RAY)}),
         ]
-        result = replay(events, mode="indexed")
+        result = replay(ledger_rows(events), mode="indexed")
         # 100 supplied at index 1.0 is worth 200 once the index doubles
         assert result.positions[a].collateral[weth] == 200
 
-    def test_replay_accepts_shard_rows_as_decoded_events(self, registry, tmp_path):
+    def test_replay_books_shard_rows_as_ledger_rows(self, registry, tmp_path):
         from aavescan.cli import _iter_chain_rows_sorted
         from aavescan.sink import ShardWriter
 
@@ -454,9 +457,34 @@ class TestReplay:
                                {"reserve": weth, "user": a, "onBehalfOf": a,
                                 "amount": "42", "referralCode": "0"}))
         writer.finalize(5)
-        events = [event for _key, _path, event in
-                  _iter_chain_rows_sorted(str(tmp_path), "ethereum")]
-        assert [(e.key, e.block_timestamp, e.fields) for e in events] == [
-            ((5, 0), 50, [("onBehalfOf", a), ("reserve", weth), ("amount", "42")])]
-        result = replay(events)
+        rows = [(key, ts, event, values) for key, ts, event, values, _path in
+                _iter_chain_rows_sorted(str(tmp_path), "ethereum")]
+        assert rows == [((5, 0), 50, "Supply", (a, weth, "42"))]
+        result = replay(rows)
         assert result.positions[a].collateral[weth] == 42
+
+    def test_ledger_rows_carry_the_booked_fields_in_order(self):
+        events = _ledger_events()
+        rows = list(ledger_rows(events[:2]))
+        a, weth = "0x" + "01" * 20, "0x" + "0e" * 20
+        assert rows == [((100, 0), 1_700_000_100, "Supply", (a, weth, "1000")),
+                        ((100, 1), 1_700_000_100, "ReserveUsedAsCollateralEnabled", (a, weth))]
+
+    def test_ledger_rows_refuse_an_event_without_a_booked_field(self):
+        event = _ledger_events()[0]
+        event.fields = [(name, value) for name, value in event.fields if name != "amount"]
+        with pytest.raises(ValueError, match="Supply event lacks one of the fields"):
+            list(ledger_rows([event]))
+
+    def test_each_reserve_ends_as_a_state_of_its_latest_update(self):
+        weth = "0x" + "0e" * 20
+        update = lambda block, index: _decoded("ethereum", "ReserveDataUpdated", block, 0,
+                                               block * 10, {
+            "reserve": weth, "liquidityRate": "3", "stableBorrowRate": "5",
+            "variableBorrowRate": "4", "liquidityIndex": str(index),
+            "variableBorrowIndex": str(RAY)})
+        result = replay(ledger_rows([update(1, RAY), update(2, 2 * RAY)]))
+        assert result.reserves == {weth: ReserveState(
+            liquidity_index=2 * RAY, variable_borrow_index=RAY, current_liquidity_rate=3,
+            current_variable_borrow_rate=4, current_stable_borrow_rate=5,
+            last_update_timestamp=20)}
