@@ -23,7 +23,7 @@ from .risk import (
     liquidation_quote,
     replay,
 )
-from .scanner import ScanPlan, ScanSummary, resize, scan_events
+from .scanner import ScanPlan, ScanSummary, scan_events
 from .sink import Checkpoint, ShardWriter, part_filename, validate_output
 
 __version__ = "0.1.0"
@@ -64,7 +64,6 @@ __all__ = [
     "ray_div",
     "ray_mul",
     "replay",
-    "resize",
     "scan_events",
     "topic0_of",
     "update_state",

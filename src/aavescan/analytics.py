@@ -152,10 +152,6 @@ class PriceTable:
             }
         return cls(assets)
 
-    @classmethod
-    def empty(cls) -> "PriceTable":
-        return cls({})
-
     def lookup(self, asset: str, day: str | None = None) -> tuple[Fraction, int] | None:
         entry = self._assets.get(asset.lower())
         price = None if entry is None else entry["daily"].get(day, entry["price"])

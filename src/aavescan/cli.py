@@ -38,17 +38,9 @@ from .risk import (
     liquidation_quote,
     replay,
 )
-from .scanner import (
-    DEFAULT_BATCH_MAX,
-    DEFAULT_BATCH_SIZE,
-    ScanPlan,
-    ScanSummary,
-    StreamScan,
-    scan_events,
-)
-from .sink import (Checkpoint, DecodingSink, IoFailure, ShardWriter, checkpoint_path,
-                   iter_part_rows, iter_streams, list_stream_parts, stream_parts,
-                   validate_output)
+from .scanner import DEFAULT_BATCH_MAX, DEFAULT_BATCH_SIZE, ScanPlan, ScanSummary, scan_events
+from .sink import (Checkpoint, IoFailure, ShardWriter, checkpoint_path, iter_part_rows,
+                   iter_streams, list_stream_parts, stream_parts, validate_output)
 
 EXIT_CONFIG = 2
 EXIT_NETWORK = 3
@@ -198,7 +190,6 @@ def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
         chain = registry.chain(chain_name)
         gateway = _make_gateway(config, registry, chain_name)
         sleeper = (lambda _s: None) if config.fixture_dir else time.sleep
-        progress = _progress_printer(config.json_progress)
 
         end_block = min(chain.max_block, gateway.latest_block())
         if config.to_block is not None:
@@ -234,36 +225,28 @@ def _extract_chain(config: RunConfig, registry: Registry, chain_name: str,
             records.append(record)
 
         summaries: dict[str, ScanSummary] = {}
-        scans: list[StreamScan] = []
-        writers: list[ShardWriter] = []
+        streams: list[tuple] = []  # (event, cursor, writer) of each unfinished stream
         for event_name, record in zip(event_names, records):
             schema = registry.event(event_name)
             cursor = start_block
             if record is not None:
                 cursor = max(cursor, record.last_completed_block + 1)
-            if config.resume:
-                # without a record, killed before its first commit: what it wrote is uncommitted
-                writer = ShardWriter.resume(config.out_dir, chain_name, schema, record)
-            else:
-                writer = ShardWriter(config.out_dir, chain_name, schema)
-
+            # without a record, nothing on disk is committed: every part file goes
+            writer = ShardWriter.resume(config.out_dir, chain_name, schema, record,
+                                        strict=not config.lenient)
             # a stream scanned to the end (re)does whatever of finalize is missing
             if cursor > end_block:
                 summaries[event_name] = ScanSummary(
                     chain=chain_name, event=event_name,
                     rows_emitted=writer.finalize(cursor - 1).rows_emitted_total)
-                continue
+            else:
+                streams.append((schema, cursor, writer))
 
-            plan = ScanPlan(chain=chain, event=schema, cursor=cursor, end_block=end_block,
-                            batch_size=config.batch, batch_max=config.batch_max)
-            sink = DecodingSink(writer, schema, chain_name, strict=not config.lenient)
-            cp_file = checkpoint_path(config.out_dir, chain_name, event_name)
-            scans.append(StreamScan(plan, sink, cp_file, progress))
-            writers.append(writer)
-
-        for summary in scan_events(scans, _OrphanCheckedGateway(gateway), sleeper):
+        plan = ScanPlan(chain, end_block, config.batch, config.batch_max)
+        for summary in scan_events(plan, streams, _OrphanCheckedGateway(gateway), sleeper,
+                                   _progress_printer(config.json_progress)):
             summaries[summary.event] = summary
-        for writer in writers:
+        for _schema, _cursor, writer in streams:
             writer.finalize(end_block)
         return [summaries[event_name] for event_name in event_names]
 

@@ -246,9 +246,6 @@ class _GatewayBase:
             self._ts_cache.update(self._fetch_block_timestamps(chunk))
         return self._ts_cache
 
-    def get_block_timestamp(self, block_number: int) -> int:
-        return self._cached_timestamps({block_number})[block_number]
-
     def _fetch_block_timestamps(self, blocks: list[int]) -> dict[int, int]:
         """Timestamps of ``blocks`` (distinct, ascending, at most
         ``batch_limit``), all of them or an error."""

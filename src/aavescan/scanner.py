@@ -22,18 +22,18 @@ filter's answer would hold them.
 Queries and commits are apart. Answers wait in memory until they cover at
 least the plan's batch size in blocks, or reach the end block, so a commit
 spans fewer than that plus one query's span. One commit then hands each
-stream's ordered logs to its sink and flushes them durably, and only then
-persists each stream's checkpoint. A provider's span limit therefore sets how
-many queries a scan sends, not how many commits it makes. An interrupted run
-resumed from the checkpoints asks again for the answers it had not committed,
-and so covers every block of every stream exactly once.
+stream's ordered logs to its sink, which decodes and flushes them durably, and
+only then has each sink save its stream's checkpoint. The scanner knows no file
+path. A provider's span limit therefore sets how many queries a scan sends, not
+how many commits it makes. An interrupted run resumed from the checkpoints asks
+again for the answers it had not committed, and so covers every block of every
+stream exactly once.
 """
 
 from __future__ import annotations
 
-import enum
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Protocol
 
 from .gateway import ErrorKind, GatewayError, LogQuery
@@ -49,51 +49,23 @@ RATE_LIMIT_PAUSE_CAP_S = 60.0
 RATE_LIMIT_RETRIES = 12  # pauses in a row, about 8 minutes, before a range is given up
 
 
-class Outcome(enum.Enum):
-    SUCCESS_STREAK = "success_streak"
-    RATE_LIMITED = "rate_limited"
-
-
-def resize(batch_size: int, outcome: Outcome, batch_max: int = DEFAULT_BATCH_MAX) -> int:
-    """New batch size after ``outcome``: halve on a rate limit, double on a streak."""
-    if batch_size < 1:
-        raise ValueError(f"batch_size {batch_size} below 1")
-    if outcome is Outcome.RATE_LIMITED:
-        return max(batch_size // 2, 1)
-    return min(batch_size * 2, batch_max)
-
-
 class BatchSink(Protocol):
-    """Commit target for the ordered raw logs of one or more answered queries."""
+    """One stream's commit target for the ordered raw logs of answered queries."""
 
     def commit_batch(self, logs: list) -> None: ...
 
-    def record(self, last_block: int) -> Checkpoint:
-        """The stream's durable record, every row committed through ``last_block``."""
+    def save(self, last_block: int) -> Checkpoint:
+        """Save and return the stream's record, every row committed through ``last_block``."""
 
 
 @dataclass
 class ScanPlan:
-    """One stream's scan. The streams of one ``scan_events`` share every field
-    but ``event`` and ``cursor``."""
+    """A chain's scan, shared by all its streams."""
 
     chain: ChainConfig
-    event: EventSchema
-    cursor: int
     end_block: int
     batch_size: int = DEFAULT_BATCH_SIZE
     batch_max: int = DEFAULT_BATCH_MAX
-
-    def validate(self) -> None:
-        if not self.chain.start_block <= self.cursor <= self.end_block + 1:
-            raise ValueError(
-                f"cursor {self.cursor} outside "
-                f"[{self.chain.start_block}, {self.end_block + 1}]"
-            )
-        if not 1 <= self.batch_size <= self.batch_max:
-            raise ValueError(
-                f"batch_size {self.batch_size} outside [1, {self.batch_max}]"
-            )
 
 
 @dataclass
@@ -108,20 +80,12 @@ class ScanSummary:
 ProgressFn = Callable[[ScanSummary, int, int], None]
 
 
-@dataclass
-class StreamScan:
-    """One stream's part of a chain's scan: its plan, sink, record and progress."""
-
-    plan: ScanPlan
-    sink: BatchSink
-    checkpoint_file: str | None = None
-    on_progress: ProgressFn | None = None
-
-
-def scan_events(scans: list[StreamScan], gateway,
-                sleeper: Callable[[float], None] = time.sleep) -> list[ScanSummary]:
-    """Scan the streams of one chain with one cursor, as the module docstring
-    says; one summary per scan, in order.
+def scan_events(plan: ScanPlan, streams: list[tuple[EventSchema, int, BatchSink]], gateway,
+                sleeper: Callable[[float], None] = time.sleep,
+                on_progress: ProgressFn | None = None) -> list[ScanSummary]:
+    """Scan the streams of one chain, each its (event, cursor, sink), with one
+    cursor, as the module docstring says; one summary per stream, in order.
+    ``on_progress`` hears of each stream after every commit.
 
     Each answer is checked for key order across the chain. RateLimited retries
     the same range after a pause, up to RATE_LIMIT_RETRIES pauses in a row;
@@ -131,22 +95,24 @@ def scan_events(scans: list[StreamScan], gateway,
     transient) gateway errors, the scan aborts with every stream's checkpoint
     at its last commit, and the answers since are dropped.
     """
-    summaries = [ScanSummary(scan.plan.chain.chain_name, scan.plan.event.event_name)
-                 for scan in scans]
-    if not scans:
+    summaries = [ScanSummary(plan.chain.chain_name, event.event_name)
+                 for event, _cursor, _sink in streams]
+    if not streams:
         return summaries
-    plan = scans[0].plan
-    for scan in scans:
-        scan.plan.validate()
-        if replace(scan.plan, event=plan.event, cursor=plan.cursor) != plan:
-            raise ValueError(f"{scan.plan.event.event_name}: plan differs from the chain's")
-    if len({scan.plan.event.topic0 for scan in scans}) < len(scans):
+    events, cursors, sinks = zip(*streams)
+    if not 1 <= plan.batch_size <= plan.batch_max:
+        raise ValueError(f"batch_size {plan.batch_size} outside [1, {plan.batch_max}]")
+    for event, cursor in zip(events, cursors):
+        if not plan.chain.start_block <= cursor <= plan.end_block + 1:
+            raise ValueError(f"{event.event_name}: cursor {cursor} outside "
+                             f"[{plan.chain.start_block}, {plan.end_block + 1}]")
+    if len({event.topic0 for event in events}) < len(events):
         raise ValueError("two streams of one scan ask the same topic0")
-    waiting = sorted(range(len(scans)), key=lambda i: scans[i].plan.cursor)  # not yet asked
+    waiting = sorted(range(len(streams)), key=cursors.__getitem__)  # not yet asked
     joined: list[int] = []  # streams asked, in the order they joined
     rows: dict[bytes, list] = {}  # their topic0s, in that order -> logs since the commit
 
-    cursor = committed = scans[waiting[0]].plan.cursor  # committed: first block past the commit
+    cursor = committed = cursors[waiting[0]]  # committed: first block past the commit
     batch_size = plan.batch_size
     accepted = 0  # widest span answered below ``refused``, 0 if none
     refused: int | None = None  # narrowest span refused as too large
@@ -160,12 +126,12 @@ def scan_events(scans: list[StreamScan], gateway,
     last_key = (-1, -1)
 
     while cursor <= plan.end_block:
-        while waiting and scans[waiting[0]].plan.cursor == cursor:
+        while waiting and cursors[waiting[0]] == cursor:
             joined.append(i := waiting.pop(0))
-            rows[scans[i].plan.event.topic0] = []
+            rows[events[i].topic0] = []
         hi = min(cursor + batch_size - 1, plan.end_block)
         if waiting:  # the next stream joins at its own cursor
-            hi = min(hi, scans[waiting[0]].plan.cursor - 1)
+            hi = min(hi, cursors[waiting[0]] - 1)
         try:
             logs = gateway.get_logs(LogQuery(cursor, hi, plan.chain.pool_address, tuple(rows)))
         except GatewayError as exc:
@@ -173,7 +139,7 @@ def scan_events(scans: list[StreamScan], gateway,
                 if rate_limited == RATE_LIMIT_RETRIES:
                     raise GatewayError(ErrorKind.TERMINAL, f"[{cursor}, {hi}] still rate "
                                        f"limited after {RATE_LIMIT_RETRIES} pauses") from exc
-                batch_size = resize(batch_size, Outcome.RATE_LIMITED, plan.batch_max)
+                batch_size = max(batch_size // 2, 1)
                 for i in joined:
                     summaries[i].resize_events += 1
                 streak, streak_rows, probe = 0, 1, None
@@ -219,21 +185,18 @@ def scan_events(scans: list[StreamScan], gateway,
         if cursor - committed >= plan.batch_size or cursor > plan.end_block:
             committed = cursor
             for i, topic0 in zip(joined, rows):  # every stream durable before any record moves
-                scans[i].sink.commit_batch(rows[topic0])
+                sinks[i].commit_batch(rows[topic0])
                 rows[topic0] = []
             for i in joined:
-                record = scans[i].sink.record(hi)
-                summaries[i].rows_emitted = record.rows_emitted_total
-                if scans[i].checkpoint_file is not None:
-                    record.save(scans[i].checkpoint_file)
-            for i in joined:
-                if scans[i].on_progress is not None:
-                    scans[i].on_progress(summaries[i], cursor, plan.end_block)
+                summaries[i].rows_emitted = sinks[i].save(hi).rows_emitted_total
+            if on_progress is not None:
+                for i in joined:
+                    on_progress(summaries[i], cursor, plan.end_block)
 
         streak += 1
         streak_rows = max(streak_rows, len(logs))
         if streak >= GROWTH_STREAK:
-            grown = resize(batch_size, Outcome.SUCCESS_STREAK, plan.batch_max)
+            grown = min(batch_size * 2, plan.batch_max)
             if refused is not None:
                 if 2 * streak_rows < probe_rows:  # as dense, twice the span would fit
                     grown = min(batch_size * probe_rows // streak_rows, plan.batch_max)

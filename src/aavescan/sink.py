@@ -13,6 +13,9 @@ Beside the parts, ``checkpoint.json`` is the stream's one durable record
 (``Checkpoint``): replaced at each commit, and at finalize once more with
 ``finalized`` true, no open part and every part listed. ``--resume`` and
 ``validate`` read the stream's state from it alone.
+
+``ShardWriter`` is the scanner's sink: a commit decodes a stream's raw logs,
+appends and flushes them, and the writer then saves its own record.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from datetime import datetime, timezone
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
@@ -39,12 +42,12 @@ FILENAME_RE = re.compile(
 OPEN_PART_RE = re.compile(r"^\.part(?P<part>\d{3})\.open\.csv$")
 
 
-class PartOverflow(Exception):
-    """Part numbering exceeded the 3-digit filename budget."""
-
-
 class IoFailure(Exception):
     """I/O failed or a shard file read is corrupt; a writer leaves its stream consistent."""
+
+
+class PartOverflow(IoFailure):
+    """Part numbering exceeded the 3-digit filename budget."""
 
 
 @dataclass(frozen=True)
@@ -130,7 +133,8 @@ class Checkpoint:
         FileFault names ``path`` at any fault: a read error, bytes not UTF-8 or not
         JSON, no object, another stream, a key missing or out of range, a
         ``finalized`` that is not a boolean, closed parts that do not match the
-        open part's number, or a finalized record with an open part.
+        open part's number, a last closed part ending above
+        ``last_completed_block``, or a finalized record with an open part.
         """
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -148,6 +152,10 @@ class Checkpoint:
                 raise ValueError(f"{len(record.parts)} closed parts, but part "
                                  f"{record.current_part_number} open with "
                                  f"{record.rows_in_current_part} rows")
+            if record.parts and record.parts[-1].last_key[0] > record.last_completed_block:
+                raise ValueError(f"part {record.parts[-1].part_number} ends at block "
+                                 f"{record.parts[-1].last_key[0]}, above last_completed_block "
+                                 f"{record.last_completed_block}")
             if record.finalized and record.rows_in_current_part:
                 raise ValueError("a finalized stream lists an open part")
             return record
@@ -177,12 +185,14 @@ def _atomic_write(path: str, text: str) -> None:
 
 
 class ShardWriter:
-    """Single-writer CSV shard stream for one (chain, event).
+    """Single-writer CSV shard stream for one (chain, event), and the scanner's sink.
 
     Parts roll over lazily: the row that reaches the limit closes the part,
     and the next append opens the following one, so a stream ending exactly
-    on the limit never produces an empty trailing part. The writer builds
-    every record of its stream (``record``); ``finalize`` saves the last one.
+    on the limit never produces an empty trailing part. ``commit_batch``
+    decodes raw logs into rows; a log that does not decode (in ``strict``
+    mode) is TERMINAL. The writer saves every record of its stream (``save``),
+    the finalized one last.
     """
 
     def __init__(
@@ -192,10 +202,12 @@ class ShardWriter:
         schema: EventSchema,
         clock: Callable[[], datetime] | None = None,
         row_limit: int = PART_ROW_LIMIT,
+        strict: bool = True,
     ):
         self._dir = stream_dir(out_dir, chain, schema.event_name)
         self._chain = chain
         self._schema = schema
+        self._strict = strict
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self._row_limit = row_limit
         self._header = list(PREFIX_COLUMNS) + [f.name for f in schema.fields] + ["usd_value"]
@@ -210,13 +222,28 @@ class ShardWriter:
 
         os.makedirs(self._dir, exist_ok=True)
 
-    def record(self, last_block: int) -> Checkpoint:
-        """The stream's record with every row written so far committed through ``last_block``."""
-        return Checkpoint(self._chain, self._schema.event_name, last_block,
-                          sum(p.row_count for p in self._closed_parts) + self._rows_in_part,
-                          self._part_number, self._rows_in_part, tuple(self._closed_parts))
+    def save(self, last_block: int, finalized: bool = False) -> Checkpoint:
+        """Save and return the stream's record, every row written so far committed
+        through ``last_block``."""
+        record = Checkpoint(self._chain, self._schema.event_name, last_block,
+                            sum(p.row_count for p in self._closed_parts) + self._rows_in_part,
+                            self._part_number, self._rows_in_part, tuple(self._closed_parts),
+                            finalized)
+        record.save(os.path.join(self._dir, "checkpoint.json"))
+        return record
 
     # -- writing ----------------------------------------------------------------
+
+    def commit_batch(self, logs) -> None:
+        """Decode, append and durably flush the raw logs of one commit, in key order."""
+        for log in logs:
+            try:
+                event = decode(log, self._schema, self._chain, strict=self._strict)
+            except DecodeError as exc:
+                raise GatewayError(ErrorKind.TERMINAL, f"{self._chain}/{self._schema.event_name}"
+                                   f" log {log.key}: {exc}") from exc
+            self.append(event)
+        self.flush()
 
     def _open_part_path(self, part_number: int) -> str:
         return os.path.join(self._dir, f".part{part_number:03d}.open.csv")
@@ -333,13 +360,11 @@ class ShardWriter:
             except OSError:
                 pass
             self._part_number -= 1
-        final = replace(self.record(last_block), finalized=True)
         try:
-            final.save(os.path.join(self._dir, "checkpoint.json"))
+            self._final = self.save(last_block, finalized=True)
         except OSError as exc:
             raise IoFailure(f"saving the finalized record failed: {exc}") from exc
-        self._final = final
-        return final
+        return self._final
 
     # -- resume -------------------------------------------------------------------
 
@@ -352,17 +377,19 @@ class ShardWriter:
         record: Checkpoint | None,
         clock: Callable[[], datetime] | None = None,
         row_limit: int = PART_ROW_LIMIT,
+        strict: bool = True,
     ) -> "ShardWriter":
         """Reopen a stream at its loaded record, or at its start without one, and make
         the disk agree.
 
         The open part, also when a close the record missed renamed it, is cut
         back to the record's rows under its dot-name; part files numbered above
-        it are deleted. A finalized stream is left as it is.
+        it are deleted, so without a record every part file is. A finalized
+        stream is left as it is.
         """
-        writer = cls(out_dir, chain, schema, clock=clock, row_limit=row_limit)
+        writer = cls(out_dir, chain, schema, clock=clock, row_limit=row_limit, strict=strict)
         if record is None:
-            record = writer.record(-1)  # an empty stream's
+            record = Checkpoint(chain, schema.event_name, -1, 0, 0, 0)  # an empty stream's
         elif record.finalized:
             writer._final = record
             return writer
@@ -392,7 +419,7 @@ class ShardWriter:
             raise IoFailure(f"resume expected open part file {open_path!r}")
         try:
             writer._first_key_in_part, writer._last_key = writer._truncate_open_part(
-                open_path, rows_in_part)
+                open_path, rows_in_part, record.last_completed_block)
         except (ValueError, IndexError) as exc:  # a row not UTF-8, or without integer keys
             raise IoFailure(f"open part {open_path!r}: not a decodable event row: {exc}") from exc
         writer._rows_in_part = rows_in_part
@@ -402,11 +429,12 @@ class ShardWriter:
             raise IoFailure(f"cannot reopen part file {open_path!r}: {exc}") from exc
         return writer
 
-    def _truncate_open_part(self, path: str, keep_rows: int) -> tuple[tuple[int, int], ...]:
+    def _truncate_open_part(self, path: str, keep_rows: int,
+                            last_block: int) -> tuple[tuple[int, int], ...]:
         """Cut an open part to its header and ``keep_rows`` whole rows; return their key range.
 
         Every kept row must decode, hold no quote, CR or NUL, and carry an integer key
-        above the key before it.
+        above the key before it and a block at most ``last_block``.
         """
         with open(path, "r+b") as fh:
             line = fh.readline()
@@ -427,35 +455,14 @@ class ShardWriter:
                 rows += 1
                 if last is not None and key <= last:
                     raise IoFailure(f"open part {path!r}: row {rows} key {key} not above {last}")
+                if key[0] > last_block:
+                    raise IoFailure(f"open part {path!r}: row {rows} block {key[0]} above the "
+                                    f"record's last completed block {last_block}")
                 first, last = first or key, key
             if rows < keep_rows:
                 raise IoFailure(f"open part {path!r} holds fewer than {keep_rows} rows")
             fh.truncate(size)
         return first, last
-
-
-class DecodingSink:
-    """Batch sink decoding raw logs into a shard writer; a log that does not decode is TERMINAL."""
-
-    def __init__(self, writer: ShardWriter, schema: EventSchema, chain_name: str,
-                 strict: bool = True):
-        self._shards = writer
-        self._schema = schema
-        self._chain = chain_name
-        self._strict = strict
-
-    def commit_batch(self, logs) -> None:
-        for log in logs:
-            try:
-                event = decode(log, self._schema, self._chain, strict=self._strict)
-            except DecodeError as exc:
-                raise GatewayError(ErrorKind.TERMINAL, f"{self._chain}/{self._schema.event_name}"
-                                   f" log {log.key}: {exc}") from exc
-            self._shards.append(event)
-        self._shards.flush()
-
-    def record(self, last_block: int) -> Checkpoint:
-        return self._shards.record(last_block)
 
 
 # -- reading and validation ---------------------------------------------------

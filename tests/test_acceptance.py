@@ -30,7 +30,7 @@ from oracles import (
 from test_risk import LEDGER_EXPECT, _ledger_events
 from test_scanner import ListSink, committed_ranges, scan_one
 
-from aavescan.cli import DecodingSink, main
+from aavescan.cli import main
 from aavescan.decoder import DecodedEvent, decode, encode
 from aavescan.gateway import (
     ErrorKind,
@@ -266,10 +266,11 @@ def test_criterion_06_scanner_coverage_and_resume(report, registry, tmp_path):
             return None
 
         gateway, schema = _synthetic_gateway(registry, blocks, fault_script=fault_script)
-        plan = ScanPlan(chain=SMOKE_CHAIN, event=schema, cursor=start, end_block=end,
+        plan = ScanPlan(chain=SMOKE_CHAIN, end_block=end,
                         batch_size=rng.choice([1, 4, 16, 64]), batch_max=128)
         sink = ListSink()
-        summary = scan_one(plan, gateway, sink, sleeper=lambda _s: None)
+        summary = scan_one(plan, gateway, sink, cursor=start, event=schema,
+                           sleeper=lambda _s: None)
         covered = [b for lo, hi in committed_ranges(gateway, fault_script)
                    for b in range(lo, hi + 1)]
         assert covered == list(range(start, end + 1)), f"seed {seed}"
@@ -284,10 +285,8 @@ def test_criterion_06_scanner_coverage_and_resume(report, registry, tmp_path):
     def run_uninterrupted(root):
         gateway, schema = _synthetic_gateway(registry, blocks)
         writer = ShardWriter(root, SMOKE_CHAIN.chain_name, schema)
-        plan = ScanPlan(chain=SMOKE_CHAIN, event=schema, cursor=0, end_block=499,
-                        batch_size=50, batch_max=100)
-        scan_one(plan, gateway, DecodingSink(writer, schema, SMOKE_CHAIN.chain_name),
-                 sleeper=lambda _s: None)
+        plan = ScanPlan(chain=SMOKE_CHAIN, end_block=499, batch_size=50, batch_max=100)
+        scan_one(plan, gateway, writer, event=schema, sleeper=lambda _s: None)
         writer.finalize(499)
         return _stream_bytes(root, SMOKE_CHAIN.chain_name, schema.event_name)
 
@@ -297,20 +296,15 @@ def test_criterion_06_scanner_coverage_and_resume(report, registry, tmp_path):
             fault_script=scripted_faults([None] * interrupt_call + [ErrorKind.TERMINAL]))
         writer = ShardWriter(root, SMOKE_CHAIN.chain_name, schema)
         cp_file = checkpoint_path(root, SMOKE_CHAIN.chain_name, schema.event_name)
-        plan = ScanPlan(chain=SMOKE_CHAIN, event=schema, cursor=0, end_block=499,
-                        batch_size=50, batch_max=100)
+        plan = ScanPlan(chain=SMOKE_CHAIN, end_block=499, batch_size=50, batch_max=100)
         with pytest.raises(GatewayError):
-            scan_one(plan, gateway, DecodingSink(writer, schema, SMOKE_CHAIN.chain_name),
-                     checkpoint_file=cp_file, sleeper=lambda _s: None)
+            scan_one(plan, gateway, writer, event=schema, sleeper=lambda _s: None)
         writer.flush()
         checkpoint = Checkpoint.load(cp_file, SMOKE_CHAIN.chain_name, schema.event_name)
         gateway, _ = _synthetic_gateway(registry, blocks)
         writer = ShardWriter.resume(root, SMOKE_CHAIN.chain_name, schema, checkpoint)
-        plan = ScanPlan(chain=SMOKE_CHAIN, event=schema,
-                        cursor=checkpoint.last_completed_block + 1, end_block=499,
-                        batch_size=50, batch_max=100)
-        scan_one(plan, gateway, DecodingSink(writer, schema, SMOKE_CHAIN.chain_name),
-                 checkpoint_file=cp_file, sleeper=lambda _s: None)
+        scan_one(plan, gateway, writer, cursor=checkpoint.last_completed_block + 1,
+                 event=schema, sleeper=lambda _s: None)
         writer.finalize(499)
         return _stream_bytes(root, SMOKE_CHAIN.chain_name, schema.event_name)
 

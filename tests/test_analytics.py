@@ -232,7 +232,7 @@ class TestDepositVolume:
         assert skipped.skipped_rows == 0
 
     def test_empty_price_table(self, small_tree):
-        rows, skipped, _ = deposit_volume(str(small_tree), PriceTable.empty())
+        rows, skipped, _ = deposit_volume(str(small_tree), PriceTable({}))
         assert rows == []
         assert skipped.total_rows == 7
         assert skipped.skipped_rows == 7

@@ -353,6 +353,39 @@ class TestExtract:
         cp_file = checkpoint_path(str(out), "ethereum", "Borrow")
         assert Checkpoint.load(cp_file, "ethereum", "Borrow").last_completed_block < key[0]
 
+    def test_a_stream_past_its_last_part_number_exits_4(self, runner, tmp_path,
+                                                        mini_corpus_dir, monkeypatch):
+        from functools import partial
+
+        import aavescan.sink as sink
+
+        monkeypatch.setattr(sink, "MAX_PART_NUMBER", 2)
+        # extract opens every stream through ``resume``; 34 Supply rows need 12 parts of 3
+        monkeypatch.setattr(sink.ShardWriter, "resume",
+                            classmethod(partial(sink.ShardWriter.resume.__func__, row_limit=3)))
+        result = runner.invoke(main, ["extract", "--chain", "ethereum", "--event", "Supply",
+                                      "--out", str(tmp_path / "out"),
+                                      "--fixture-dir", mini_corpus_dir])
+        assert result.exit_code == 4, result.output + result.stderr
+        assert "Traceback" not in result.output
+        assert "ethereum/Supply exceeded 2 parts" in result.stderr
+
+    def test_a_fresh_extract_replaces_an_orphan_open_part(self, runner, tmp_path,
+                                                          mini_corpus_dir):
+        """An open part with no record beside it, as a run killed before its first
+        commit leaves it, holds nothing committed: a fresh extract writes the stream
+        anew."""
+        stream = tmp_path / "out" / "ethereum" / "Supply"
+        stream.mkdir(parents=True)
+        (stream / ".part001.open.csv").write_bytes(b"stale,row\n" * 10_000)
+        result = runner.invoke(main, ["extract", "--chain", "ethereum", "--event", "Supply",
+                                      "--out", str(tmp_path / "out"),
+                                      "--fixture-dir", mini_corpus_dir])
+        assert result.exit_code == 0, result.output + result.stderr
+        (name,) = [n for n in os.listdir(stream) if n.endswith(".csv")]
+        assert (stream / name).read_bytes() == reference.stream_csv_bytes(
+            mini_corpus_dir, "ethereum", "Supply")
+
 
 class TestChainProcesses:
     """Several chains run in one process each; every outcome stays classified."""

@@ -16,7 +16,8 @@ Beyond the code:
 A second sweep corrupts a stream's own files instead, the record
 ``checkpoint.json`` of a finalized or an interrupted stream and the open part
 of an interrupted one, and runs ``extract --resume`` on it: each case exits 4
-naming the file, and a rejected ``checkpoint.json`` leaves every file as it was.
+naming the file, a rejected ``checkpoint.json`` leaves every file as it was,
+and a rejected open part is not cut.
 """
 
 import csv
@@ -189,7 +190,9 @@ def intact(tmp_path_factory, mini_corpus_dir, price_table_path):
     root = str(tmp_path_factory.mktemp("intact"))
     tree = os.path.join(root, "tree")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(cli, "ShardWriter", partial(ShardWriter, row_limit=10))
+        # extract opens every stream through ``resume``
+        mp.setattr(ShardWriter, "resume",
+                   classmethod(partial(ShardWriter.resume.__func__, row_limit=10)))
         result = CliRunner().invoke(cli.main, [
             "extract", "--chain", "ethereum", "--event", "all", "--out", tree,
             "--fixture-dir", mini_corpus_dir])
@@ -312,6 +315,11 @@ def _interrupt(stream: str) -> None:
         rows_in_current_part=5, parts=[], finalized=False))(os.path.join(stream, "checkpoint.json"))
 
 
+def _beside_record(edit):
+    """``edit`` of the ``checkpoint.json`` beside the file given."""
+    return lambda path: edit(os.path.join(os.path.dirname(path), "checkpoint.json"))
+
+
 # corruptions of the record of finalized ethereum/Supply, which lists its four parts
 RECORD_EDITS = {
     "record_not_json": _write(b"{not json"),
@@ -356,6 +364,13 @@ RESUME_CASES = {
         3, _quote_transaction_hash))),
     "open_part_keys_out_of_order": (
         ".part001.open.csv", _interrupted(partial(_edit_rows, edit=_swap_rows))),
+    # a record whose last completed block is below the rows it keeps
+    "checkpoint_behind_its_last_closed_part": ("checkpoint.json", _edit_json(
+        lambda doc: doc.update(finalized=False,
+                               last_completed_block=doc["parts"][-1]["last_key"][0] - 1))),
+    "open_part_above_its_checkpoint": (".part001.open.csv", _interrupted(_beside_record(
+        _edit_json(lambda doc: doc.update(
+            last_completed_block=doc["last_completed_block"] - 1))))),
 }
 
 
@@ -368,6 +383,7 @@ def test_resume_on_a_corrupt_record(case, intact, tmp_path, mini_corpus_dir):
     name, edit = RESUME_CASES[case]
     edit(os.path.join(stream, name))
     files = sorted(os.listdir(stream))
+    edited = open(os.path.join(stream, name), "rb").read()
 
     result = CliRunner().invoke(cli.main, [
         "extract", "--chain", "ethereum", "--event", "Supply", "--out", corrupt,
@@ -378,6 +394,8 @@ def test_resume_on_a_corrupt_record(case, intact, tmp_path, mini_corpus_dir):
     assert os.path.join(stream, name) in result.output, result.output
     if not name.endswith(".open.csv"):  # a record the resume rejects leaves every file as it was
         assert sorted(os.listdir(stream)) == files
+    else:  # an open part is refused before it is cut
+        assert open(os.path.join(stream, name), "rb").read() == edited
 
 
 def _stream_rows(stream: str) -> list[str]:

@@ -142,14 +142,14 @@ class TestFixtureGateway:
 
     def test_timestamp_cache_single_upstream_fetch(self):
         gw = _gateway()
-        assert gw.get_block_timestamp(100) == 1_700_000_000
-        assert gw.get_block_timestamp(100) == 1_700_000_000
+        assert gw._cached_timestamps({100})[100] == 1_700_000_000
+        assert gw._cached_timestamps({100})[100] == 1_700_000_000
         assert gw.block_fetches[100] == 1
 
     def test_block_beyond_head_terminal(self):
         gw = _gateway(head=500)
         with pytest.raises(GatewayError) as excinfo:
-            gw.get_block_timestamp(501)
+            gw._cached_timestamps({501})[501]
         assert excinfo.value.kind is ErrorKind.TERMINAL
 
     def test_latest_block(self):
@@ -349,7 +349,7 @@ class TestHttpGateway:
         session = _FakeSession([_blocks_reply({10**9: None})])
         gw = HttpGateway("http://unit.test", session=session, sleeper=lambda _s: None)
         with pytest.raises(GatewayError) as excinfo:
-            gw.get_block_timestamp(10**9)
+            gw._cached_timestamps({10**9})[10**9]
         assert excinfo.value.kind is ErrorKind.TERMINAL
         assert f"block {10**9} beyond chain head" in excinfo.value.detail
 
@@ -473,7 +473,7 @@ class TestTimestampBatches:
                              _logs_reply(_logs_in_blocks([99, 100])),
                              _blocks_reply({99: "0x0f"}),
                              _logs_reply(_logs_in_blocks([99, 100]))])
-        assert gw.get_block_timestamp(100) == 0x10
+        assert gw._cached_timestamps({100})[100] == 0x10
         assert [l.block_timestamp for l in gw.get_logs(LogQuery(0, 200, POOL, (TOPIC,)))] == [
             0x0F, 0x10]
         assert [request["params"][0] for request in session.requests[2]] == [hex(99)]
@@ -504,7 +504,7 @@ class TestTimestampBatches:
 
     def test_single_block_lookup_is_a_batch_of_one(self):
         gw, session = _http([_blocks_reply({7: "0x70"})])
-        assert gw.get_block_timestamp(7) == 0x70
+        assert gw._cached_timestamps({7})[7] == 0x70
         assert isinstance(session.requests[0], list) and len(session.requests[0]) == 1
 
     def test_rate_limited_entry_surfaces_as_rate_limited(self):
@@ -526,7 +526,7 @@ class TestTimestampBatches:
             "jsonrpc": "2.0", "id": None,
             "error": {"code": -32005, "message": "rate limit exceeded"}})])
         with pytest.raises(GatewayError) as excinfo:
-            gw.get_block_timestamp(100)
+            gw._cached_timestamps({100})[100]
         assert excinfo.value.kind is ErrorKind.RATE_LIMITED
         assert isinstance(session.requests[0], list)
 
@@ -538,7 +538,7 @@ class TestTimestampBatches:
 
         sleeps = []
         gw, session = _http([flaky, _blocks_reply({100: "0x10"})], sleeper=sleeps.append)
-        assert gw.get_block_timestamp(100) == 0x10
+        assert gw._cached_timestamps({100})[100] == 0x10
         assert sleeps == [1.0]
         assert session.requests[0] == session.requests[1]
 
@@ -598,7 +598,7 @@ class TestResponseShapes:
 
         gw, _session = _http([reply])
         with pytest.raises(GatewayError) as excinfo:
-            gw.get_block_timestamp(100)
+            gw._cached_timestamps({100})[100]
         assert excinfo.value.kind is ErrorKind.TERMINAL
         assert "block 100 timestamp" in excinfo.value.detail
 
@@ -618,7 +618,7 @@ class TestResponseShapes:
     def test_batch_reply_neither_array_nor_error_object(self, reply):
         gw, _session = _http([_FakeResponse(payload=reply)])
         with pytest.raises(GatewayError) as excinfo:
-            gw.get_block_timestamp(100)
+            gw._cached_timestamps({100})[100]
         assert excinfo.value.kind is ErrorKind.TERMINAL
         assert "eth_getBlockByNumber" in excinfo.value.detail
 

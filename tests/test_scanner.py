@@ -19,13 +19,10 @@ from aavescan.scanner import (
     GROWTH_STREAK,
     RATE_LIMIT_PAUSE_S,
     RATE_LIMIT_RETRIES,
-    Outcome,
     ScanPlan,
-    StreamScan,
-    resize,
     scan_events,
 )
-from aavescan.sink import Checkpoint, DecodingSink, ShardWriter, checkpoint_path
+from aavescan.sink import Checkpoint, ShardWriter, checkpoint_path
 
 SIG = "MintedToTreasury(address,uint256)"
 SCHEMA = EventSchema(
@@ -52,15 +49,21 @@ CHAIN = ChainConfig("testchain", "0x" + "aa" * 20, 0, 10**6, "RPC_URL_TESTCHAIN"
 
 
 class ListSink:
-    def __init__(self):
+    """Keeps the logs committed to it; with ``path``, saves each record there."""
+
+    def __init__(self, path=None):
         self.rows = []
+        self.path = path
 
     def commit_batch(self, logs):
         self.rows.extend(logs)
 
-    def record(self, last_block):
-        return Checkpoint(CHAIN.chain_name, SCHEMA.event_name, last_block, len(self.rows),
-                          1 if self.rows else 0, len(self.rows))
+    def save(self, last_block):
+        record = Checkpoint(CHAIN.chain_name, SCHEMA.event_name, last_block, len(self.rows),
+                            1 if self.rows else 0, len(self.rows))
+        if self.path is not None:
+            record.save(self.path)
+        return record
 
 
 def _corpus(blocks, head=10**6):
@@ -86,16 +89,14 @@ def _gateway(blocks, fault_script=None, head=10**6):
     return FixtureGateway(logs, timestamps, head_block=head, fault_script=fault_script)
 
 
-def _plan(cursor, end, batch, batch_max=100_000, event=SCHEMA):
-    return ScanPlan(chain=CHAIN, event=event, cursor=cursor, end_block=end, batch_size=batch,
-                    batch_max=batch_max)
+def _plan(end, batch, batch_max=100_000):
+    return ScanPlan(chain=CHAIN, end_block=end, batch_size=batch, batch_max=batch_max)
 
 
-def scan_one(plan, gateway, sink, checkpoint_file=None, sleeper=lambda _s: None,
-               on_progress=None):
-    """The one-stream scan: ``scan_events`` of one StreamScan, its summary."""
-    (summary,) = scan_events([StreamScan(plan, sink, checkpoint_file, on_progress)], gateway,
-                             sleeper)
+def scan_one(plan, gateway, sink, cursor=0, event=SCHEMA, sleeper=lambda _s: None,
+             on_progress=None):
+    """The one-stream scan: ``scan_events`` of one stream from ``cursor``, its summary."""
+    (summary,) = scan_events(plan, [(event, cursor, sink)], gateway, sleeper, on_progress)
     return summary
 
 
@@ -111,26 +112,37 @@ def committed_ranges(gateway, fault_script=None):
 
 
 class TestResize:
+    """A rate limit halves the chain's span, down to one block; a streak of clean
+    batches doubles it, up to ``batch_max``."""
+
     def test_halving(self):
-        assert resize(10_000, Outcome.RATE_LIMITED) == 5_000
+        gw = _gateway([], fault_script=scripted_faults([ErrorKind.RATE_LIMITED]))
+        scan_one(_plan(9_999, 10_000), gw, ListSink())
+        assert _spans(gw.calls[:2]) == [10_000, 5_000]
 
     def test_floor_clamp(self):
-        assert resize(1, Outcome.RATE_LIMITED) == 1
+        gw = _gateway([], fault_script=scripted_faults([ErrorKind.RATE_LIMITED] * 2))
+        scan_one(_plan(9, 1), gw, ListSink())
+        assert _spans(gw.calls[:3]) == [1, 1, 1]
 
     def test_growth_capped(self):
-        assert resize(5_000, Outcome.SUCCESS_STREAK, batch_max=8_000) == 8_000
-        assert resize(5_000, Outcome.SUCCESS_STREAK) == 10_000
+        gw = _gateway([])
+        scan_one(_plan(99_999, 5_000, batch_max=8_000), gw, ListSink())
+        assert max(_spans(gw.calls)) == 8_000
+        gw = _gateway([])
+        scan_one(_plan(99_999, 5_000), gw, ListSink())
+        assert _spans(gw.calls)[GROWTH_STREAK] == 10_000
 
     def test_below_one_rejected(self):
         with pytest.raises(ValueError):
-            resize(0, Outcome.RATE_LIMITED)
+            scan_one(_plan(99, 0), _gateway([]), ListSink())
 
 
 class TestCoverage:
     def test_clean_partition(self):
         gw = _gateway([5, 42, 77])
         sink = ListSink()
-        summary = scan_one(_plan(0, 99, 40), gw, sink, sleeper=lambda _s: None)
+        summary = scan_one(_plan(99, 40), gw, sink, sleeper=lambda _s: None)
         assert committed_ranges(gw) == [(0, 39), (40, 79), (80, 99)]
         assert summary.rows_emitted == 3
         assert summary.batches_issued == 3
@@ -139,7 +151,7 @@ class TestCoverage:
         script = max_span_fault(25)
         gw = _gateway([10, 55, 90], fault_script=script)
         sink = ListSink()
-        summary = scan_one(_plan(0, 99, 40), gw, sink, sleeper=lambda _s: None)
+        summary = scan_one(_plan(99, 40), gw, sink, sleeper=lambda _s: None)
         assert committed_ranges(gw, script) == [(0, 19), (20, 39), (40, 59), (60, 79), (80, 99)]
         assert summary.rows_emitted == 3
         assert summary.resize_events >= 1
@@ -149,7 +161,7 @@ class TestCoverage:
         script = scripted_faults([ErrorKind.RATE_LIMITED])
         gw = _gateway([7], fault_script=script)
         sink = ListSink()
-        summary = scan_one(_plan(0, 9, 10), gw, sink, sleeper=sleeps.append)
+        summary = scan_one(_plan(9, 10), gw, sink, sleeper=sleeps.append)
         # halved to 5 after the fault, so two ranges cover the span
         assert committed_ranges(gw, script) == [(0, 4), (5, 9)]
         assert sleeps == [2.0]
@@ -160,7 +172,7 @@ class TestCoverage:
         faults = [ErrorKind.RATE_LIMITED] * 7
         gw = _gateway([3], fault_script=scripted_faults(faults))
         sink = ListSink()
-        scan_one(_plan(0, 9, 10), gw, sink, sleeper=sleeps.append)
+        scan_one(_plan(9, 10), gw, sink, sleeper=sleeps.append)
         assert sleeps == [2.0, 4.0, 8.0, 16.0, 32.0, 60.0, 60.0]
 
     def test_endless_rate_limit_is_terminal_after_its_budget(self, tmp_path):
@@ -174,8 +186,7 @@ class TestCoverage:
         gw = _gateway([3, 7], fault_script=script)
         cp_file = str(tmp_path / "checkpoint.json")
         with pytest.raises(GatewayError) as excinfo:
-            scan_one(_plan(0, 9, 5), gw, ListSink(), checkpoint_file=cp_file,
-                       sleeper=sleeps.append)
+            scan_one(_plan(9, 5), gw, ListSink(cp_file), sleeper=sleeps.append)
         assert excinfo.value.kind is ErrorKind.TERMINAL
         assert "[5, " in excinfo.value.detail
         assert sleeps == [2.0, 4.0, 8.0, 16.0, 32.0] + [60.0] * (RATE_LIMIT_RETRIES - 5)
@@ -187,34 +198,34 @@ class TestCoverage:
         sleeps = []
         faults = ([ErrorKind.RATE_LIMITED] * RATE_LIMIT_RETRIES + [None]) * 2
         gw = _gateway([3, 7], fault_script=scripted_faults(faults))
-        summary = scan_one(_plan(0, 9, 8), gw, ListSink(), sleeper=sleeps.append)
+        summary = scan_one(_plan(9, 8), gw, ListSink(), sleeper=sleeps.append)
         assert summary.rows_emitted == 2
         assert len(sleeps) == 2 * RATE_LIMIT_RETRIES
 
     def test_too_large_at_single_block_is_terminal(self):
         gw = _gateway([3], fault_script=max_span_fault(0))
         with pytest.raises(GatewayError) as excinfo:
-            scan_one(_plan(0, 9, 1), gw, ListSink(), sleeper=lambda _s: None)
+            scan_one(_plan(9, 1), gw, ListSink(), sleeper=lambda _s: None)
         assert excinfo.value.kind is ErrorKind.TERMINAL
 
     def test_terminal_error_aborts(self):
         gw = _gateway([3], fault_script=scripted_faults([None, ErrorKind.TERMINAL]))
         sink = ListSink()
         with pytest.raises(GatewayError):
-            scan_one(_plan(0, 9, 5), gw, sink, sleeper=lambda _s: None)
+            scan_one(_plan(9, 5), gw, sink, sleeper=lambda _s: None)
         assert len(sink.rows) == 1  # first batch committed before the abort
 
     def test_growth_after_streak(self):
         gw = _gateway([])
         sink = ListSink()
-        scan_one(_plan(0, 99, 10, batch_max=40), gw, sink, sleeper=lambda _s: None)
+        scan_one(_plan(99, 10, batch_max=40), gw, sink, sleeper=lambda _s: None)
         widths = [hi - lo + 1 for lo, hi in committed_ranges(gw)]
         # five clean batches of 10 trigger a doubling to 20
         assert widths == [10, 10, 10, 10, 10, 20, 20, 10]
 
     def test_empty_plan_is_noop(self):
         gw = _gateway([1])
-        summary = scan_one(_plan(10, 9, 5), gw, ListSink(), sleeper=lambda _s: None)
+        summary = scan_one(_plan(9, 5), gw, ListSink(), cursor=10, sleeper=lambda _s: None)
         assert summary.batches_issued == 0
         assert committed_ranges(gw) == []
 
@@ -238,21 +249,19 @@ def test_randomized_fault_scripts_partition_exactly():
         script = scripted_faults(faults)
         gw = _events_gateway(zip((SCHEMA, SCHEMA2), blocks), fault_script=script)
         batch = rng.choice([1, 3, 8, 32])
-        plans = [_plan(start, end, batch, batch_max=64),
-                 _plan(joins, end, batch, batch_max=64, event=SCHEMA2)]
-        sinks = [ListSink(), ListSink()]
+        streams = [(SCHEMA, start, ListSink()), (SCHEMA2, joins, ListSink())]
         try:
-            summaries = scan_events([StreamScan(plan, sink) for plan, sink in zip(plans, sinks)],
-                                    gw, sleeper=lambda _s: None)
+            summaries = scan_events(_plan(end, batch, batch_max=64), streams, gw,
+                                    sleeper=lambda _s: None)
         except GatewayError as exc:
             # only the shrink-below-one-block dead end may abort
             assert "oversized" in exc.detail
             continue
-        for plan, sink, summary, stream_blocks in zip(plans, sinks, summaries, blocks):
-            where = f"seed {seed}, {plan.event.event_name}"
-            assert _covered(gw, plan.event, script) == list(range(plan.cursor, end + 1)), where
+        for (event, cursor, sink), summary, stream_blocks in zip(streams, summaries, blocks):
+            where = f"seed {seed}, {event.event_name}"
+            assert _covered(gw, event, script) == list(range(cursor, end + 1)), where
             assert [log.block_number for log in sink.rows] == [
-                b for b in stream_blocks if b >= plan.cursor], where
+                b for b in stream_blocks if b >= cursor], where
             keys = [log.key for log in sink.rows]
             assert keys == sorted(set(keys)), where
             assert summary.rows_emitted == len(sink.rows), where
@@ -288,13 +297,14 @@ class TestLearnedSpans:
         script = max_span_fault(limit)
         gw = _events_gateway([(event, range(1_000 + n, 25_000, 97))
                               for n, event in enumerate(events)], fault_script=script)
-        scans = [StreamScan(_plan(1_000, 24_999, batch, event=event), ListSink())
-                 for event in events]
-        summaries = scan_events(scans, gw, sleeper=lambda _s: None)
+        sinks = [ListSink() for _event in events]
+        summaries = scan_events(_plan(24_999, batch), [(event, 1_000, sink) for event, sink
+                                                       in zip(events, sinks)],
+                                gw, sleeper=lambda _s: None)
         assert len(_refused(gw, script)) <= budget
         assert {len(q.topics) for q in gw.calls} == {13}
-        assert all(len(scan.sink.rows) == len(range(1_000 + n, 25_000, 97))
-                   for n, scan in enumerate(scans))
+        assert all(len(sink.rows) == len(range(1_000 + n, 25_000, 97))
+                   for n, sink in enumerate(sinks))
         assert len({summary.batches_issued for summary in summaries}) == 1
 
     @pytest.mark.parametrize("batch, limit", [(10_000, 2_000), (10_000, 7), (100, 25), (64, 5)])
@@ -303,7 +313,7 @@ class TestLearnedSpans:
         span, so a scan is refused at most 1 + floor(log2(batch)) times."""
         script = max_span_fault(limit)
         gw = _gateway([], fault_script=script)
-        scan_one(_plan(0, 6 * 49 * limit, batch), gw, ListSink())
+        scan_one(_plan(6 * 49 * limit, batch), gw, ListSink())
         assert len(_refused(gw, script)) <= 1 + math.floor(math.log2(batch))
         assert min(_spans(_refused(gw, script))) == limit + 1
 
@@ -314,7 +324,7 @@ class TestLearnedSpans:
         script = max_logs_fault(blocks, 50)
         gw = _gateway(blocks, fault_script=script)
         sink = ListSink()
-        summary = scan_one(_plan(0, 99_999, 10_000), gw, sink)
+        summary = scan_one(_plan(99_999, 10_000), gw, sink)
         assert summary.rows_emitted == len(blocks)
         # a sparse span answered what a dense one refused
         assert max(_spans(gw.calls[-5:])) > min(_spans(_refused(gw, script)))
@@ -332,8 +342,7 @@ class TestLearnedSpans:
              (SCHEMA2, [b for n in sections if not dense[n]
                         for b in range(300 * n, 300 * n + 300, 7)])], fault_script=script)
         end = 300 * len(dense) - 1
-        scan_events([StreamScan(_plan(0, end, 100), ListSink()),
-                     StreamScan(_plan(0, end, 100, event=SCHEMA2), ListSink())],
+        scan_events(_plan(end, 100), [(SCHEMA, 0, ListSink()), (SCHEMA2, 0, ListSink())],
                     gw, sleeper=lambda _s: None)
         refused = [q.from_block // 300 for q in _refused(gw, script)]
         return [refused.count(n) for n in sections]
@@ -361,14 +370,14 @@ class TestLearnedSpans:
                   + list(range(2_000, 50_000, 100)) + list(range(50_000, 51_000))
                   + list(range(51_000, 400_000, 10_000)))
         gw = _gateway(blocks, fault_script=max_logs_fault(blocks, 20))
-        scan_one(_plan(0, 399_999, 20), gw, ListSink())
+        scan_one(_plan(399_999, 20), gw, ListSink())
         # a streak at the dense range's 20-block span, then a probe 20 times as wide
         assert _spans(q for q in gw.calls if q.from_block >= 51_000)[:9] == [20] * 8 + [400]
 
     def test_a_rate_limit_teaches_no_span(self):
         script = scripted_faults([ErrorKind.RATE_LIMITED])
         gw = _gateway([7], fault_script=script)
-        scan_one(_plan(0, 399, 40), gw, ListSink())
+        scan_one(_plan(399, 40), gw, ListSink())
         # halved to 20, then doubled after a streak, as no refusal bounds it
         assert _spans(gw.calls) == [40] + [20] * 5 + [40] * 5 + [80, 20]
 
@@ -395,9 +404,8 @@ class TestGroupCommit:
         script = max_span_fault(2_000)
         gw = _gateway(range(0, 24_000, 50), fault_script=script)
         sink = CountingSink()
-        summary = scan_one(_plan(0, 23_999, 10_000), gw, sink,
-                             checkpoint_file=str(tmp_path / "checkpoint.json"),
-                             sleeper=lambda _s: None)
+        sink.path = str(tmp_path / "checkpoint.json")
+        summary = scan_one(_plan(23_999, 10_000), gw, sink, sleeper=lambda _s: None)
         # the queries of a scan that committed each answer
         assert [(q.from_block, q.to_block) for q in gw.calls] == [
             (0, 9999), (0, 4999), (0, 2499), (0, 1249), (1250, 2499), (2500, 3749),
@@ -418,11 +426,11 @@ class TestGroupCommit:
                                           for _ in range(rng.randrange(0, 40)))
             span = max_span_fault(rng.randrange(1, 2 * batch_max))
             ends = []
-            scan_one(_plan(0, end, batch, batch_max=batch_max),
-                       _gateway(sorted(rng.randrange(0, end + 1) for _ in range(50)),
-                                fault_script=lambda i, q: rate_limits(i, q) or span(i, q)),
-                       ListSink(), sleeper=lambda _s: None,
-                       on_progress=lambda _summary, cursor, _end: ends.append(cursor))
+            scan_one(_plan(end, batch, batch_max=batch_max),
+                     _gateway(sorted(rng.randrange(0, end + 1) for _ in range(50)),
+                              fault_script=lambda i, q: rate_limits(i, q) or span(i, q)),
+                     ListSink(), sleeper=lambda _s: None,
+                     on_progress=lambda _summary, cursor, _end: ends.append(cursor))
             assert ends[-1] == end + 1, seed
             spans = [b - a for a, b in zip([0] + ends, ends)]
             assert all(batch <= span < batch + batch_max for span in spans[:-1]), (seed, spans)
@@ -442,11 +450,7 @@ class TestGroupCommit:
                 writer = ShardWriter.resume(str(out), CHAIN.chain_name, SCHEMA, checkpoint,
                                             clock=clock, row_limit=150)
             gw = _gateway(blocks, fault_script=script)
-            scan_one(_plan(cursor, 23_999, 10_000), gw,
-                       DecodingSink(writer, SCHEMA, CHAIN.chain_name),
-                       checkpoint_file=checkpoint_path(str(out), CHAIN.chain_name,
-                                                       SCHEMA.event_name),
-                       sleeper=lambda _s: None)
+            scan_one(_plan(23_999, 10_000), gw, writer, cursor=cursor, sleeper=lambda _s: None)
             writer.finalize(23_999)
             return gw
 
@@ -496,18 +500,16 @@ class TestOneCursor:
         dense, medium, sparse = range(0, 30_000, 7), range(3, 30_000, 40), range(11, 30_000, 900)
         gw = _events_gateway([(SCHEMA, dense), (SCHEMA2, medium), (SCHEMA3, sparse)],
                              fault_script=max_span_fault(700))
-        plans = [_plan(0, 29_999, 4_000),
-                 _plan(12_345, 29_999, 4_000, event=SCHEMA2),  # resumed further on
-                 _plan(20_000, 29_999, 4_000, event=SCHEMA3)]
-        sinks = [ListSink() for _ in plans]
-        summaries = scan_events([StreamScan(plan, sink) for plan, sink in zip(plans, sinks)],
-                                gw, sleeper=lambda _s: None)
+        streams = [(SCHEMA, 0, ListSink()),
+                   (SCHEMA2, 12_345, ListSink()),  # resumed further on
+                   (SCHEMA3, 20_000, ListSink())]
+        summaries = scan_events(_plan(29_999, 4_000), streams, gw, sleeper=lambda _s: None)
         script = max_span_fault(700)
-        for plan, sink, blocks in zip(plans, sinks, (dense, medium, sparse)):
+        for (event, cursor, sink), blocks in zip(streams, (dense, medium, sparse)):
             # each topic0 is asked over its range exactly once
-            assert _covered(gw, plan.event, script) == list(range(plan.cursor, 30_000))
+            assert _covered(gw, event, script) == list(range(cursor, 30_000))
             assert [log.block_number for log in sink.rows] == [b for b in blocks
-                                                               if b >= plan.cursor]
+                                                               if b >= cursor]
         assert [len(q.topics) for q in gw.calls][0] == 1
         assert {q.to_block for q in gw.calls if len(q.topics) == 1} >= {12_344}
         assert {q.to_block for q in gw.calls if len(q.topics) == 2} >= {19_999}
@@ -519,9 +521,9 @@ class TestOneCursor:
         gw = _events_gateway([(SCHEMA, range(0, 100, 3)), (SCHEMA2, range(1, 100, 5)),
                               (SCHEMA3, range(2, 100, 7))], fault_script=script)
         sleeps = []
-        plans = [_plan(0, 99, 20, event=event) for event in (SCHEMA, SCHEMA2, SCHEMA3)]
-        sinks = [ListSink() for _ in plans]
-        summaries = scan_events([StreamScan(plan, sink) for plan, sink in zip(plans, sinks)],
+        sinks = [ListSink() for _ in range(3)]
+        summaries = scan_events(_plan(99, 20), [(event, 0, sink) for event, sink
+                                                in zip((SCHEMA, SCHEMA2, SCHEMA3), sinks)],
                                 gw, sleeper=sleeps.append)
         assert [(q.from_block, q.to_block) for q in gw.calls[:3]] == [(0, 19), (20, 39), (20, 29)]
         assert sleeps == [RATE_LIMIT_PAUSE_S]
@@ -542,7 +544,7 @@ class TestOneCursor:
             pass
 
         def extract(out, resume=False):
-            scans, writers = [], []
+            streams = []
             for schema, _blocks in blocks:
                 cp_file = checkpoint_path(str(out), CHAIN.chain_name, schema.event_name)
                 record = (Checkpoint.load(cp_file, CHAIN.chain_name, schema.event_name)
@@ -552,14 +554,12 @@ class TestOneCursor:
                           ShardWriter(str(out), CHAIN.chain_name, schema, clock=clock,
                                       row_limit=100))
                 cursor = 0 if record is None else record.last_completed_block + 1
-                scans.append(StreamScan(_plan(cursor, 1_999, 300, event=schema),
-                                        DecodingSink(writer, schema, CHAIN.chain_name), cp_file))
-                writers.append(writer)
+                streams.append((schema, cursor, writer))
             gw = _events_gateway(blocks, fault_script=script)
-            scan_events(scans, gw, sleeper=lambda _s: None)
-            for writer in writers:
+            scan_events(_plan(1_999, 300), streams, gw, sleeper=lambda _s: None)
+            for _schema, _cursor, writer in streams:
                 writer.finalize(1_999)
-            return gw, [scan.plan.cursor for scan in scans]
+            return gw, [cursor for _schema, cursor, _writer in streams]
 
         def files(out):
             return {(event, name): (out / CHAIN.chain_name / event / name).read_bytes()
@@ -599,16 +599,15 @@ class TestOneCursor:
 
 def test_checkpoint_persisted_per_batch(tmp_path):
     gw = _gateway([5, 42, 77])
-    sink = ListSink()
     cp_file = str(tmp_path / "checkpoint.json")
+    sink = ListSink(cp_file)
     seen = []
 
     def watch(summary, scanned_to, end):
         checkpoint = Checkpoint.load(cp_file, CHAIN.chain_name, SCHEMA.event_name)
         seen.append(checkpoint.last_completed_block)
 
-    scan_one(_plan(0, 99, 40), gw, sink, checkpoint_file=cp_file,
-               sleeper=lambda _s: None, on_progress=watch)
+    scan_one(_plan(99, 40), gw, sink, sleeper=lambda _s: None, on_progress=watch)
     assert seen == [39, 79, 99]
     assert seen == sorted(seen)  # never decreases
     final = Checkpoint.load(cp_file, CHAIN.chain_name, SCHEMA.event_name)
@@ -619,13 +618,10 @@ def test_checkpoint_persisted_per_batch(tmp_path):
 
 def test_plan_validation():
     with pytest.raises(ValueError):
-        _plan(0, 99, 0).validate()
+        scan_one(_plan(99, 0), _gateway([]), ListSink())
     with pytest.raises(ValueError):
-        ScanPlan(chain=CHAIN, event=SCHEMA, cursor=CHAIN.start_block - 1,
-                 end_block=99).validate()
-    with pytest.raises(ValueError):  # the streams of a scan share the chain's settings
-        scan_events([StreamScan(_plan(0, 99, 5), ListSink()),
-                     StreamScan(_plan(0, 99, 10, event=SCHEMA2), ListSink())], _gateway([]))
+        scan_one(ScanPlan(chain=CHAIN, end_block=99), _gateway([]), ListSink(),
+                 cursor=CHAIN.start_block - 1)
     with pytest.raises(ValueError):  # an answer is split by topic0, one stream each
-        scan_events([StreamScan(_plan(0, 99, 5), ListSink()),
-                     StreamScan(_plan(50, 99, 5), ListSink())], _gateway([]))
+        scan_events(_plan(99, 5), [(SCHEMA, 0, ListSink()), (SCHEMA, 50, ListSink())],
+                    _gateway([]))

@@ -205,7 +205,7 @@ class TestResume:
         for i in range(8):
             writer.append(_event(registry, 100 + i, 0))
         writer.flush()
-        record = writer.record(107)
+        record = writer.save(107)
         assert (record.current_part_number, record.rows_in_current_part) == (2, 2)
         del writer
 
@@ -237,7 +237,7 @@ class TestResume:
         writer = ShardWriter.resume(str(tmp_path), "ethereum",
                                     registry.event("MintedToTreasury"), record,
                                     clock=_fixed_clock, row_limit=100)
-        assert writer.record(102) == record
+        assert writer.save(102) == record
         with pytest.raises(OrderViolation):  # the last kept key is (102, 0)
             writer.append(_event(registry, 102, 0))
         writer.append(_event(registry, 103, 0))
@@ -345,9 +345,7 @@ def _kill_point_run(root, resume=False):
         writer = ShardWriter(root, CHAIN.chain_name, SCHEMA, clock=clock, row_limit=10)
     cursor = 0 if record is None else record.last_completed_block + 1
     if cursor <= 99:
-        scan_one(_plan(cursor, 99, 20), _gateway(KILL_BLOCKS),
-                 sink_module.DecodingSink(writer, SCHEMA, CHAIN.chain_name),
-                 checkpoint_file=cp_file)
+        scan_one(_plan(99, 20), _gateway(KILL_BLOCKS), writer, cursor=cursor)
     writer.finalize(99)
     return stream_dir(root, CHAIN.chain_name, SCHEMA.event_name)
 
@@ -572,7 +570,9 @@ class TestIterPartRows:
         from aavescan import cli
 
         out = str(tmp_path / "out")
-        monkeypatch.setattr(cli, "ShardWriter", partial(ShardWriter, row_limit=10))
+        # extract opens every stream through ``resume``
+        monkeypatch.setattr(ShardWriter, "resume",
+                            classmethod(partial(ShardWriter.resume.__func__, row_limit=10)))
         for chain in ("ethereum", "base"):  # the mini corpus's chains
             result = CliRunner().invoke(cli.main, [
                 "extract", "--chain", chain, "--event", "all", "--out", out,

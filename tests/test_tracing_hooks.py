@@ -35,7 +35,9 @@ def test_every_tracer_hook_but_the_known_one_resolves():
 
 def test_the_gateway_hook_counts_every_row_an_extract_asks(tmp_path, mini_corpus_dir):
     """extract asks each chain's rows through the gateway's ``get_logs``, which the
-    tracer wraps per gateway: its row count is the rows extracted."""
+    tracer wraps per gateway: its row count is the rows extracted. Each row is also
+    decoded and appended once, and each record saved goes through ``Checkpoint.save``,
+    so the per-layer spans cannot read 0 while those layers work."""
     tracing = _tracing()
     tracer = tracing.Tracer()
     restore, _missing = tracing.install(tracer)
@@ -50,3 +52,7 @@ def test_the_gateway_hook_counts_every_row_an_extract_asks(tmp_path, mini_corpus
     rows = sum(summary.rows_emitted for summary in summaries)
     assert rows > 0
     assert tracer.values["gateway.rows"] == rows
+    spans = tracer.spans()
+    assert spans["decoder.decode"][0] == spans["sink.append"][0] == rows
+    # 104 commits and 13 finalized records of the 13 streams, as the fsync budget counts
+    assert spans["scanner.checkpoint_save"][0] == 117
