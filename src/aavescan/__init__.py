@@ -1,6 +1,6 @@
 """Cross-chain Aave V3 Pool event extraction, CSV sharding, and risk analytics."""
 
-from .decoder import DecodedEvent, decode, encode
+from .decoder import DecodedEvent, decode
 from .gateway import (
     ErrorKind,
     FixtureGateway,
@@ -53,7 +53,6 @@ __all__ = [
     "classify_error",
     "compounded_interest",
     "decode",
-    "encode",
     "health_factor",
     "ledger_rows",
     "linear_interest",

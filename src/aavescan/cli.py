@@ -277,6 +277,8 @@ def run_extract(config: RunConfig) -> list[ScanSummary]:
     event_names = _resolve_selector(",".join(config.events), registry.event_names(), "event")
     if not config.live and not config.fixture_dir:
         raise click.UsageError("choose --live or --fixture-dir")
+    if not 1 <= config.batch <= config.batch_max:
+        raise _ConfigFault(f"--batch {config.batch} outside [1, --batch-max {config.batch_max}]")
     for chain_name in chain_names:
         _gateway_source(config, registry, chain_name)  # fail before any chain writes
 
@@ -384,7 +386,7 @@ def validate(directory) -> None:
 
 
 class _ConfigFault(click.ClickException):
-    """A malformed params or position file: one line naming it, exit 2."""
+    """A bad option value or a malformed params or position file: one line naming it, exit 2."""
 
     exit_code = EXIT_CONFIG
 

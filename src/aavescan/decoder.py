@@ -3,8 +3,7 @@
 Indexed fields come from topics[1..] and the remaining fields from
 consecutive 32-byte data words, both in declaration order. Values are
 carried as strings (decimal for integers, lowercase hex for addresses) so
-that no precision is lost on 256-bit amounts. ``encode`` inverts ``decode``
-exactly and exists as the round-trip oracle for the decoder.
+that no precision is lost on 256-bit amounts.
 """
 
 from __future__ import annotations
@@ -53,9 +52,6 @@ class DecodedEvent:
     def key(self) -> tuple[int, int]:
         return (self.block_number, self.log_index)
 
-    def field_map(self) -> dict[str, str]:
-        return dict(self.fields)
-
 
 def _decode_word(word: bytes, f: EventField, strict: bool) -> str:
     if len(word) != WORD:
@@ -78,26 +74,6 @@ def _decode_word(word: bytes, f: EventField, strict: bool) -> str:
             )
         value &= (1 << width) - 1
     return str(value)
-
-
-def _encode_word(value: str, f: EventField) -> bytes:
-    if f.abi_type == "address":
-        raw = value.lower()
-        if not raw.startswith("0x") or len(raw) != 42:
-            raise ValueOverflow(f"field {f.name!r}: {value!r} is not a 20-byte address")
-        return bytes(12) + bytes.fromhex(raw[2:])
-    if f.abi_type == "bool":
-        if value not in ("true", "false"):
-            raise ValueOverflow(f"field {f.name!r}: {value!r} is not a bool")
-        return (1 if value == "true" else 0).to_bytes(WORD, "big")
-    try:
-        number = int(value)
-    except ValueError:
-        raise ValueOverflow(f"field {f.name!r}: {value!r} is not an integer") from None
-    width = f.bit_width
-    if number < 0 or number >> width:
-        raise ValueOverflow(f"field {f.name!r}: {number} outside uint{width}")
-    return number.to_bytes(WORD, "big")
 
 
 def decode(
@@ -151,28 +127,3 @@ def decode(
         fields=values,
     )
 
-
-def encode(event: DecodedEvent, schema: EventSchema) -> tuple[list[bytes], bytes]:
-    """Re-encode a decoded event into (topics, data); inverse of ``decode``."""
-    if event.event_name != schema.event_name:
-        raise TopicMismatch(
-            f"event {event.event_name!r} encoded against schema "
-            f"{schema.event_name!r}"
-        )
-    value_map = event.field_map()
-    if len(event.fields) != len(schema.fields):
-        raise ArityMismatch(
-            f"event {schema.event_name!r}: {len(event.fields)} values for "
-            f"{len(schema.fields)} schema fields"
-        )
-    topics = [schema.topic0]
-    data = bytearray()
-    for f in schema.fields:
-        if f.name not in value_map:
-            raise ArityMismatch(f"event {schema.event_name!r}: missing field {f.name!r}")
-        word = _encode_word(value_map[f.name], f)
-        if f.indexed:
-            topics.append(word)
-        else:
-            data += word
-    return topics, bytes(data)

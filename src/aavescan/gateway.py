@@ -17,8 +17,9 @@ each with its block timestamp, or the query's one classified error.
 ``HttpGateway`` sends one JSON-RPC 2.0 batch
 (https://www.jsonrpc.org/specification, section 6) of an ``eth_getLogs`` per
 topic0, then one timestamp lookup over every block the answer holds, in
-batches of uncached ``eth_getBlockByNumber`` requests. A server that refuses
-a batch as too large halves the gateway's batch limit (at first
+batches of ``eth_getBlockByNumber`` requests; no timestamp is kept for the
+next answer, since a chain's cursor asks each range once. A server that
+refuses a batch as too large halves the gateway's batch limit (at first
 ``TIMESTAMP_BATCH_MAX``) for the rest of the run, and the refused requests go
 again at once in smaller POSTs, so no answer is lost and no range narrowed. A
 server that refuses a batch of one is not supported.
@@ -218,49 +219,19 @@ def classify_error(
     return GatewayError(ErrorKind.TRANSIENT, detail)
 
 
-class _GatewayBase:
-    """Block-timestamp cache. One upstream fetch per distinct block: the
-    uncached blocks of an answer are fetched in ascending chunks of at most
-    ``batch_limit``, each cached as soon as it arrives, so a chunk that fails
-    costs none of the chunks before it.
+def _enrich(logs: list[RawLog], fetch: Callable[[list[int]], dict[int, int]]) -> list[RawLog]:
+    """``logs``, each given its block timestamp by one ``fetch`` of their distinct blocks."""
+    timestamps = fetch(sorted({log.block_number for log in logs}))
+    for log in logs:
+        log.block_timestamp = timestamps[log.block_number]
+    return logs
 
-    ``extract`` builds one gateway per chain and calls it from one thread, so the
-    cache, the batch limit and the request ids take no lock.
-    """
+
+class HttpGateway:
+    """Live JSON-RPC transport with in-gateway retry of transient failures. One
+    thread calls it, so the batch limit and the request ids take no lock."""
 
     batch_limit = TIMESTAMP_BATCH_MAX  # requests per batch POST
-
-    def __init__(self) -> None:
-        self._ts_cache: dict[int, int] = {}
-
-    def get_logs(self, query: LogQuery) -> list[RawLog]:
-        """The logs of every topic0 ``query`` asks, in key order, each with its
-        block timestamp; or the query's classified error."""
-        raise NotImplementedError
-
-    def _cached_timestamps(self, blocks: set[int]) -> dict[int, int]:
-        """The cache, after fetching the blocks of ``blocks`` it lacks."""
-        missing = sorted(blocks.difference(self._ts_cache))
-        while missing:
-            chunk, missing = missing[:self.batch_limit], missing[self.batch_limit:]
-            self._ts_cache.update(self._fetch_block_timestamps(chunk))
-        return self._ts_cache
-
-    def _fetch_block_timestamps(self, blocks: list[int]) -> dict[int, int]:
-        """Timestamps of ``blocks`` (distinct, ascending, at most
-        ``batch_limit``), all of them or an error."""
-        raise NotImplementedError
-
-    def _enrich(self, logs: list[RawLog]) -> list[RawLog]:
-        """``logs``, each given its block timestamp by one lookup."""
-        timestamps = self._cached_timestamps({log.block_number for log in logs})
-        for log in logs:
-            log.block_timestamp = timestamps[log.block_number]
-        return logs
-
-
-class HttpGateway(_GatewayBase):
-    """Live JSON-RPC transport with in-gateway retry of transient failures."""
 
     def __init__(
         self,
@@ -271,7 +242,6 @@ class HttpGateway(_GatewayBase):
     ):
         import requests
 
-        super().__init__()
         self._url = url
         self._timeout = timeout
         self._sleeper = sleeper
@@ -364,8 +334,9 @@ class HttpGateway(_GatewayBase):
             "topics": ["0x" + topic0.hex()],
         }]) for topic0 in query.topics]
         pauses = iter(TRANSIENT_BACKOFF_S)
-        return self._enrich(self._retried(
-            lambda: _read_logs(query, self._post_batch(batch, _match_batch, pauses)), pauses))
+        logs = self._retried(
+            lambda: _read_logs(query, self._post_batch(batch, _match_batch, pauses)), pauses)
+        return _enrich(logs, self._fetch_block_timestamps)
 
     def _fetch_block_timestamps(self, blocks: list[int]) -> dict[int, int]:
         batch = [self._request("eth_getBlockByNumber", [hex(block), False]) for block in blocks]
@@ -471,14 +442,14 @@ def _read_timestamps(chunk: list[dict], reply) -> list[int]:
 FaultScript = Callable[[int, LogQuery], Optional[ErrorKind]]
 
 
-class FixtureGateway(_GatewayBase):
+class FixtureGateway:
     """Deterministic corpus-backed emulator.
 
     The corpus is a per-chain set of raw logs sorted by (block_number,
     log_index) plus a block-to-timestamp table. ``calls`` records every query
     in order, faulted or not (the fault script sees them in the same order,
     and a fault fails its whole query), and ``block_fetches`` counts upstream
-    timestamp lookups, so tests can observe batching and cache behaviour.
+    timestamp lookups, so tests can observe batching.
     """
 
     def __init__(
@@ -488,7 +459,6 @@ class FixtureGateway(_GatewayBase):
         head_block: int | None = None,
         fault_script: FaultScript | None = None,
     ):
-        super().__init__()
         self._logs = sorted(logs, key=lambda log: log.key)
         self._block_keys = [log.block_number for log in self._logs]
         self._timestamps = dict(block_timestamps)
@@ -519,11 +489,11 @@ class FixtureGateway(_GatewayBase):
         lo = bisect.bisect_left(self._block_keys, query.from_block)
         hi = bisect.bisect_right(self._block_keys, query.to_block)
         address, topics = query.address.lower(), frozenset(query.topics)
-        return self._enrich([RawLog(log.address, log.topics, log.data, log.block_number,
-                                    log.transaction_hash, log.log_index)
-                             for log in self._logs[lo:hi]
-                             if log.address == address and log.topics
-                             and log.topics[0] in topics])
+        return _enrich([RawLog(log.address, log.topics, log.data, log.block_number,
+                               log.transaction_hash, log.log_index)
+                        for log in self._logs[lo:hi]
+                        if log.address == address and log.topics and log.topics[0] in topics],
+                       self._fetch_block_timestamps)
 
     def _fetch_block_timestamps(self, blocks: list[int]) -> dict[int, int]:
         timestamps = {}

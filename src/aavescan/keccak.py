@@ -77,7 +77,3 @@ def keccak256(data: bytes) -> bytes:
         out += lanes[i % 5][i // 5].to_bytes(8, "little")
     return bytes(out)
 
-
-def keccak256_hex(data: bytes) -> str:
-    """Digest as a 0x-prefixed lowercase hex string."""
-    return "0x" + keccak256(data).hex()

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 from .raymath import (
-    PERCENTAGE_FACTOR,
     RAY,
     compounded_interest,
     linear_interest,
@@ -31,21 +30,6 @@ class ReserveState:
     accrued_to_treasury: int = 0  # scaled-token units
     scaled_variable_debt_total: int = 0
     last_update_timestamp: int = 0
-
-    def validate(self) -> None:
-        if self.liquidity_index < RAY or self.variable_borrow_index < RAY:
-            raise ValueError("indices must be at least RAY")
-        if not 0 <= self.reserve_factor <= PERCENTAGE_FACTOR:
-            raise ValueError("reserve_factor outside [0, 10000] bps")
-        if min(
-            self.current_liquidity_rate,
-            self.current_variable_borrow_rate,
-            self.current_stable_borrow_rate,
-            self.accrued_to_treasury,
-            self.scaled_variable_debt_total,
-            self.last_update_timestamp,
-        ) < 0:
-            raise ValueError("negative reserve state field")
 
 
 def update_state(state: ReserveState, now_ts: int) -> ReserveState:

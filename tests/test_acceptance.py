@@ -31,7 +31,7 @@ from test_risk import LEDGER_EXPECT, _ledger_events
 from test_scanner import ListSink, committed_ranges, scan_one
 
 from aavescan.cli import main
-from aavescan.decoder import DecodedEvent, decode, encode
+from aavescan.decoder import DecodedEvent, decode
 from aavescan.gateway import (
     ErrorKind,
     FixtureGateway,
@@ -40,7 +40,7 @@ from aavescan.gateway import (
     LogQuery,
     RawLog,
 )
-from aavescan.keccak import keccak256_hex
+from aavescan.keccak import keccak256
 from aavescan.raymath import RAY, SECONDS_PER_YEAR, compounded_interest, linear_interest
 from aavescan.registry import ChainConfig
 from aavescan.reserve import ReserveState, update_state
@@ -177,16 +177,16 @@ def test_criterion_04_interest_functions(report):
 
 def test_criterion_05_decoder_round_trip(report, registry, corpus_dir):
     started = time.monotonic()
-    assert keccak256_hex(b"Transfer(address,address,uint256)") == ERC20_TRANSFER_TOPIC
+    assert "0x" + keccak256(b"Transfer(address,address,uint256)").hex() == ERC20_TRANSFER_TOPIC
 
-    from test_decoder import make_random_event
+    from test_decoder import make_random_event, oracle_encode
 
     rng = random.Random(0xDEC0DE)
     schemas = list(registry.events)
     for _ in range(10_000):
         schema = rng.choice(schemas)
         event = make_random_event(schema, rng)
-        topics, data = encode(event, schema)
+        topics, data = oracle_encode(event)
         log = RawLog(address=event.contract_address, topics=topics, data=data,
                      block_number=event.block_number,
                      transaction_hash=event.transaction_hash,
@@ -209,14 +209,15 @@ def test_criterion_05_decoder_round_trip(report, registry, corpus_dir):
                              transaction_hash=record["transactionHash"],
                              log_index=record["logIndex"], block_timestamp=1)
                 event = decode(log, schema, chain.chain_name)
-                assert encode(event, schema) == (topics, data)
+                assert oracle_encode(event) == (topics, data)
                 fixture_logs += 1
                 seen_events.add(schema.event_name)
     assert seen_events == set(registry.event_names())
     elapsed = time.monotonic() - started
     assert elapsed < 10.0
-    report(5, f"round trip on 10,000 randomized events and {fixture_logs} fixture logs "
-              f"across all 13 events; Transfer topic0 matches oracle ({elapsed:.2f}s)")
+    report(5, f"decode against the package-free encoder on 10,000 randomized events and "
+              f"{fixture_logs} fixture logs across all 13 events; Transfer topic0 matches "
+              f"oracle ({elapsed:.2f}s)")
 
 
 SMOKE_CHAIN = ChainConfig("testchain", "0x" + "aa" * 20, 0, 10**6, "RPC_URL_TESTCHAIN")

@@ -100,6 +100,21 @@ class TestExtract:
         assert result.exit_code == 2
         assert "RPC_URL_ETHEREUM" in result.stderr
 
+    @pytest.mark.parametrize("batch, bounds", [
+        (["--batch", "0"], "--batch 0 outside [1, --batch-max 100000]"),
+        (["--batch", "11", "--batch-max", "10"], "--batch 11 outside [1, --batch-max 10]"),
+    ], ids=["zero", "above_batch_max"])
+    def test_batch_outside_its_bounds_exits_2_before_any_directory(
+            self, runner, tmp_path, mini_corpus_dir, batch, bounds):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "extract", "--chain", "ethereum", "--event", "Supply",
+            "--out", str(out), "--fixture-dir", mini_corpus_dir, *batch,
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.stderr.splitlines() == [f"Error: {bounds}"]
+        assert not out.exists()
+
     def test_emulator_run_matches_reference(self, runner, tmp_path, mini_corpus_dir):
         out = tmp_path / "out"
         result = runner.invoke(main, [

@@ -140,16 +140,10 @@ class TestFixtureGateway:
         assert excinfo.value.kind is ErrorKind.RESPONSE_TOO_LARGE
         assert gw.get_logs(LogQuery(100, 149, POOL, (TOPIC,)))
 
-    def test_timestamp_cache_single_upstream_fetch(self):
-        gw = _gateway()
-        assert gw._cached_timestamps({100})[100] == 1_700_000_000
-        assert gw._cached_timestamps({100})[100] == 1_700_000_000
-        assert gw.block_fetches[100] == 1
-
     def test_block_beyond_head_terminal(self):
         gw = _gateway(head=500)
         with pytest.raises(GatewayError) as excinfo:
-            gw._cached_timestamps({501})[501]
+            gw._fetch_block_timestamps([501])
         assert excinfo.value.kind is ErrorKind.TERMINAL
 
     def test_latest_block(self):
@@ -163,11 +157,11 @@ class TestFixtureGateway:
 
         assert snapshot(_gateway()) == snapshot(_gateway())
 
-    def test_enrichment_does_not_refetch_known_blocks(self):
+    def test_enrichment_fetches_the_blocks_of_each_answer_again(self):
         gw = _gateway()
         gw.get_logs(LogQuery(0, 1_000, POOL, (TOPIC,)))
-        gw.get_logs(LogQuery(0, 1_000, POOL, (TOPIC,)))
-        assert all(count == 1 for count in gw.block_fetches.values())
+        gw.get_logs(LogQuery(100, 200, POOL, (TOPIC,)))  # overlaps the first answer
+        assert gw.block_fetches == {100: 2, 150: 2, 200: 2, 250: 1}  # no cache
 
     def test_invalid_query_rejected(self):
         gw = _gateway()
@@ -349,7 +343,7 @@ class TestHttpGateway:
         session = _FakeSession([_blocks_reply({10**9: None})])
         gw = HttpGateway("http://unit.test", session=session, sleeper=lambda _s: None)
         with pytest.raises(GatewayError) as excinfo:
-            gw._cached_timestamps({10**9})[10**9]
+            gw._fetch_block_timestamps([10**9])
         assert excinfo.value.kind is ErrorKind.TERMINAL
         assert f"block {10**9} beyond chain head" in excinfo.value.detail
 
@@ -468,43 +462,9 @@ class TestTimestampBatches:
         ids = [request["id"] for batch in batches for request in batch]
         assert len(set(ids)) == len(ids)
 
-    def test_cached_blocks_are_left_out_of_the_batch(self):
-        gw, session = _http([_blocks_reply({100: "0x10"}),
-                             _logs_reply(_logs_in_blocks([99, 100])),
-                             _blocks_reply({99: "0x0f"}),
-                             _logs_reply(_logs_in_blocks([99, 100]))])
-        assert gw._cached_timestamps({100})[100] == 0x10
-        assert [l.block_timestamp for l in gw.get_logs(LogQuery(0, 200, POOL, (TOPIC,)))] == [
-            0x0F, 0x10]
-        assert [request["params"][0] for request in session.requests[2]] == [hex(99)]
-        gw.get_logs(LogQuery(0, 200, POOL, (TOPIC,)))  # every block cached: no batch at all
-        assert len(session.requests) == 4
-
-    def test_chunks_before_a_throttled_chunk_stay_cached(self):
-        blocks = list(range(1_000, 1_000 + 2 * TIMESTAMP_BATCH_MAX + 50))
-        timestamps = {block: hex(block * 12) for block in blocks}
-        throttled = _FakeResponse(payload={"jsonrpc": "2.0", "id": None, "error": {
-            "code": -32005, "message": "rate limit exceeded"}})
-        gw, session = _http([_logs_reply(_logs_in_blocks(blocks)),
-                             _blocks_reply(timestamps), throttled,
-                             _logs_reply(_logs_in_blocks(blocks)),
-                             _blocks_reply(timestamps), _blocks_reply(timestamps)])
-        with pytest.raises(GatewayError) as excinfo:
-            gw.get_logs(LogQuery(0, 5_000, POOL, (TOPIC,)))
-        assert excinfo.value.kind is ErrorKind.RATE_LIMITED
-        logs = gw.get_logs(LogQuery(0, 5_000, POOL, (TOPIC,)))  # the scanner's retry
-        assert [l.block_timestamp for l in logs] == [block * 12 for block in blocks]
-        asked = [[int(request["params"][0], 16) for request in session.requests[i]]
-                 for i in (1, 2, 4, 5)]
-        first, second, third = (blocks[:TIMESTAMP_BATCH_MAX],
-                                blocks[TIMESTAMP_BATCH_MAX:2 * TIMESTAMP_BATCH_MAX],
-                                blocks[2 * TIMESTAMP_BATCH_MAX:])
-        assert asked == [first, second, second, third]  # the first chunk is not asked again
-        assert len(session.requests) == 6
-
     def test_single_block_lookup_is_a_batch_of_one(self):
         gw, session = _http([_blocks_reply({7: "0x70"})])
-        assert gw._cached_timestamps({7})[7] == 0x70
+        assert gw._fetch_block_timestamps([7]) == {7: 0x70}
         assert isinstance(session.requests[0], list) and len(session.requests[0]) == 1
 
     def test_rate_limited_entry_surfaces_as_rate_limited(self):
@@ -526,7 +486,7 @@ class TestTimestampBatches:
             "jsonrpc": "2.0", "id": None,
             "error": {"code": -32005, "message": "rate limit exceeded"}})])
         with pytest.raises(GatewayError) as excinfo:
-            gw._cached_timestamps({100})[100]
+            gw._fetch_block_timestamps([100])
         assert excinfo.value.kind is ErrorKind.RATE_LIMITED
         assert isinstance(session.requests[0], list)
 
@@ -538,7 +498,7 @@ class TestTimestampBatches:
 
         sleeps = []
         gw, session = _http([flaky, _blocks_reply({100: "0x10"})], sleeper=sleeps.append)
-        assert gw._cached_timestamps({100})[100] == 0x10
+        assert gw._fetch_block_timestamps([100]) == {100: 0x10}
         assert sleeps == [1.0]
         assert session.requests[0] == session.requests[1]
 
@@ -573,8 +533,17 @@ class TestTimestampBatches:
         gw._fetch_block_timestamps = lambda blocks: (calls.append(list(blocks)), fetch(blocks))[1]
         gw.get_logs(LogQuery(0, 1_000, POOL, (TOPIC,)))
         gw.get_logs(LogQuery(0, 1_000, POOL, (TOPIC,)))
-        assert calls == [[100, 150, 200, 250]]
-        assert gw.block_fetches == {100: 1, 150: 1, 200: 1, 250: 1}
+        assert calls == [[100, 150, 200, 250]] * 2  # an answer's blocks, once per answer
+        assert gw.block_fetches == {100: 2, 150: 2, 200: 2, 250: 2}
+
+    def test_http_gateway_fetches_the_blocks_of_each_answer_again(self):
+        blocks = _blocks_reply({99: "0x0f", 100: "0x10"})
+        gw, session = _http([_logs_reply(_logs_in_blocks([99, 100])), blocks] * 2)
+        for _ in range(2):
+            assert [l.block_timestamp for l in gw.get_logs(LogQuery(0, 200, POOL, (TOPIC,)))] == [
+                0x0F, 0x10]
+        asked = [[request["params"][0] for request in session.requests[i]] for i in (1, 3)]
+        assert asked == [[hex(99), hex(100)]] * 2  # no cache: the second answer asks again
 
 
 class TestResponseShapes:
@@ -598,7 +567,7 @@ class TestResponseShapes:
 
         gw, _session = _http([reply])
         with pytest.raises(GatewayError) as excinfo:
-            gw._cached_timestamps({100})[100]
+            gw._fetch_block_timestamps([100])
         assert excinfo.value.kind is ErrorKind.TERMINAL
         assert "block 100 timestamp" in excinfo.value.detail
 
@@ -618,7 +587,7 @@ class TestResponseShapes:
     def test_batch_reply_neither_array_nor_error_object(self, reply):
         gw, _session = _http([_FakeResponse(payload=reply)])
         with pytest.raises(GatewayError) as excinfo:
-            gw._cached_timestamps({100})[100]
+            gw._fetch_block_timestamps([100])
         assert excinfo.value.kind is ErrorKind.TERMINAL
         assert "eth_getBlockByNumber" in excinfo.value.detail
 

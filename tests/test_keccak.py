@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aavescan.keccak import keccak256, keccak256_hex
+from aavescan.keccak import keccak256
 
 from oracles import KECCAK_VECTORS
 
@@ -33,7 +33,7 @@ def test_rate_boundary_lengths():
 
 
 def test_hex_form():
-    assert keccak256_hex(b"abc") == "0x" + KECCAK_VECTORS[b"abc"]
+    assert "0x" + keccak256(b"abc").hex() == "0x" + KECCAK_VECTORS[b"abc"]
 
 
 @given(st.binary(max_size=512))
@@ -62,4 +62,4 @@ def test_golden_event_topics():
     }
     assert set(golden) == set(signatures)
     for name, signature in signatures.items():
-        assert keccak256_hex(signature.encode()) == golden[name], name
+        assert "0x" + keccak256(signature.encode()).hex() == golden[name], name

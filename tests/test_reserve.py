@@ -149,11 +149,3 @@ def test_scaled_debt_materializes_with_index():
     debt_before = ray_mul(state.scaled_variable_debt_total, state.variable_borrow_index)
     debt_after = ray_mul(state.scaled_variable_debt_total, advanced.variable_borrow_index)
     assert debt_after > debt_before
-
-
-def test_state_validation():
-    with pytest.raises(ValueError):
-        ReserveState(liquidity_index=RAY - 1).validate()
-    with pytest.raises(ValueError):
-        ReserveState(reserve_factor=10_001).validate()
-    ReserveState().validate()

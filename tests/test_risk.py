@@ -410,7 +410,7 @@ class TestReplay:
     def test_mixed_chains_rejected(self):
         events = _ledger_events()
         events[1] = _decoded("base", events[1].event_name, 100, 1, 10,
-                             events[1].field_map())
+                             dict(events[1].fields))
         with pytest.raises(ValueError):
             replay(ledger_rows(events))
 
