@@ -545,6 +545,33 @@ class TestTimestampBatches:
         asked = [[request["params"][0] for request in session.requests[i]] for i in (1, 3)]
         assert asked == [[hex(99), hex(100)]] * 2  # no cache: the second answer asks again
 
+    def test_a_throttled_chunk_fails_the_answer_and_its_retry_asks_every_chunk(self):
+        blocks = list(range(1_000, 1_000 + 2 * TIMESTAMP_BATCH_MAX + 50))
+        timestamps = {block: hex(block * 12) for block in blocks}
+        throttled = _FakeResponse(payload={"jsonrpc": "2.0", "id": None, "error": {
+            "code": -32005, "message": "rate limit exceeded"}})
+        gw, session = _http([_logs_reply(_logs_in_blocks(blocks)),
+                             _blocks_reply(timestamps), throttled,
+                             _logs_reply(_logs_in_blocks(blocks))]
+                            + [_blocks_reply(timestamps)] * 3)
+        with pytest.raises(GatewayError) as excinfo:
+            gw.get_logs(LogQuery(0, 5_000, POOL, (TOPIC,)))
+        assert excinfo.value.kind is ErrorKind.RATE_LIMITED
+        logs = gw.get_logs(LogQuery(0, 5_000, POOL, (TOPIC,)))  # the scanner's retry
+        assert [l.block_timestamp for l in logs] == [block * 12 for block in blocks]
+        asked = [[int(request["params"][0], 16) for request in session.requests[i]]
+                 for i in (1, 2, 4, 5, 6)]
+        first, second, third = (blocks[:TIMESTAMP_BATCH_MAX],
+                                blocks[TIMESTAMP_BATCH_MAX:2 * TIMESTAMP_BATCH_MAX],
+                                blocks[2 * TIMESTAMP_BATCH_MAX:])
+        assert asked == [first, second, first, second, third]  # the first chunk goes again
+        assert len(session.requests) == 7
+
+    def test_an_answer_without_logs_posts_no_timestamp_batch(self):
+        gw, session = _http([_logs_reply([])])
+        assert gw.get_logs(LogQuery(0, 200, POOL, (TOPIC,))) == []
+        assert len(session.requests) == 1  # the eth_getLogs batch only
+
 
 class TestResponseShapes:
     """A provider answer of the wrong shape is TERMINAL naming the method."""
