@@ -17,13 +17,13 @@ import yaml
 
 from .keccak import keccak256
 
-ADDRESS_RE = re.compile(r"^0x[0-9a-f]{40}$")
+ADDRESS_RE = re.compile(r"0x[0-9a-f]{40}")
 # Names the shard file contract carries: chain and event names in part
 # filenames, field names as header columns that need no CSV quoting.
 CHAIN_NAME = "[a-z][a-z0-9]*"
 EVENT_NAME = "[A-Z][A-Za-z0-9]*"
 FIELD_NAME = "[A-Za-z_][A-Za-z0-9_]*"
-UINT_TYPE_RE = re.compile(r"^uint(\d+)$")
+UINT_TYPE_RE = re.compile(r"uint(\d+)")
 
 # Static ABI types the decoder supports. Dynamic types (bytes, string,
 # arrays) are rejected at load: every Pool event uses static types only.
@@ -50,7 +50,7 @@ class ChainConfig:
     def validate(self) -> None:
         if not re.fullmatch(CHAIN_NAME, self.chain_name):
             raise RegistryError(f"chain name {self.chain_name!r} does not match {CHAIN_NAME}")
-        if not ADDRESS_RE.match(self.pool_address):
+        if not ADDRESS_RE.fullmatch(self.pool_address):
             raise RegistryError(
                 f"chain {self.chain_name!r}: pool_address {self.pool_address!r} "
                 "is not 0x + 40 lowercase hex digits"
@@ -75,7 +75,7 @@ class EventField:
     @cached_property
     def bit_width(self) -> int | None:
         """Width of a uintN type, None for non-integer types."""
-        m = UINT_TYPE_RE.match(self.abi_type)
+        m = UINT_TYPE_RE.fullmatch(self.abi_type)
         return int(m.group(1)) if m else None
 
 
@@ -186,9 +186,16 @@ def default_registry_path() -> str:
 
 
 def _parse_topic0(raw: str, context: str) -> bytes:
-    if not isinstance(raw, str) or not re.match(r"^0x[0-9a-fA-F]{64}$", raw):
+    if not isinstance(raw, str) or not re.fullmatch(r"0x[0-9a-fA-F]{64}", raw):
         raise RegistryError(f"{context}: topic0 {raw!r} is not 0x + 64 hex digits")
     return bytes.fromhex(raw[2:])
+
+
+def _parse_indexed(raw: object, context: str) -> bool:
+    # bool() would read the YAML string "false" as True
+    if not isinstance(raw, bool):
+        raise RegistryError(f"{context}: indexed {raw!r} is not a YAML boolean")
+    return raw
 
 
 # libyaml's safe loader; the pure-Python one where PyYAML was built without it
@@ -239,7 +246,10 @@ def load_registry(path: str | None = None) -> Registry:
                 EventField(
                     name=str(f["name"]),
                     abi_type=str(f["type"]),
-                    indexed=bool(f.get("indexed", False)),
+                    indexed=_parse_indexed(
+                        f.get("indexed", False),
+                        f"event {entry.get('name')!r}: field {f['name']!r}",
+                    ),
                 )
                 for f in entry["fields"]
             )

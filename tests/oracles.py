@@ -147,3 +147,79 @@ def o_quote(
         "protocol_fee": fee,
         "liquidator_receives": received,
     }
+
+
+# Keccak-256 as a loop over nested lists with a rotate call per lane: the
+# textbook form of Keccak-f[1600] (Bertoni et al., "The Keccak reference",
+# 2011) under the 0x01 multi-rate padding. The package's unrolled kernel is
+# held to it byte for byte.
+_ROUND_CONSTANTS = (
+    0x0000000000000001, 0x0000000000008082, 0x800000000000808A, 0x8000000080008000,
+    0x000000000000808B, 0x0000000080000001, 0x8000000080008081, 0x8000000000008009,
+    0x000000000000008A, 0x0000000000000088, 0x0000000080008009, 0x000000008000000A,
+    0x000000008000808B, 0x800000000000008B, 0x8000000000008089, 0x8000000000008003,
+    0x8000000000008002, 0x8000000000000080, 0x000000000000800A, 0x800000008000000A,
+    0x8000000080008081, 0x8000000000008080, 0x0000000080000001, 0x8000000080008008,
+)
+
+# Rho rotation offsets, indexed as _ROTATION[x][y].
+_ROTATION = (
+    (0, 36, 3, 41, 18),
+    (1, 44, 10, 45, 2),
+    (62, 6, 43, 15, 61),
+    (28, 55, 25, 21, 56),
+    (27, 20, 39, 8, 14),
+)
+
+_MASK64 = (1 << 64) - 1
+_RATE_BYTES = 136  # 1600-bit state minus 512-bit capacity
+
+
+def _rotl(value: int, shift: int) -> int:
+    if shift == 0:
+        return value
+    return ((value << shift) | (value >> (64 - shift))) & _MASK64
+
+
+def _keccak_f(lanes: list[list[int]]) -> list[list[int]]:
+    for rc in _ROUND_CONSTANTS:
+        # theta
+        c = [lanes[x][0] ^ lanes[x][1] ^ lanes[x][2] ^ lanes[x][3] ^ lanes[x][4] for x in range(5)]
+        d = [c[(x - 1) % 5] ^ _rotl(c[(x + 1) % 5], 1) for x in range(5)]
+        lanes = [[lanes[x][y] ^ d[x] for y in range(5)] for x in range(5)]
+        # rho + pi
+        b = [[0] * 5 for _ in range(5)]
+        for x in range(5):
+            for y in range(5):
+                b[y][(2 * x + 3 * y) % 5] = _rotl(lanes[x][y], _ROTATION[x][y])
+        # chi
+        lanes = [
+            [b[x][y] ^ ((~b[(x + 1) % 5][y]) & b[(x + 2) % 5][y]) for y in range(5)]
+            for x in range(5)
+        ]
+        # iota
+        lanes[0][0] ^= rc
+    return lanes
+
+
+def o_keccak256(data: bytes) -> bytes:
+    """Return the 32-byte Keccak-256 digest of ``data``."""
+    padded = bytearray(data)
+    pad_len = _RATE_BYTES - (len(padded) % _RATE_BYTES)
+    if pad_len == 1:
+        padded += b"\x81"
+    else:
+        padded += b"\x01" + b"\x00" * (pad_len - 2) + b"\x80"
+
+    lanes = [[0] * 5 for _ in range(5)]
+    for offset in range(0, len(padded), _RATE_BYTES):
+        block = padded[offset:offset + _RATE_BYTES]
+        for i in range(_RATE_BYTES // 8):
+            lanes[i % 5][i // 5] ^= int.from_bytes(block[8 * i:8 * i + 8], "little")
+        lanes = _keccak_f(lanes)
+
+    out = bytearray()
+    for i in range(4):
+        out += lanes[i % 5][i // 5].to_bytes(8, "little")
+    return bytes(out)
+

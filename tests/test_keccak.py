@@ -1,5 +1,6 @@
 import json
 import os
+import random
 
 import pytest
 from hypothesis import given
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 
 from aavescan.keccak import keccak256
 
-from oracles import KECCAK_VECTORS
+from oracles import KECCAK_VECTORS, o_keccak256
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "topic0_golden.json")
 
@@ -40,6 +41,19 @@ def test_hex_form():
 def test_deterministic_and_sized(data):
     assert keccak256(data) == keccak256(data)
     assert len(keccak256(data)) == 32
+
+
+def test_matches_the_loop_oracle_at_every_length_to_600():
+    # every padding case up to five rate blocks, the edges 135/136/137 and 271/272/273 among them
+    rng = random.Random(20251001)
+    for length in range(601):
+        data = rng.randbytes(length)
+        assert keccak256(data) == o_keccak256(data), length
+
+
+@given(st.binary(max_size=1024))
+def test_matches_the_loop_oracle(data):
+    assert keccak256(data) == o_keccak256(data)
 
 
 def test_golden_event_topics():

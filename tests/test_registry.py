@@ -149,6 +149,14 @@ def test_custom_registry_extensible(tmp_path):
           "signature: \"MintedToTreasury(address)\""), "match"),
         (("signature: \"MintedToTreasury(address,uint256)\"",
           "signature: \"\""), "signature"),
+        # `$` also matches before a final newline; the loaded address would match no log
+        (('"0x00000000000000000000000000000000000000aa"',
+          '"0x00000000000000000000000000000000000000aa\\n"'), "pool_address"),
+        (("0xbfa21aa5d5f9a1f0120a95e7c0749f389863cbdbfff531aa7339077a5bc919de\"",
+          "0xbfa21aa5d5f9a1f0120a95e7c0749f389863cbdbfff531aa7339077a5bc919de\\n\""), "topic0"),
+        # bool("false") is True
+        (("indexed: true}", 'indexed: "false"}'),
+         "event 'MintedToTreasury': field 'reserve': indexed 'false'"),
     ],
 )
 def test_malformed_documents_name_the_offender(tmp_path, mutation, needle):
