@@ -9,37 +9,24 @@ to decimal strings only at output.
 
 from __future__ import annotations
 
-import csv
 from collections import Counter
+from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable, Iterator
 
 from .numstr import fraction_to_decimal, parse_decimal
-from .registry import Registry, load_yaml
+from .registry import Registry, load_yaml, yaml_int
 from .sink import IoFailure, iter_part_rows, iter_streams, stream_parts
 
 MAX_TIMESTAMP = 253_402_300_799  # 9999-12-31T23:59:59Z, the last second ``utc_day`` can name
 
-
-class AnalyticsError(Exception):
-    pass
-
-
-@dataclass(frozen=True)
-class AggregateRow:
-    key: tuple[str, ...]
-    metric: str
-    value: str
+Pairs = list[tuple[tuple[str, ...], str]]  # a metric's (group key, value), sorted by key
 
 
 def utc_day(timestamp: int) -> str:
     return datetime.fromtimestamp(timestamp, tz=timezone.utc).strftime("%Y-%m-%d")
-
-
-def _aggregate_rows(metric: str, values: dict[tuple[str, ...], str]) -> list[AggregateRow]:
-    return [AggregateRow(key=key, metric=metric, value=values[key]) for key in sorted(values)]
 
 
 def _part_partials(root: str, events: set[str] | None, read: Callable[[str, str, str], object],
@@ -47,29 +34,31 @@ def _part_partials(root: str, events: set[str] | None, read: Callable[[str, str,
     """Yield ``read(chain, event, path)`` per part of the selected streams.
 
     ``read`` folds a whole part into one partial, so a part that fails to read or
-    convert, or a break in the part numbering, adds nothing: strict raises
-    AnalyticsError, lenient adds a warning naming the part.
+    convert, or a break in the part numbering, adds nothing: strict raises an
+    IoFailure naming the part, lenient adds a warning with its message.
     """
 
-    def fail(message: str) -> None:
+    def fail(exc: IoFailure) -> None:
         if not lenient:
-            raise AnalyticsError(message)
-        warnings.append(message)
+            raise exc
+        warnings.append(str(exc))
 
     for chain, event, directory in iter_streams(root):
         if events is not None and event not in events:
             continue
         paths, breaks = stream_parts(directory)
         for violation in breaks:
-            fail(f"{violation.path}: {violation.detail}")
+            fail(IoFailure(f"{violation.path}: {violation.detail}"))
         for path in paths:
             try:
                 yield read(chain, event, path)
-            except (IoFailure, ValueError) as exc:  # IoFailure names the path already
-                fail(str(exc) if isinstance(exc, IoFailure) else f"{path}: {exc}")
+            except IoFailure as exc:  # names the path already
+                fail(exc)
+            except ValueError as exc:
+                fail(IoFailure(f"{path}: {exc}"))
 
 
-def event_counts(root: str, lenient: bool = False) -> tuple[list[AggregateRow], list[str]]:
+def event_counts(root: str, lenient: bool = False) -> tuple[Pairs, list[str]]:
     """Row counts per (chain, event) over all parts."""
     errors: list[str] = []
 
@@ -79,7 +68,7 @@ def event_counts(root: str, lenient: bool = False) -> tuple[list[AggregateRow], 
     counts: Counter = Counter()
     for part in _part_partials(root, None, count_part, lenient, errors):
         counts += part  # ``+=`` drops a zero count: a part with no rows adds no group
-    return _aggregate_rows("event_count", {key: str(n) for key, n in counts.items()}), errors
+    return sorted((key, str(n)) for key, n in counts.items()), errors
 
 
 def daily_new_users(
@@ -87,7 +76,7 @@ def daily_new_users(
     registry: Registry,
     per_chain: bool = False,
     lenient: bool = False,
-) -> tuple[list[AggregateRow], list[str]]:
+) -> tuple[Pairs, list[str]]:
     """Users counted on the UTC day of their first-ever appearance.
 
     The actor field per event type comes from the registry; event types
@@ -117,7 +106,7 @@ def daily_new_users(
 
     counts = Counter((key[0], utc_day(ts)) if per_chain else (utc_day(ts),)
                      for key, ts in first_seen.items())
-    return _aggregate_rows("new_users", {group: str(n) for group, n in counts.items()}), warnings
+    return sorted((group, str(n)) for group, n in counts.items()), warnings
 
 
 @dataclass
@@ -137,19 +126,24 @@ class PriceTable:
         self._assets = assets
 
     @classmethod
-    def load(cls, path: str) -> "PriceTable":
+    def load(cls, path: str, entry_context: Callable[[str, str], AbstractContextManager]
+             = lambda _path, _where: nullcontext()) -> "PriceTable":
+        """The table at ``path``. Each asset's entry is read inside
+        ``entry_context(path, "asset <address>")``, where a caller can turn a missing key
+        or a bad value into an error that names the file and the asset."""
         with open(path, "r", encoding="utf-8") as fh:
             doc = load_yaml(fh) or {}
         assets: dict[str, dict] = {}
         for address, entry in (doc.get("assets") or {}).items():
-            assets[str(address).lower()] = {
-                "decimals": int(entry["decimals"]),
-                "price": parse_decimal(str(entry["price"])) if "price" in entry else None,
-                "daily": {
-                    str(day): parse_decimal(str(price))
-                    for day, price in (entry.get("daily") or {}).items()
-                },
-            }
+            with entry_context(path, f"asset {address}"):
+                assets[str(address).lower()] = {
+                    "decimals": yaml_int(entry["decimals"], "decimals"),
+                    "price": parse_decimal(str(entry["price"])) if "price" in entry else None,
+                    "daily": {
+                        str(day): parse_decimal(str(price))
+                        for day, price in (entry.get("daily") or {}).items()
+                    },
+                }
         return cls(assets)
 
     def lookup(self, asset: str, day: str | None = None) -> tuple[Fraction, int] | None:
@@ -176,7 +170,7 @@ def deposit_volume(
     root: str,
     price_table: PriceTable,
     lenient: bool = False,
-) -> tuple[list[AggregateRow], SkippedReport, list[str]]:
+) -> tuple[Pairs, SkippedReport, list[str]]:
     """USD supply volume per chain; unpriced rows are skipped and tallied.
 
     Amounts are summed per (chain, reserve, UTC day), the price key, and priced
@@ -197,16 +191,5 @@ def deposit_volume(
             continue
         price, decimals = found
         volumes[chain] = volumes.get(chain, Fraction(0)) + Fraction(amount) * price / 10**decimals
-    values = {(chain,): fraction_to_decimal(volume) for chain, volume in volumes.items()}
-    return _aggregate_rows("deposit_volume_usd", values), report, errors
-
-
-def write_aggregates(
-    rows: list[AggregateRow], path: str, key_columns: tuple[str, ...], value_column: str
-) -> None:
-    """Write aggregate rows as a plot-ready CSV."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(list(key_columns) + [value_column])
-        for row in rows:
-            writer.writerow(list(row.key) + [row.value])
+    values = sorted(((chain,), fraction_to_decimal(volume)) for chain, volume in volumes.items())
+    return values, report, errors

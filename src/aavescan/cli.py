@@ -25,7 +25,7 @@ import click
 from . import analytics
 from .gateway import FixtureGateway, GatewayError, HttpGateway
 from .numstr import fraction_to_decimal, parse_decimal
-from .registry import Registry, RegistryError, load_registry, load_yaml
+from .registry import Registry, RegistryError, load_registry, load_yaml, yaml_int
 from .risk import (
     REPLAY_FIELDS,
     AssetParams,
@@ -376,12 +376,12 @@ def extract(chain_selector, event_selector, out_dir, from_block, to_block, batch
 @click.argument("directory", type=click.Path(exists=True))
 def validate(directory) -> None:
     """Check an output tree against the shard file contract."""
-    report = validate_output(directory)
-    for violation in report.violations:
+    violations = validate_output(directory)
+    for violation in violations:
         where = f"{violation.path}:{violation.line}" if violation.line else violation.path
         _echo(f"{violation.kind}\t{where}\t{violation.detail}")
-    _echo(f"{len(report.violations)} violation(s)", err=True)
-    if not report.ok:
+    _echo(f"{len(violations)} violation(s)", err=True)
+    if violations:
         sys.exit(1)
 
 
@@ -410,11 +410,12 @@ def _load_asset_params(path: str) -> dict[str, AssetParams]:
         with _config_entry(path, f"asset {asset_id}"):
             p = AssetParams(
                 symbol=str(entry.get("symbol", asset_id)),
-                decimals=int(entry.get("decimals", 0)),
+                decimals=yaml_int(entry.get("decimals", 0), "decimals"),
                 price=parse_decimal(str(entry["price"])),
                 liquidation_threshold=parse_decimal(str(entry["liquidation_threshold"])),
                 ltv=parse_decimal(str(entry.get("ltv", entry["liquidation_threshold"]))),
-                liquidation_bonus_bps=int(entry.get("liquidation_bonus_bps", 10000)),
+                liquidation_bonus_bps=yaml_int(entry.get("liquidation_bonus_bps", 10000),
+                                               "liquidation_bonus_bps"),
                 protocol_fee_share=parse_decimal(str(entry.get("protocol_fee_share", "0.2"))),
             )
             p.validate()
@@ -450,6 +451,10 @@ def _load_position(path: str) -> Position:
 def liquidate_quote_cmd(params_path, position_path, debt_asset, collateral_asset,
                         debt_to_cover, strict) -> None:
     """Print the health report and liquidation quote for a position."""
+    try:
+        debt_to_cover = parse_decimal(debt_to_cover)
+    except ValueError as exc:
+        raise _ConfigFault(f"--debt-to-cover: {exc}") from None
     params = _load_asset_params(params_path)
     position = _load_position(position_path)
     try:
@@ -459,9 +464,7 @@ def liquidate_quote_cmd(params_path, position_path, debt_asset, collateral_asset
         _echo(f"liquidatable: {'true' if report.liquidatable else 'false'}")
         _echo(f"close_factor: {fraction_to_decimal(report.close_factor)}")
         quote = liquidation_quote(
-            position, params, debt_asset, collateral_asset,
-            parse_decimal(debt_to_cover), strict=strict,
-        )
+            position, params, debt_asset, collateral_asset, debt_to_cover, strict=strict)
     except NotLiquidatable:
         sys.exit(1)
     except RiskError as exc:
@@ -583,27 +586,26 @@ def aggregate(metric, root, out_path, price_table_path, per_chain, lenient,
     """Aggregate shard directories into a plot-ready summary CSV."""
     try:
         if metric == "counts":
-            rows, errors = analytics.event_counts(root, lenient=lenient)
-            analytics.write_aggregates(rows, out_path, ("chain", "event"), "count")
+            header = "chain,event,count"
+            pairs, errors = analytics.event_counts(root, lenient=lenient)
         elif metric == "new-users":
             registry = _load_registry_or_fail(registry_path)
-            rows, errors = analytics.daily_new_users(root, registry, per_chain=per_chain,
-                                                     lenient=lenient)
-            columns = ("chain", "day") if per_chain else ("day",)
-            analytics.write_aggregates(rows, out_path, columns, "new_users")
+            header = "chain,day,new_users" if per_chain else "day,new_users"
+            pairs, errors = analytics.daily_new_users(root, registry, per_chain=per_chain,
+                                                      lenient=lenient)
         else:
             if not price_table_path:
                 raise click.UsageError("--price-table is required for deposit-volume")
-            table = analytics.PriceTable.load(price_table_path)
-            rows, skipped, errors = analytics.deposit_volume(root, table, lenient=lenient)
-            analytics.write_aggregates(rows, out_path, ("chain",), "deposit_volume_usd")
+            table = analytics.PriceTable.load(price_table_path, _config_entry)
+            header = "chain,deposit_volume_usd"
+            pairs, skipped, errors = analytics.deposit_volume(root, table, lenient=lenient)
             if skipped.total_rows:
-                _echo(
-                    f"skipped {skipped.skipped_rows}/{skipped.total_rows} rows "
-                    f"without prices ({len(skipped.by_asset)} assets)", err=True)
-    except analytics.AnalyticsError as exc:
+                _echo(f"skipped {skipped.skipped_rows}/{skipped.total_rows} rows "
+                      f"without prices ({len(skipped.by_asset)} assets)", err=True)
+    except IoFailure as exc:
         _echo(str(exc), err=True)
         sys.exit(EXIT_IO)
+    _write_csv(out_path, header, [[*key, value] for key, value in pairs])
     for error in errors:
         _echo(f"warning: {error}", err=True)
 

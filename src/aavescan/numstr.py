@@ -8,20 +8,20 @@ terminates in base 10 and rounds half up at ``max_frac_digits`` otherwise.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 DEFAULT_MAX_FRAC_DIGITS = 18
+_PLAIN_DECIMAL = re.compile(r"[+-]?[0-9]+(\.[0-9]+)?")
 
 
 def parse_decimal(text: str) -> Fraction:
-    """Parse a plain decimal string ('123', '-0.5', '1.25e2' rejected)."""
+    """Parse a plain decimal string ('123', '-0.5'); '1.25e2', '1/3', '1_000' and '.5' are
+    rejected."""
     text = text.strip()
-    if not text:
-        raise ValueError("empty decimal string")
-    try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"not a decimal number: {text!r}") from exc
+    if not _PLAIN_DECIMAL.fullmatch(text):
+        raise ValueError(f"not a decimal number: {text!r}")
+    return Fraction(text)
 
 
 def fraction_to_decimal(value: Fraction | int, max_frac_digits: int = DEFAULT_MAX_FRAC_DIGITS) -> str:

@@ -198,6 +198,14 @@ def _parse_indexed(raw: object, context: str) -> bool:
     return raw
 
 
+def yaml_int(raw: object, name: str) -> int:
+    """``raw`` if it is a YAML integer; ValueError naming ``name`` otherwise (``int()``
+    would cut a float to an integer and read a boolean as 0 or 1)."""
+    if isinstance(raw, bool) or not isinstance(raw, int):
+        raise ValueError(f"{name} {raw!r} is not an integer")
+    return raw
+
+
 # libyaml's safe loader; the pure-Python one where PyYAML was built without it
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
@@ -228,8 +236,8 @@ def load_registry(path: str | None = None) -> Registry:
             chain = ChainConfig(
                 chain_name=str(entry["name"]),
                 pool_address=str(entry["pool_address"]).lower(),
-                start_block=int(entry["start_block"]),
-                max_block=int(entry["max_block"]),
+                start_block=yaml_int(entry["start_block"], "start_block"),
+                max_block=yaml_int(entry["max_block"], "max_block"),
                 rpc_env_key=str(entry["rpc_env_key"]),
             )
         except (KeyError, TypeError, ValueError) as exc:

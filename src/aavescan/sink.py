@@ -23,7 +23,7 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from operator import itemgetter
 from typing import Callable, Iterator, Sequence
@@ -134,7 +134,8 @@ class Checkpoint:
         JSON, no object, another stream, a key missing or out of range, a
         ``finalized`` that is not a boolean, closed parts that do not match the
         open part's number, a last closed part ending above
-        ``last_completed_block``, or a finalized record with an open part.
+        ``last_completed_block``, a finalized record with an open part, or a
+        ``rows_emitted_total`` other than the rows of the parts it lists.
         """
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -158,6 +159,10 @@ class Checkpoint:
                                  f"{record.last_completed_block}")
             if record.finalized and record.rows_in_current_part:
                 raise ValueError("a finalized stream lists an open part")
+            rows = sum(p.row_count for p in record.parts) + record.rows_in_current_part
+            if record.rows_emitted_total != rows:
+                raise ValueError(f"rows_emitted_total {record.rows_emitted_total}, but its "
+                                 f"parts hold {rows} rows")
             return record
         except OSError as exc:
             raise FileFault("manifest", path, f"unreadable: {exc.strerror or exc}") from exc
@@ -211,25 +216,22 @@ class ShardWriter:
         self._clock = clock or (lambda: datetime.now(timezone.utc))
         self._row_limit = row_limit
         self._header = list(PREFIX_COLUMNS) + [f.name for f in schema.fields] + ["usd_value"]
-
-        self._closed_parts: list[PartRecord] = []
-        self._part_number = 0  # 0 until the first part opens
-        self._rows_in_part = 0
+        # the stream's one state: part 0 until the first part opens
+        self._record = Checkpoint(chain, schema.event_name, -1, 0, 0, 0)
         self._last_key: tuple[int, int] | None = None
         self._first_key_in_part: tuple[int, int] | None = None
         self._fh = None
-        self._final: Checkpoint | None = None  # the saved record, once finalized
-
         os.makedirs(self._dir, exist_ok=True)
 
     def save(self, last_block: int, finalized: bool = False) -> Checkpoint:
-        """Save and return the stream's record, every row written so far committed
-        through ``last_block``."""
-        record = Checkpoint(self._chain, self._schema.event_name, last_block,
-                            sum(p.row_count for p in self._closed_parts) + self._rows_in_part,
-                            self._part_number, self._rows_in_part, tuple(self._closed_parts),
-                            finalized)
+        """Save and return a copy of the stream's record, every row written so far
+        committed through ``last_block``; the record is finalized once that save succeeds."""
+        state = self._record
+        record = replace(state, last_completed_block=last_block, finalized=finalized,
+                         rows_emitted_total=sum(p.row_count for p in state.parts)
+                         + state.rows_in_current_part)
         record.save(os.path.join(self._dir, "checkpoint.json"))
+        self._record = replace(record)
         return record
 
     # -- writing ----------------------------------------------------------------
@@ -249,7 +251,7 @@ class ShardWriter:
         return os.path.join(self._dir, f".part{part_number:03d}.open.csv")
 
     def _open_next_part(self) -> None:
-        next_number = self._part_number + 1
+        next_number = self._record.current_part_number + 1
         if next_number > MAX_PART_NUMBER:
             raise PartOverflow(
                 f"stream {self._chain}/{self._schema.event_name} exceeded "
@@ -262,8 +264,8 @@ class ShardWriter:
         except OSError as exc:
             self._close_quietly()
             raise IoFailure(f"cannot open part file {path!r}: {exc}") from exc
-        self._part_number = next_number
-        self._rows_in_part = 0
+        self._record.current_part_number = next_number
+        self._record.rows_in_current_part = 0
         self._first_key_in_part = None
 
     def append(self, event: DecodedEvent) -> None:
@@ -272,8 +274,8 @@ class ShardWriter:
         Raises OrderViolation when the event key is not strictly above the
         last written key for this stream. Opens and rolls parts as needed.
         """
-        key = event.key
-        if self._final is not None:
+        key, record = event.key, self._record
+        if record.finalized:
             raise IoFailure("stream already finalized")
         if self._last_key is not None and key <= self._last_key:
             raise OrderViolation(
@@ -289,12 +291,12 @@ class ShardWriter:
                            f"{event.contract_address},{fields}{event.usd_value}\n")
         except OSError as exc:
             self._close_quietly()
-            raise IoFailure(f"write failed on part {self._part_number}: {exc}") from exc
+            raise IoFailure(f"write failed on part {record.current_part_number}: {exc}") from exc
         if self._first_key_in_part is None:
             self._first_key_in_part = key
         self._last_key = key
-        self._rows_in_part += 1
-        if self._rows_in_part >= self._row_limit:
+        record.rows_in_current_part += 1
+        if record.rows_in_current_part >= self._row_limit:
             self._close_part()
 
     def flush(self) -> None:
@@ -309,31 +311,25 @@ class ShardWriter:
 
     def _close_part(self) -> None:
         assert self._fh is not None
-        open_path = self._open_part_path(self._part_number)
+        record, number = self._record, self._record.current_part_number
+        open_path = self._open_part_path(number)
         try:
             self._fh.flush()
             os.fsync(self._fh.fileno())
             self._fh.close()
         except OSError as exc:
             self._fh = None
-            raise IoFailure(f"closing part {self._part_number} failed: {exc}") from exc
+            raise IoFailure(f"closing part {number} failed: {exc}") from exc
         self._fh = None
-        final_name = part_filename(
-            self._chain, self._schema.event_name, self._part_number, self._clock()
-        )
-        record = PartRecord(
-            part_number=self._part_number,
-            filename=final_name,
-            row_count=self._rows_in_part,
-            first_key=self._first_key_in_part,
-            last_key=self._last_key,
-        )
+        final_name = part_filename(self._chain, self._schema.event_name, number, self._clock())
+        part = PartRecord(number, final_name, record.rows_in_current_part,
+                          self._first_key_in_part, self._last_key)
         try:
             os.replace(open_path, os.path.join(self._dir, final_name))
         except OSError as exc:
-            raise IoFailure(f"renaming part {self._part_number} failed: {exc}") from exc
-        self._closed_parts.append(record)
-        self._rows_in_part = 0
+            raise IoFailure(f"renaming part {number} failed: {exc}") from exc
+        record.parts += (part,)
+        record.rows_in_current_part = 0
         self._first_key_in_part = None
 
     def _close_quietly(self) -> None:
@@ -347,24 +343,24 @@ class ShardWriter:
     def finalize(self, last_block: int) -> Checkpoint:
         """Close the open part, drop it if empty, and save the record finalized
         through ``last_block``; idempotent."""
-        if self._final is not None:
-            return self._final
-        if self._fh is not None and self._rows_in_part > 0:
+        record = self._record
+        if record.finalized:
+            return replace(record)
+        if self._fh is not None and record.rows_in_current_part > 0:
             self._close_part()
         elif self._fh is not None:
             # open but empty part file: discard it
-            open_path = self._open_part_path(self._part_number)
+            open_path = self._open_part_path(record.current_part_number)
             self._close_quietly()
             try:
                 os.remove(open_path)
             except OSError:
                 pass
-            self._part_number -= 1
+            record.current_part_number -= 1
         try:
-            self._final = self.save(last_block, finalized=True)
+            return self.save(last_block, finalized=True)
         except OSError as exc:
             raise IoFailure(f"saving the finalized record failed: {exc}") from exc
-        return self._final
 
     # -- resume -------------------------------------------------------------------
 
@@ -388,18 +384,15 @@ class ShardWriter:
         stream is left as it is.
         """
         writer = cls(out_dir, chain, schema, clock=clock, row_limit=row_limit, strict=strict)
-        if record is None:
-            record = Checkpoint(chain, schema.event_name, -1, 0, 0, 0)  # an empty stream's
-        elif record.finalized:
-            writer._final = record
+        if record is not None:
+            writer._record = replace(record)
+        record = writer._record  # without a loaded record, an empty stream's
+        if record.finalized:
             return writer
-        part_number, rows_in_part, parts = (record.current_part_number,
-                                            record.rows_in_current_part, record.parts)
-        writer._closed_parts = list(parts)
-        writer._part_number = part_number
-        if parts:
-            writer._last_key = parts[-1].last_key
-        for part in parts:
+        part_number, rows_in_part = record.current_part_number, record.rows_in_current_part
+        if record.parts:
+            writer._last_key = record.parts[-1].last_key
+        for part in record.parts:
             if not os.path.exists(os.path.join(writer._dir, part.filename)):
                 raise IoFailure(f"closed part {part.filename!r} of the checkpoint is missing")
 
@@ -422,7 +415,6 @@ class ShardWriter:
                 open_path, rows_in_part, record.last_completed_block)
         except (ValueError, IndexError) as exc:  # a row not UTF-8, or without integer keys
             raise IoFailure(f"open part {open_path!r}: not a decodable event row: {exc}") from exc
-        writer._rows_in_part = rows_in_part
         try:
             writer._fh = open(open_path, "a", newline="", encoding="utf-8")
         except OSError as exc:
@@ -486,15 +478,6 @@ def list_stream_parts(directory: str) -> list[str]:
     """Part filenames in a stream directory, ordered by part number, then by name."""
     names = [n for n in os.listdir(directory) if FILENAME_RE.match(n)]
     return sorted(names, key=lambda n: (int(FILENAME_RE.match(n).group("part")), n))
-
-
-@dataclass
-class ValidationReport:
-    violations: list[Violation]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
 
 
 def stream_parts(directory: str) -> tuple[list[str], list[Violation]]:
@@ -661,11 +644,9 @@ def _validate_stream(directory: str, chain: str, event: str) -> list[Violation]:
     return violations
 
 
-def validate_output(root: str) -> ValidationReport:
-    """Check a whole output tree against the file contract."""
-    violations: list[Violation] = []
+def validate_output(root: str) -> list[Violation]:
+    """Check a whole output tree against the file contract; no violation means it holds."""
     if not os.path.isdir(root):
-        return ValidationReport([Violation("naming", root, "output directory missing")])
-    for chain, event, directory in iter_streams(root):
-        violations.extend(_validate_stream(directory, chain, event))
-    return ValidationReport(violations)
+        return [Violation("naming", root, "output directory missing")]
+    return [violation for chain, event, directory in iter_streams(root)
+            for violation in _validate_stream(directory, chain, event)]

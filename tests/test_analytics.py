@@ -6,15 +6,13 @@ from fractions import Fraction
 import pytest
 
 from aavescan.analytics import (
-    AnalyticsError,
     PriceTable,
     daily_new_users,
     deposit_volume,
     event_counts,
-    write_aggregates,
 )
 from aavescan.decoder import DecodedEvent
-from aavescan.sink import ShardWriter
+from aavescan.sink import IoFailure, ShardWriter
 
 WETH = "0xc02aaa39b223fe8d0a0e5c4f27ead9083c756cc2"
 USDC = "0xa0b86991c6218b36c1d19d4a2e9eb0ce3606eb48"
@@ -79,7 +77,7 @@ class TestCounts:
     def test_fixture_counts(self, small_tree):
         rows, errors = event_counts(str(small_tree))
         assert errors == []
-        assert [(r.key, r.value) for r in rows] == [
+        assert rows == [
             (("ethereum", "Borrow"), "3"),
             (("ethereum", "Supply"), "7"),
         ]
@@ -94,13 +92,13 @@ class TestCounts:
         path = os.path.join(stream, victim)
         with open(path, "a", encoding="utf-8") as fh:
             fh.write("not,a,valid,row\n")
-        with pytest.raises(AnalyticsError) as strict:
+        with pytest.raises(IoFailure) as strict:
             event_counts(str(small_tree))
         assert str(strict.value).count(victim) == 1
         rows, errors = event_counts(str(small_tree), lenient=True)
         assert len(errors) == 1 and victim in errors[0]
         assert errors[0].count(victim) == 1
-        assert [(r.key, r.value) for r in rows] == [(("ethereum", "Borrow"), "3")]
+        assert rows == [(("ethereum", "Borrow"), "3")]
 
     @pytest.mark.parametrize("metric", ["counts", "new-users", "deposit-volume"])
     def test_lenient_opens_each_part_once(self, registry, tmp_path, monkeypatch, metric):
@@ -139,7 +137,7 @@ class TestCounts:
         events = [_supply("base", 100 + i, 0, _user(i), 1, DAY0) for i in range(12)]
         _write(tmp_path, registry, "base", events, row_limit=5)  # split over 3 parts
         rows, _ = event_counts(str(tmp_path))
-        assert rows[0].value == "12"  # parts sum to the stream total
+        assert rows[0][1] == "12"  # parts sum to the stream total
 
 
 class TestNewUsers:
@@ -150,7 +148,7 @@ class TestNewUsers:
         ]
         _write(tmp_path, registry, "ethereum", events)
         rows, _ = daily_new_users(str(tmp_path), load_registry_fixture())
-        assert [(r.key, r.value) for r in rows] == [(("2023-11-14",), "1")]
+        assert rows == [(("2023-11-14",), "1")]
 
     def test_two_users_same_day(self, registry, tmp_path):
         events = [
@@ -159,7 +157,7 @@ class TestNewUsers:
         ]
         _write(tmp_path, registry, "ethereum", events)
         rows, _ = daily_new_users(str(tmp_path), load_registry_fixture())
-        assert [(r.key, r.value) for r in rows] == [(("2023-11-14",), "2")]
+        assert rows == [(("2023-11-14",), "2")]
 
     def test_five_users_three_days_two_chains(self, registry, tmp_path):
         # hand-tabulated: u1 day0 (eth), u2 day0 (base), u3 day1 (eth),
@@ -178,10 +176,10 @@ class TestNewUsers:
         _write(tmp_path, registry, "ethereum", eth)
         _write(tmp_path, registry, "base", base)
         rows, _ = daily_new_users(str(tmp_path), load_registry_fixture())
-        assert [(r.key[0], r.value) for r in rows] == [
+        assert [(key[0], value) for key, value in rows] == [
             ("2023-11-14", "2"), ("2023-11-15", "1"), ("2023-11-16", "2"),
         ]
-        total = sum(int(r.value) for r in rows)
+        total = sum(int(value) for _, value in rows)
         assert total == 5  # every user exactly once
 
     def test_per_chain_mode(self, registry, tmp_path):
@@ -190,7 +188,7 @@ class TestNewUsers:
         _write(tmp_path, registry, "base",
                [_supply("base", 100, 0, _user(1), 5, DAY0 + ONE_DAY)])
         rows, _ = daily_new_users(str(tmp_path), load_registry_fixture(), per_chain=True)
-        assert [(r.key, r.value) for r in rows] == [
+        assert rows == [
             (("base", "2023-11-15"), "1"),
             (("ethereum", "2023-11-14"), "1"),
         ]
@@ -228,7 +226,7 @@ class TestDepositVolume:
         _write(tmp_path, registry, "ethereum", events)
         table = _table({WETH: (0, "2", None)})
         rows, skipped, _ = deposit_volume(str(tmp_path), table)
-        assert [(r.key, r.value) for r in rows] == [(("ethereum",), "400")]
+        assert rows == [(("ethereum",), "400")]
         assert skipped.skipped_rows == 0
 
     def test_empty_price_table(self, small_tree):
@@ -254,14 +252,14 @@ class TestDepositVolume:
         )
         from aavescan.numstr import fraction_to_decimal
 
-        assert rows[0].value == fraction_to_decimal(expected)
+        assert rows[0][1] == fraction_to_decimal(expected)
 
     def test_daily_price_overrides_default(self, registry, tmp_path):
         events = [_supply("ethereum", 100, 0, _user(1), 10, DAY0)]
         _write(tmp_path, registry, "ethereum", events)
         table = _table({WETH: (0, "2", {"2023-11-14": Fraction(3)})})
         rows, _, _ = deposit_volume(str(tmp_path), table)
-        assert rows[0].value == "30"
+        assert rows[0][1] == "30"
 
     def test_shard_split_does_not_change_totals(self, registry, tmp_path):
         one = tmp_path / "one"
@@ -282,15 +280,6 @@ def test_price_table_loading(tmp_path, price_table_path):
     assert table.lookup("0x" + "00" * 20) is None
 
 
-def test_write_aggregates(tmp_path, registry, small_tree):
-    rows, _ = event_counts(str(small_tree))
-    out = tmp_path / "counts.csv"
-    write_aggregates(rows, str(out), ("chain", "event"), "count")
-    assert out.read_text() == (
-        "chain,event,count\nethereum,Borrow,3\nethereum,Supply,7\n"
-    )
-
-
 def test_streaming_memory_bounded(registry, tmp_path):
     # 120k rows over a handful of users: peak memory must track the group
     # count, not the row count
@@ -303,6 +292,6 @@ def test_streaming_memory_bounded(registry, tmp_path):
     users, _ = daily_new_users(str(tmp_path), load_registry_fixture())
     _current, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert rows[0].value == "120000"
-    assert sum(int(r.value) for r in users) == 50
+    assert rows[0][1] == "120000"
+    assert sum(int(value) for _, value in users) == 50
     assert peak < 48 * 1024 * 1024

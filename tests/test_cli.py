@@ -139,6 +139,41 @@ class TestExtract:
         assert result.stderr.count("ethereum/Supply: rows=34 ") == 1
         assert runner.invoke(main, ["validate", str(out)]).exit_code == 0
 
+    def test_lenient_masks_a_padded_address_fresh_and_through_resume(
+            self, runner, tmp_path, mini_corpus_dir, registry):
+        """One Supply log's ``user`` word has a nonzero padding byte: a strict extract
+        exits 3 naming the stream and the log, and ``--lenient`` writes the address of the
+        word's low 20 bytes, fresh and when it resumes the strict run's checkpoint."""
+        from aavescan.sink import Checkpoint, checkpoint_path
+
+        corpus = tmp_path / "corpus"
+        shutil.copytree(os.path.join(mini_corpus_dir, "ethereum"), corpus / "ethereum")
+        logs_path = corpus / "ethereum" / "logs.jsonl"
+        logs = [json.loads(line) for line in logs_path.read_text().splitlines()]
+        topic0 = "0x" + registry.event("Supply").topic0.hex()
+        supply = [log for log in logs if log["topics"][0] == topic0]
+        bad = supply[len(supply) // 2]
+        bad["data"] = "0x01" + bad["data"][4:]  # the first padding byte of the user word
+        logs_path.write_text("".join(json.dumps(log, sort_keys=True) + "\n" for log in logs))
+        args = ["extract", "--chain", "ethereum", "--event", "Supply",
+                "--fixture-dir", str(corpus)]
+
+        strict = runner.invoke(main, args + ["--out", str(tmp_path / "resumed")])
+        assert strict.exit_code == 3, strict.output
+        assert f"ethereum/Supply log ({bad['blockNumber']}, {bad['logIndex']}):" in strict.stderr
+        record = Checkpoint.load(checkpoint_path(str(tmp_path / "resumed"), "ethereum", "Supply"),
+                                 "ethereum", "Supply")
+        assert 0 < record.rows_emitted_total < len(supply)  # the resume starts mid-stream
+
+        expected = reference.stream_csv_bytes(mini_corpus_dir, "ethereum", "Supply")
+        for out, resume in (("fresh", []), ("resumed", ["--resume"])):
+            result = runner.invoke(main, args + ["--out", str(tmp_path / out), "--lenient",
+                                                 *resume])
+            assert result.exit_code == 0, result.output
+            stream = tmp_path / out / "ethereum" / "Supply"
+            (name,) = [n for n in os.listdir(stream) if n.startswith("aave_V3_")]
+            assert (stream / name).read_bytes() == expected, out
+
     def test_resume_noop_when_complete(self, runner, tmp_path, mini_corpus_dir):
         out = tmp_path / "out"
         args = ["extract", "--chain", "ethereum", "--event", "Supply",
@@ -898,7 +933,14 @@ class TestLiquidateQuote:
          "params.yaml: asset coll: COLL: price must be positive"),
         (PARAMS_YAML, POSITION_YAML.replace('amount: "100", ', "", 1),
          "position.yaml: collateral entry 1: missing key 'amount'"),
-    ], ids=["params_without_price", "negative_price", "collateral_without_amount"])
+        (PARAMS_YAML.replace("decimals: 18", "decimals: 6.7", 1), POSITION_YAML,
+         "params.yaml: asset coll: decimals 6.7 is not an integer"),
+        (PARAMS_YAML.replace("decimals: 18", "decimals: true", 1), POSITION_YAML,
+         "params.yaml: asset coll: decimals True is not an integer"),
+        (PARAMS_YAML.replace("bonus_bps: 10500", "bonus_bps: 10500.9", 1), POSITION_YAML,
+         "params.yaml: asset coll: liquidation_bonus_bps 10500.9 is not an integer"),
+    ], ids=["params_without_price", "negative_price", "collateral_without_amount",
+            "float_decimals", "boolean_decimals", "float_bonus"])
     def test_a_malformed_file_exits_2_naming_it(self, runner, tmp_path, params_yaml,
                                                 position_yaml, named):
         (tmp_path / "params.yaml").write_text(params_yaml)
@@ -911,6 +953,33 @@ class TestLiquidateQuote:
         assert result.exit_code == 2, result.output
         assert f"{tmp_path}/{named}" in result.stderr
         assert result.stderr.count("\n") == 1, result.stderr
+
+    @pytest.mark.parametrize("entry, named", [
+        ('    price: "2000"\n', "missing key 'decimals'"),
+        ('    decimals: 18\n    price: "abc"\n', "not a decimal number: 'abc'"),
+        ('    decimals: 6.7\n    price: "2000"\n', "decimals 6.7 is not an integer"),
+    ], ids=["without_decimals", "price_not_a_number", "float_decimals"])
+    def test_a_malformed_price_table_exits_2_naming_it(self, runner, tmp_path, entry, named):
+        asset = "0xc02aaa39b223fe8d0a0e5c4f27ead9083c756cc2"
+        (tmp_path / "prices.yaml").write_text(f'assets:\n  "{asset}":\n{entry}')
+        result = runner.invoke(main, [
+            "aggregate", "--metric", "deposit-volume", "--in", str(tmp_path),
+            "--out", str(tmp_path / "volume.csv"), "--price-table", str(tmp_path / "prices.yaml"),
+        ])
+        assert result.exit_code == 2, result.output
+        assert f"{tmp_path}/prices.yaml: asset {asset}: {named}" in result.stderr
+        assert result.stderr.count("\n") == 1, result.stderr
+        assert not (tmp_path / "volume.csv").exists()
+
+    @pytest.mark.parametrize("amount", ["1/3", "1.25e2", "1_000"])
+    def test_a_debt_to_cover_not_a_plain_decimal_exits_2(self, runner, tmp_path, amount):
+        params, position = self._files(tmp_path, POSITION_YAML)
+        result = runner.invoke(main, [
+            "liquidate-quote", "--params", params, "--position", position,
+            "--debt-asset", "debt", "--collateral-asset", "coll", "--debt-to-cover", amount,
+        ])
+        assert result.exit_code == 2, result.output
+        assert result.stderr == f"Error: --debt-to-cover: not a decimal number: '{amount}'\n"
 
     def test_half_close_factor_caps_debt(self, runner, tmp_path):
         # H = 0.97 constructed: weighted 100*2*0.5 = 100, debt = 100/0.97

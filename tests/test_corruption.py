@@ -58,6 +58,7 @@ EXPECTED = {
     "record_is_list": (1, 0, 0, 0, 0),  # JSON, but not an object
     "record_without_finalized": (1, 0, 0, 0, 0),  # as written before the record had it
     "record_finalized_with_open_part": (1, 0, 0, 0, 0),
+    "record_rows_total_disagrees": (1, 0, 0, 0, 0),
     "stale_open_part": (1, 0, 0, 0, 0),
     # bytes no part is written with, in Supply part002's fourth row (line 5)
     "quoted_value": (1, 4, 4, 4, 4),  # its transaction_hash wrapped in quotes
@@ -327,6 +328,7 @@ RECORD_EDITS = {
     "record_without_finalized": _edit_json(lambda doc: doc.pop("finalized")),
     "record_finalized_with_open_part": _edit_json(lambda doc: doc.update(
         current_part_number=5, rows_in_current_part=3)),
+    "record_rows_total_disagrees": _edit_json(lambda doc: doc.update(rows_emitted_total=999999)),
 }
 
 
@@ -352,6 +354,8 @@ RESUME_CASES = {
         "checkpoint.json", _edit_json(lambda doc: doc.update(finalized="true"))),
     "checkpoint_finalized_with_open_part": (
         "checkpoint.json", _interrupted(_edit_json(lambda doc: doc.update(finalized=True)))),
+    "checkpoint_rows_total_disagrees": (
+        "checkpoint.json", _edit_json(lambda doc: doc.update(rows_emitted_total=999999))),
     "open_part_not_utf8": (".part001.open.csv", _interrupted(_edit_row(1, _not_utf8))),
     "open_part_not_utf8_in_a_middle_row": (
         ".part001.open.csv", _interrupted(_edit_row(3, _not_utf8))),

@@ -34,6 +34,12 @@ def test_parse_round_trip(text):
     assert fraction_to_decimal(parse_decimal(text)) == text
 
 
+@pytest.mark.parametrize("text", ["1.25e2", "1/3", "1_000", ".5", "5.", "+", "1.2.3", "١٢"])
+def test_parse_accepts_only_plain_decimals(text):
+    with pytest.raises(ValueError, match="not a decimal number"):
+        parse_decimal(text)
+
+
 def test_parse_rejects_garbage():
     with pytest.raises(ValueError):
         parse_decimal("")

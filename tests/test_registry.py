@@ -157,6 +157,9 @@ def test_custom_registry_extensible(tmp_path):
         # bool("false") is True
         (("indexed: true}", 'indexed: "false"}'),
          "event 'MintedToTreasury': field 'reserve': indexed 'false'"),
+        # int() would cut a float and read a boolean
+        (("start_block: 0", "start_block: false"), "start_block False is not an integer"),
+        (("max_block: 1000", "max_block: 1000.9"), "max_block 1000.9 is not an integer"),
     ],
 )
 def test_malformed_documents_name_the_offender(tmp_path, mutation, needle):

@@ -130,6 +130,25 @@ class TestRollover:
         with pytest.raises(IoFailure):
             writer.append(_event(registry, 101, 0))
 
+    def test_finalize_is_retried_after_its_save_failed(self, registry, tmp_path, monkeypatch):
+        writer = _writer(registry, tmp_path)
+        writer.append(_event(registry, 100, 0))
+        writer.save(100)
+        save = Checkpoint.save
+
+        def failing_save(record, path):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Checkpoint, "save", failing_save)
+        with pytest.raises(IoFailure, match="saving the finalized record failed"):
+            writer.finalize(100)
+        monkeypatch.setattr(Checkpoint, "save", save)
+        assert not Checkpoint.load(_record_file(tmp_path), "ethereum",
+                                   "MintedToTreasury").finalized
+        record = writer.finalize(100)
+        assert (record.finalized, record.rows_emitted_total, len(record.parts)) == (True, 1, 1)
+        assert Checkpoint.load(_record_file(tmp_path), "ethereum", "MintedToTreasury") == record
+
 
 class TestOrdering:
     def test_repeated_key_rejected(self, registry, tmp_path):
@@ -252,6 +271,17 @@ class TestResume:
         Checkpoint("ethereum", "MintedToTreasury", 100, 1, 3, 1).save(path)
         with pytest.raises(FileFault, match="0 closed parts, but part 3 open"):
             Checkpoint.load(path, "ethereum", "MintedToTreasury")
+
+    def test_a_record_whose_row_total_disagrees_with_its_parts_is_refused(self, registry,
+                                                                         tmp_path):
+        _build_valid_tree(registry, tmp_path)
+        path = _record_file(tmp_path)
+        doc = json.load(open(path))
+        doc["rows_emitted_total"] = 999999
+        json.dump(doc, open(path, "w"))
+        with pytest.raises(FileFault, match="rows_emitted_total 999999, but its parts hold 12"):
+            Checkpoint.load(path, "ethereum", "MintedToTreasury")
+        assert [v.kind for v in validate_output(str(tmp_path))] == ["manifest"]
 
 
 class Killed(BaseException):
@@ -379,8 +409,8 @@ def test_kill_at_every_io_call_resumes_byte_identical(tmp_path, monkeypatch):
         assert not any(path.endswith(".state") for path in seam.paths)
         directory = _kill_point_run(root, resume=True)
         assert _normalized_tree(directory) == expected, f"killed at call {kill_at}"
-        report = validate_output(root)
-        assert report.ok, (kill_at, report.violations)
+        violations = validate_output(root)
+        assert not violations, (kill_at, violations)
 
 
 def fsyncs_by_kind(monkeypatch) -> collections.Counter:
@@ -440,15 +470,15 @@ def test_iter_streams_sorted_and_skips_files(tmp_path):
 class TestValidate:
     def test_clean_tree_passes(self, registry, tmp_path):
         _build_valid_tree(registry, tmp_path)
-        report = validate_output(str(tmp_path))
-        assert report.ok, report.violations
+        violations = validate_output(str(tmp_path))
+        assert not violations, violations
 
     def test_part000_is_naming_violation(self, registry, tmp_path):
         directory = _build_valid_tree(registry, tmp_path)
         name = list_stream_parts(directory)[0]
         os.rename(os.path.join(directory, name),
                   os.path.join(directory, name.replace("part001", "part000")))
-        kinds = {v.kind for v in validate_output(str(tmp_path)).violations}
+        kinds = {v.kind for v in validate_output(str(tmp_path))}
         assert "naming" in kinds
 
     def test_gap_in_numbering(self, registry, tmp_path):
@@ -456,7 +486,7 @@ class TestValidate:
         name = list_stream_parts(directory)[1]
         os.rename(os.path.join(directory, name),
                   os.path.join(directory, name.replace("part002", "part009")))
-        kinds = {v.kind for v in validate_output(str(tmp_path)).violations}
+        kinds = {v.kind for v in validate_output(str(tmp_path))}
         assert "part_numbering" in kinds
 
     def test_swapped_rows_report_line_number(self, registry, tmp_path):
@@ -466,14 +496,14 @@ class TestValidate:
         lines = open(path, "r", encoding="utf-8").read().splitlines()
         lines[2], lines[3] = lines[3], lines[2]
         open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
-        violations = [v for v in validate_output(str(tmp_path)).violations
+        violations = [v for v in validate_output(str(tmp_path))
                       if v.kind == "ordering"]
         assert violations and violations[0].line == 4
 
     def test_missing_record(self, registry, tmp_path):
         _build_valid_tree(registry, tmp_path)
         os.remove(_record_file(tmp_path))
-        kinds = {v.kind for v in validate_output(str(tmp_path)).violations}
+        kinds = {v.kind for v in validate_output(str(tmp_path))}
         assert kinds == {"manifest"}
 
     def test_record_row_count_mismatch(self, registry, tmp_path):
@@ -482,7 +512,7 @@ class TestValidate:
         doc = json.load(open(path))
         doc["parts"][0]["row_count"] += 1
         json.dump(doc, open(path, "w"))
-        kinds = {v.kind for v in validate_output(str(tmp_path)).violations}
+        kinds = {v.kind for v in validate_output(str(tmp_path))}
         assert kinds == {"manifest"}
 
     def test_unfinalized_record(self, registry, tmp_path):
@@ -491,21 +521,21 @@ class TestValidate:
         doc = json.load(open(path))
         doc["finalized"] = False
         json.dump(doc, open(path, "w"))
-        violations = validate_output(str(tmp_path)).violations
+        violations = validate_output(str(tmp_path))
         assert [(v.kind, v.path, v.detail) for v in violations] == [
             ("manifest", path, "stream not finalized")]
 
     def test_row_limit_violation(self, registry, tmp_path, monkeypatch):
         directory = _build_valid_tree(registry, tmp_path)
         monkeypatch.setattr(sink_module, "PART_ROW_LIMIT", 4)
-        kinds = {v.kind for v in validate_output(str(tmp_path)).violations}
+        kinds = {v.kind for v in validate_output(str(tmp_path))}
         assert "row_limit" in kinds
 
     def test_alien_filename(self, registry, tmp_path):
         directory = _build_valid_tree(registry, tmp_path)
         with open(os.path.join(directory, "notes.csv"), "w") as fh:
             fh.write("hello\n")
-        kinds = {v.kind for v in validate_output(str(tmp_path)).violations}
+        kinds = {v.kind for v in validate_output(str(tmp_path))}
         assert "naming" in kinds
 
     def _edit_header(self, path, old, new):
@@ -518,7 +548,7 @@ class TestValidate:
         directory = _build_valid_tree(registry, tmp_path)
         path = os.path.join(directory, list_stream_parts(directory)[1])
         self._edit_header(path, "amountMinted", "amount_minted")
-        violations = validate_output(str(tmp_path)).violations
+        violations = validate_output(str(tmp_path))
         assert [(v.kind, v.path) for v in violations] == [("header", path)]
         assert "first well-formed header" in violations[0].detail
 
@@ -526,7 +556,7 @@ class TestValidate:
         directory = _build_valid_tree(registry, tmp_path)
         path = os.path.join(directory, list_stream_parts(directory)[0])
         self._edit_header(path, "block_timestamp", "timestamp")
-        violations = validate_output(str(tmp_path)).violations
+        violations = validate_output(str(tmp_path))
         assert [(v.kind, v.path) for v in violations] == [("header", path)]
         assert "usd_value" in violations[0].detail
 
@@ -536,7 +566,7 @@ class TestValidate:
         lines = open(path, "r", encoding="utf-8").read().splitlines()
         lines[3] += ",extra"
         open(path, "w", encoding="utf-8").write("\n".join(lines) + "\n")
-        ragged = [v for v in validate_output(str(tmp_path)).violations if v.line is not None]
+        ragged = [v for v in validate_output(str(tmp_path)) if v.line is not None]
         assert [(v.path, v.line) for v in ragged] == [(path, 4)]
         assert "decodable event row of 10 columns" in ragged[0].detail
 
@@ -545,7 +575,7 @@ class TestValidate:
         stale = os.path.join(directory, ".part004.open.csv")
         with open(stale, "w", encoding="utf-8") as fh:
             fh.write("chain\n")
-        violations = validate_output(str(tmp_path)).violations
+        violations = validate_output(str(tmp_path))
         assert [(v.kind, v.path) for v in violations] == [("naming", stale)]
 
     def test_record_roundtrip(self, registry, tmp_path):
