@@ -10,13 +10,12 @@ to decimal strings only at output.
 from __future__ import annotations
 
 from collections import Counter
-from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from fractions import Fraction
 from typing import Callable, Iterator
 
-from .numstr import fraction_to_decimal, parse_decimal
+from .numstr import fraction_to_decimal, yaml_decimal
 from .registry import Registry, load_yaml, yaml_int
 from .sink import IoFailure, iter_part_rows, iter_streams, stream_parts
 
@@ -126,24 +125,25 @@ class PriceTable:
         self._assets = assets
 
     @classmethod
-    def load(cls, path: str, entry_context: Callable[[str, str], AbstractContextManager]
-             = lambda _path, _where: nullcontext()) -> "PriceTable":
-        """The table at ``path``. Each asset's entry is read inside
-        ``entry_context(path, "asset <address>")``, where a caller can turn a missing key
-        or a bad value into an error that names the file and the asset."""
+    def load(cls, path: str) -> "PriceTable":
+        """The table at ``path``; ValueError naming the asset for a missing key or a bad value."""
         with open(path, "r", encoding="utf-8") as fh:
             doc = load_yaml(fh) or {}
         assets: dict[str, dict] = {}
         for address, entry in (doc.get("assets") or {}).items():
-            with entry_context(path, f"asset {address}"):
+            try:
                 assets[str(address).lower()] = {
                     "decimals": yaml_int(entry["decimals"], "decimals"),
-                    "price": parse_decimal(str(entry["price"])) if "price" in entry else None,
+                    "price": yaml_decimal(entry["price"]) if "price" in entry else None,
                     "daily": {
-                        str(day): parse_decimal(str(price))
+                        str(day): yaml_decimal(price)
                         for day, price in (entry.get("daily") or {}).items()
                     },
                 }
+            except KeyError as exc:
+                raise ValueError(f"asset {address}: missing key {exc}") from None
+            except (TypeError, ValueError, AttributeError) as exc:
+                raise ValueError(f"asset {address}: {exc}") from None
         return cls(assets)
 
     def lookup(self, asset: str, day: str | None = None) -> tuple[Fraction, int] | None:

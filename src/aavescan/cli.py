@@ -24,7 +24,7 @@ import click
 
 from . import analytics
 from .gateway import FixtureGateway, GatewayError, HttpGateway
-from .numstr import fraction_to_decimal, parse_decimal
+from .numstr import fraction_to_decimal, parse_decimal, yaml_decimal
 from .registry import Registry, RegistryError, load_registry, load_yaml, yaml_int
 from .risk import (
     REPLAY_FIELDS,
@@ -411,12 +411,12 @@ def _load_asset_params(path: str) -> dict[str, AssetParams]:
             p = AssetParams(
                 symbol=str(entry.get("symbol", asset_id)),
                 decimals=yaml_int(entry.get("decimals", 0), "decimals"),
-                price=parse_decimal(str(entry["price"])),
-                liquidation_threshold=parse_decimal(str(entry["liquidation_threshold"])),
-                ltv=parse_decimal(str(entry.get("ltv", entry["liquidation_threshold"]))),
+                price=yaml_decimal(entry["price"]),
+                liquidation_threshold=yaml_decimal(entry["liquidation_threshold"]),
+                ltv=yaml_decimal(entry.get("ltv", entry["liquidation_threshold"])),
                 liquidation_bonus_bps=yaml_int(entry.get("liquidation_bonus_bps", 10000),
                                                "liquidation_bonus_bps"),
-                protocol_fee_share=parse_decimal(str(entry.get("protocol_fee_share", "0.2"))),
+                protocol_fee_share=yaml_decimal(entry.get("protocol_fee_share", "0.2")),
             )
             p.validate()
         params[str(asset_id)] = p
@@ -432,11 +432,11 @@ def _load_position(path: str) -> Position:
     for n, entry in enumerate(doc.get("collateral") or [], 1):
         with _config_entry(path, f"collateral entry {n}"):
             asset = str(entry["asset"])
-            position.collateral[asset] = parse_decimal(str(entry["amount"]))
+            position.collateral[asset] = yaml_decimal(entry["amount"])
             position.collateral_enabled[asset] = bool(entry.get("enabled", True))
     for n, entry in enumerate(doc.get("debt") or [], 1):
         with _config_entry(path, f"debt entry {n}"):
-            position.debt[str(entry["asset"])] = parse_decimal(str(entry["amount"]))
+            position.debt[str(entry["asset"])] = yaml_decimal(entry["amount"])
     return position
 
 
@@ -596,7 +596,10 @@ def aggregate(metric, root, out_path, price_table_path, per_chain, lenient,
         else:
             if not price_table_path:
                 raise click.UsageError("--price-table is required for deposit-volume")
-            table = analytics.PriceTable.load(price_table_path, _config_entry)
+            try:
+                table = analytics.PriceTable.load(price_table_path)
+            except ValueError as exc:
+                raise _ConfigFault(f"{price_table_path}: {exc}") from None
             header = "chain,deposit_volume_usd"
             pairs, skipped, errors = analytics.deposit_volume(root, table, lenient=lenient)
             if skipped.total_rows:

@@ -9,6 +9,7 @@ terminates in base 10 and rounds half up at ``max_frac_digits`` otherwise.
 from __future__ import annotations
 
 import re
+from decimal import Decimal
 from fractions import Fraction
 
 DEFAULT_MAX_FRAC_DIGITS = 18
@@ -22,6 +23,14 @@ def parse_decimal(text: str) -> Fraction:
     if not _PLAIN_DECIMAL.fullmatch(text):
         raise ValueError(f"not a decimal number: {text!r}")
     return Fraction(text)
+
+
+def yaml_decimal(raw: object) -> Fraction:
+    """A YAML scalar as a plain decimal. PyYAML reads an unquoted ``0.00001`` as the float
+    1e-05, so a float is taken at its shortest repr written out without an exponent."""
+    if isinstance(raw, float):
+        raw = format(Decimal(repr(raw)), "f")
+    return parse_decimal(str(raw))
 
 
 def fraction_to_decimal(value: Fraction | int, max_frac_digits: int = DEFAULT_MAX_FRAC_DIGITS) -> str:

@@ -5,6 +5,7 @@ import io
 import json
 import multiprocessing
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -1037,6 +1038,23 @@ class TestAggregate:
         assert result.exit_code == 0
         assert out_csv.read_bytes() == reference.aggregate_deposit_volume(
             mini_corpus_dir, ["ethereum", "base"])
+
+    def test_deposit_volume_reads_an_unquoted_yaml_float_price(self, runner, tmp_path, extracted,
+                                                               price_table_path):
+        # PyYAML reads an unquoted 0.00001 as the float 1e-05: the same price as the text
+        table = open(price_table_path, encoding="utf-8").read()
+        outputs = []
+        for price in ("0.00001", '"0.00001"'):
+            (tmp_path / "prices.yaml").write_text(re.sub(r'price: "[^"]*"', f"price: {price}", table))
+            out_csv = tmp_path / f"volume{len(outputs)}.csv"
+            result = runner.invoke(main, [
+                "aggregate", "--metric", "deposit-volume", "--in", str(extracted),
+                "--out", str(out_csv), "--price-table", str(tmp_path / "prices.yaml"),
+            ])
+            assert result.exit_code == 0, result.output
+            outputs.append(out_csv.read_bytes())
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0].splitlines()) == 3  # header, ethereum, base
 
     def test_deposit_volume_requires_price_table(self, runner, extracted, tmp_path):
         result = runner.invoke(main, [

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from aavescan.numstr import fraction_to_decimal, parse_decimal
+from aavescan.numstr import fraction_to_decimal, parse_decimal, yaml_decimal
+from aavescan.registry import load_yaml
 
 
 @pytest.mark.parametrize(
@@ -38,6 +39,23 @@ def test_parse_round_trip(text):
 def test_parse_accepts_only_plain_decimals(text):
     with pytest.raises(ValueError, match="not a decimal number"):
         parse_decimal(text)
+
+
+@pytest.mark.parametrize("scalar, value", [
+    ("0.00001", Fraction(1, 100_000)),  # PyYAML: the float 1e-05
+    ("1.5e+3", Fraction(1500)),
+    ("0.1", Fraction(1, 10)),
+    ("2", Fraction(2)),
+    ('"0.5"', Fraction(1, 2)),
+])
+def test_yaml_scalars_read_as_plain_decimals(scalar, value):
+    assert yaml_decimal(load_yaml(f"v: {scalar}")["v"]) == value
+
+
+@pytest.mark.parametrize("scalar", ['"1e-05"', "true", ".inf", ".nan", "[1]"])
+def test_yaml_scalars_that_are_not_decimals_are_refused(scalar):
+    with pytest.raises(ValueError, match="not a decimal number"):
+        yaml_decimal(load_yaml(f"v: {scalar}")["v"])
 
 
 def test_parse_rejects_garbage():
